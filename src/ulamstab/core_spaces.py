@@ -35,6 +35,8 @@ __all__ = [
     "ext_pow",
     "p_exponent",
     "euclidean_norm",
+    "euclidean_norm_rows",
+    "row_norm",
     "QuasiNormedSpace",
     "real_line",
     "GeneralizedBMetricSpace",
@@ -114,7 +116,29 @@ def p_exponent(kappa) -> float:
 
 def euclidean_norm(x) -> float:
     """Euclidean norm; reduces to abs() for scalars."""
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    return float(euclidean_norm_rows(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
+
+
+def euclidean_norm_rows(X) -> np.ndarray:
+    """``euclidean_norm`` of each row of a block, bit for bit."""
+    X = np.asarray(X, dtype=float)
+    X = X.reshape(len(X), -1)
+    return np.sqrt(np.sum(X * X, axis=1))
+
+
+def row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:
+    """The row-wise form of a norm callable: one value per row of a block.
+
+    ``euclidean_norm`` and a bound ``norm`` method whose owner also has
+    ``norm_rows`` (``QuasiNormedSpace``, ``LHalfSpace``) have one; any
+    other norm is applied row by row.
+    """
+    if norm is euclidean_norm:
+        return euclidean_norm_rows
+    owner = getattr(norm, "__self__", None)
+    if hasattr(owner, "norm_rows") and norm == getattr(owner, "norm", None):
+        return owner.norm_rows
+    return lambda X: np.array([norm(x) for x in X], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -146,6 +170,17 @@ class QuasiNormedSpace:
     def norm(self, x) -> float:
         """Evaluate the quasi-norm, rejecting NaN results."""
         return as_extended(self.norm_eval(x), name="norm value")
+
+    def norm_rows(self, X) -> np.ndarray:
+        """``norm`` of each row of a block (one point per leading index)."""
+        X = np.asarray(X, dtype=float)
+        v = row_norm(self.norm_eval)(X.reshape(len(X), -1))
+        if np.isnan(v).any():
+            raise InputError("norm value is NaN; distances must be in [0, +inf]")
+        if (v < 0.0).any():
+            raise InputError(f"norm value is negative ({float(v.min())!r}); "
+                             f"distances must be in [0, +inf]")
+        return v
 
 
 def real_line() -> QuasiNormedSpace:
@@ -351,6 +386,12 @@ class SampledMap:
     space.  Lookup is by exact grid membership within a tight float
     tolerance; there is no interpolation.  If the zero vector is on the
     grid its image is part of ``values`` like any other point.
+
+    Lookups go through an index built once: the rows sorted by their
+    first coordinate.  A query searches the window of first coordinates
+    that can match and applies the full per-coordinate tolerance to the
+    rows in it, so it finds the same (lowest) index a scan of every row
+    would find.
     """
 
     domain_grid: np.ndarray
@@ -371,32 +412,67 @@ class SampledMap:
             raise InputError("domain grid must be finite")
         if np.isnan(v).any():
             raise InputError("values contain NaN")
-        rows = g if g.ndim == 2 else g[:, None]
-        for i in range(len(rows)):
-            tol = _MATCH_ATOL + _MATCH_RTOL * np.abs(rows[i])
-            dup = np.all(np.abs(rows[i + 1:] - rows[i]) <= tol, axis=1)
-            if dup.any():
-                j = i + 1 + int(np.argmax(dup))
-                raise InputError(f"duplicate domain points at indices {i} and {j}")
         g.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "domain_grid", g)
         object.__setattr__(self, "values", v)
+        rows = g.reshape(len(g), -1)
+        order = np.argsort(rows[:, 0], kind="stable")
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_keys", rows[order, 0])
+        # A later row within the tolerance of an earlier one is a duplicate.
+        dup = self._match(rows, after=np.arange(len(rows)))
+        if (dup >= 0).any():
+            i = int(np.argmax(dup >= 0))
+            raise InputError(f"duplicate domain points at indices {i} and {int(dup[i])}")
 
     def __len__(self) -> int:
         return len(self.domain_grid)
 
+    def _match(self, P, after=None) -> np.ndarray:
+        """Lowest index of a grid row within tolerance of each row of P, or -1.
+
+        The tolerance is relative to the query point.  With ``after``, only
+        indices above ``after[i]`` count for query i.
+        """
+        n = len(self._rows)
+        p0 = P[:, 0]
+        reach = 2.0 * (_MATCH_ATOL + _MATCH_RTOL * np.abs(p0))
+        with np.errstate(invalid="ignore"):
+            lo = np.searchsorted(self._keys, p0 - reach, side="left")
+            hi = np.searchsorted(self._keys, p0 + reach, side="right")
+        wild = ~np.isfinite(p0)  # no window: scan every row
+        lo[wild] = 0
+        hi[wild] = n
+        found = np.full(len(P), n)
+        width = hi - lo
+        for t in range(int(width.max(initial=0))):
+            live = np.flatnonzero(width > t)
+            cand = self._order[lo[live] + t]
+            q = P[live]
+            hit = np.all(np.abs(self._rows[cand] - q)
+                         <= _MATCH_ATOL + _MATCH_RTOL * np.abs(q), axis=1)
+            if after is not None:
+                hit &= cand > after[live]
+            found[live[hit]] = np.minimum(found[live[hit]], cand[hit])
+        found[found == n] = -1
+        return found
+
+    def index_rows(self, points) -> np.ndarray:
+        """``try_index`` of each row of a 2-D block; -1 marks a point off the grid."""
+        P = np.asarray(points, dtype=float)
+        if P.ndim != 2 or P.shape[1:] != self._rows.shape[1:]:
+            return np.full(len(P), -1)
+        return self._match(P)
+
     def try_index(self, point) -> int | None:
         """Index of ``point`` on the grid, or None if it is not a grid point."""
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        rows = self.domain_grid if self.domain_grid.ndim == 2 else self.domain_grid[:, None]
-        if p.shape != rows.shape[1:]:
+        if p.shape != self._rows.shape[1:]:
             return None
-        tol = _MATCH_ATOL + _MATCH_RTOL * np.abs(p)
-        hits = np.all(np.abs(rows - p) <= tol, axis=1)
-        if not hits.any():
-            return None
-        return int(np.argmax(hits))
+        idx = int(self._match(p[None, :])[0])
+        return None if idx < 0 else idx
 
     def index_of(self, point) -> int:
         idx = self.try_index(point)

@@ -44,6 +44,7 @@ from .core_spaces import (
     SampledMap,
     euclidean_norm,
     real_line,
+    row_norm,
 )
 from .errors import HypothesisViolation, InputError, OverflowGuardError
 
@@ -55,9 +56,11 @@ __all__ = [
     "phi_at_zero",
     "el_residual",
     "el_defect",
+    "el_defect_rows",
     "junkim_residual",
     "junkim_defect",
     "CheckReport",
+    "GridPairs",
     "phi_contractivity_check",
     "hypothesis_defect_check",
     "cubic_approximant",
@@ -83,15 +86,50 @@ def _zero_like(x):
     return 0.0 if a.ndim == 0 else np.zeros_like(a)
 
 
-def _is_nonzero(x) -> bool:
-    return bool(np.any(np.asarray(x, dtype=float)))
+def _as_rows(grid):
+    """A grid as (array, one 2-D row per point, real-line flag).
+
+    A 1-d grid holds points of the real line.  Its points are unwrapped
+    to floats only where f is called and where a witness is reported.
+    """
+    g = np.array(grid, dtype=float)
+    if np.isnan(g).any() or np.isinf(g).any():
+        raise InputError("grid must be finite")
+    return g, g.reshape(len(g), -1), g.ndim == 1
 
 
-def _ratio(num: float, denom: float) -> float:
-    """num / denom with the conventions 0/0 = 0 and pos/0 = +inf."""
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / denom
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def _point(row, scalar):
+    return float(row[0]) if scalar else row
+
+
+def _f_rows(f, P, scalar) -> np.ndarray:
+    """f at each row of P, stacked: one call per point, never on a batch."""
+    return np.array([f(p) for p in (P[:, 0].tolist() if scalar else P)], dtype=float)
+
+
+def _ratios(num, denom) -> np.ndarray:
+    """num / denom elementwise with the conventions 0/0 = 0 and pos/0 = +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / denom
+    return np.where(denom == 0.0, np.where(num == 0.0, 0.0, math.inf), r)
+
+
+def _max_ratio(num, denom) -> float:
+    """The largest num / denom, at least 0; NaN ratios are ignored."""
+    r = _ratios(num, denom)
+    return float(np.max(np.where(np.isnan(r), 0.0, r), initial=0.0))
+
+
+def _first_max(r) -> int:
+    """Index where a left-to-right running maximum of r ends: the first
+    largest value, with NaN never winning unless it comes first."""
+    if np.isnan(r[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(r), -math.inf, r)))
 
 
 # =========================================================================
@@ -120,20 +158,26 @@ class PowerLaw:
             raise InputError(f"power-law exponent must satisfy s < 3, got {self.s!r}")
 
     def __call__(self, x, y) -> float:
-        nx = self.norm(x)
-        ny = self.norm(y)
-        if nx == 0.0 or ny == 0.0:
-            return 0.0
-        return self.lam * (nx**self.s + ny**self.s)
+        return float(self.rows(_row(x), _row(y))[0])
 
     def at_zero(self, x) -> float:
         """The bound-effective phi(x, 0) = lam * |x|**s."""
-        nx = self.norm(x)
-        if nx == 0.0:
-            if self.s > 0:
-                return 0.0
-            return self.lam if self.s == 0 else math.inf
-        return self.lam * nx**self.s
+        return float(self.at_zero_rows(_row(x))[0])
+
+    def rows(self, X, Y) -> np.ndarray:
+        """phi over matching rows of X and Y (a single row broadcasts)."""
+        norm = row_norm(self.norm)
+        nx, ny = norm(X), norm(Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = self.lam * (np.power(nx, self.s) + np.power(ny, self.s))
+        return np.where((nx == 0.0) | (ny == 0.0), 0.0, v)
+
+    def at_zero_rows(self, X) -> np.ndarray:
+        nx = row_norm(self.norm)(X)
+        at_origin = 0.0 if self.s > 0 else (self.lam if self.s == 0 else math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = self.lam * np.power(nx, self.s)
+        return np.where(nx == 0.0, at_origin, v)
 
     def lipschitz(self, m) -> float:
         return abs(m) ** (self.s - 3.0)
@@ -158,6 +202,13 @@ class ShiftNorm:
     def at_zero(self, x) -> float:
         return self.c * self.norm(x)
 
+    def rows(self, X, Y) -> np.ndarray:
+        """phi over matching rows of X and Y (a single row broadcasts)."""
+        return self.c * row_norm(self.norm)(X + self.m * Y)
+
+    def at_zero_rows(self, X) -> np.ndarray:
+        return self.c * row_norm(self.norm)(X)
+
     def lipschitz(self, m) -> float:
         return abs(m) ** -2.0
 
@@ -179,6 +230,12 @@ class ConstantBound:
     def at_zero(self, x) -> float:
         return self.value
 
+    def rows(self, X, Y) -> np.ndarray:
+        return np.full(np.broadcast(X, Y).shape[0], float(self.value))
+
+    def at_zero_rows(self, X) -> np.ndarray:
+        return np.full(len(X), float(self.value))
+
     def lipschitz(self, m) -> float:
         return abs(m) ** -3.0
 
@@ -190,17 +247,41 @@ def phi_at_zero(phi, x) -> float:
     return phi(x, _zero_like(x))
 
 
+def _phi_rows(phi, X, Y, scalar) -> np.ndarray:
+    """phi over matching rows of X and Y; a phi with no row form is called pair by pair."""
+    if hasattr(phi, "rows"):
+        return phi.rows(X, Y)
+    return np.array([phi(_point(x, scalar), _point(y, scalar))
+                     for x, y in zip(*np.broadcast_arrays(X, Y))], dtype=float)
+
+
+def _phi_at_zero_rows(phi, X, scalar) -> np.ndarray:
+    if hasattr(phi, "at_zero_rows"):
+        return phi.at_zero_rows(X)
+    return np.array([phi_at_zero(phi, _point(x, scalar)) for x in X], dtype=float)
+
+
 # =========================================================================
 # Equation defects
 # =========================================================================
 
+def _el_combine(m, a, b, c, d, e):
+    """The Euler-Lagrange residual from f at x + m y, m x - y, x + y, x - y, y."""
+    return (2.0 * m * a + 2.0 * b - (m**3 + m) * (c + d) - 2.0 * (m**4 - 1.0) * e)
+
+
+def _junkim_combine(a, b, c, d, e):
+    """The Jun-Kim residual from f at 2x + y, 2x - y, x + y, x - y, x."""
+    return a + b - 2.0 * c - 2.0 * d - 12.0 * e
+
+
 def el_residual(f, m, x, y):
     """Pointwise residual of the Euler-Lagrange cubic equation at (x, y)."""
-    return (2.0 * m * np.asarray(f(x + m * y), dtype=float)
-            + 2.0 * np.asarray(f(m * x - y), dtype=float)
-            - (m**3 + m) * (np.asarray(f(x + y), dtype=float)
-                            + np.asarray(f(x - y), dtype=float))
-            - 2.0 * (m**4 - 1.0) * np.asarray(f(y), dtype=float))
+    return _el_combine(m, np.asarray(f(x + m * y), dtype=float),
+                       np.asarray(f(m * x - y), dtype=float),
+                       np.asarray(f(x + y), dtype=float),
+                       np.asarray(f(x - y), dtype=float),
+                       np.asarray(f(y), dtype=float))
 
 
 def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
@@ -208,13 +289,32 @@ def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     return norm(el_residual(f, m, x, y))
 
 
+def _el_residual_rows(f, m, X, Y, FY, scalar) -> np.ndarray:
+    """el_residual over matching rows of X and Y, with f at Y given."""
+    return _el_combine(m, _f_rows(f, X + m * Y, scalar), _f_rows(f, m * X - Y, scalar),
+                       _f_rows(f, X + Y, scalar), _f_rows(f, X - Y, scalar), FY)
+
+
+def el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
+    """``el_defect`` at each pair of matching points of two grids, bit for bit.
+
+    ``xs`` and ``ys`` are grids (1-d on the real line, else one row per
+    point); either may hold a single point, which pairs with every point
+    of the other.  f is still called once per point.
+    """
+    _, X, scalar = _as_rows(xs)
+    _, Y, _ = _as_rows(ys)
+    R = _el_residual_rows(f, m, X, Y, _f_rows(f, Y, scalar), scalar)
+    return row_norm(norm)(R.reshape(len(R), -1))
+
+
 def junkim_residual(f, x, y):
     """Pointwise residual of the Jun-Kim cubic equation at (x, y)."""
-    return (np.asarray(f(2.0 * x + y), dtype=float)
-            + np.asarray(f(2.0 * x - y), dtype=float)
-            - 2.0 * np.asarray(f(x + y), dtype=float)
-            - 2.0 * np.asarray(f(x - y), dtype=float)
-            - 12.0 * np.asarray(f(x), dtype=float))
+    return _junkim_combine(np.asarray(f(2.0 * x + y), dtype=float),
+                           np.asarray(f(2.0 * x - y), dtype=float),
+                           np.asarray(f(x + y), dtype=float),
+                           np.asarray(f(x - y), dtype=float),
+                           np.asarray(f(x), dtype=float))
 
 
 def junkim_defect(f, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
@@ -242,58 +342,150 @@ class CheckReport:
     detail: str = ""
 
 
+class GridPairs:
+    """Every ordered pair (x, y) of points of a grid, in lexicographic order.
+
+    The pairs are never stored: the checks walk them one x-row at a time
+    against all y at once.  ``len()`` counts the pairs.  ``exclude_zero``
+    leaves out the pairs with a zero argument.  ``values``, f at the grid
+    points in grid order, spares the defect check from calling f there.
+    """
+
+    def __init__(self, grid, exclude_zero=False, values=None):
+        _, rows, self.scalar = _as_rows(grid)
+        nonzero = np.any(rows != 0.0, axis=1)
+        self.zero = _point(np.zeros(rows.shape[1]), self.scalar)
+        self._f0 = None
+        if values is not None and not nonzero.all():
+            self._f0 = values[int(np.argmin(nonzero))]
+        keep = nonzero if exclude_zero else np.ones(len(rows), dtype=bool)
+        self.rows = rows[keep]
+        self.values = None if values is None else np.asarray(values, dtype=float)[keep]
+
+    def __len__(self) -> int:
+        return len(self.rows) ** 2
+
+    def f_zero(self, f):
+        return f(self.zero) if self._f0 is None else self._f0
+
+    def f_at_y(self, f) -> np.ndarray:
+        return _f_rows(f, self.rows, self.scalar) if self.values is None else self.values
+
+    def blocks(self):
+        """(index of the first pair, x-row, every y, selection of the y values)."""
+        n = len(self.rows)
+        for i in range(n):
+            yield i * n, self.rows[i:i + 1], self.rows, slice(None)
+
+    def pair(self, k) -> tuple:
+        i, j = divmod(k, len(self.rows))
+        return _point(self.rows[i], self.scalar), _point(self.rows[j], self.scalar)
+
+
+class _PairList:
+    """A sequence of (x, y) pairs, walked in consecutive blocks."""
+
+    BLOCK = 64
+
+    def __init__(self, samples):
+        self.samples = samples
+        self.scalar = bool(len(samples)) and np.ndim(samples[0][0]) == 0
+        self.zero = _zero_like(samples[0][0]) if len(samples) else 0.0
+        self.xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in samples])
+        self.ys = np.array([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in samples])
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def f_zero(self, f):
+        return f(self.zero)
+
+    def f_at_y(self, f) -> np.ndarray:
+        return _f_rows(f, self.ys, self.scalar)
+
+    def blocks(self):
+        for start in range(0, len(self.samples), self.BLOCK):
+            sel = slice(start, start + self.BLOCK)
+            yield start, self.xs[sel], self.ys[sel], sel
+
+    def pair(self, k) -> tuple:
+        x, y = self.samples[k]
+        return x, y
+
+
+def _pairs(samples):
+    return samples if isinstance(samples, GridPairs) else _PairList(samples)
+
+
+def _scan(pairs, sides, tol, exceeds, holds) -> CheckReport:
+    """Check lhs <= rhs + tol * max(1, rhs) block by block.
+
+    ``sides(X, Y, sel)`` gives both sides for one block.  The first
+    violating pair fails the check; otherwise the witness is the first
+    pair of largest lhs/rhs.
+    """
+    worst, witness = 0.0, None
+    for start, X, Y, sel in pairs.blocks():
+        lhs, rhs = sides(X, Y, sel)
+        ratio = _ratios(lhs, rhs)
+        with np.errstate(invalid="ignore"):
+            bad = lhs > rhs + tol * np.maximum(1.0, rhs)
+        if bad.any():
+            k = int(np.argmax(bad))
+            return CheckReport(False, float(ratio[k]), pairs.pair(start + k), len(pairs),
+                               exceeds(float(lhs[k]), float(rhs[k])))
+        # The running maximum starts on the very first pair, NaN or not.
+        k = _first_max(ratio if witness is None else np.where(np.isnan(ratio), -math.inf, ratio))
+        if witness is None or ratio[k] > worst:
+            worst, witness = float(ratio[k]), pairs.pair(start + k)
+    return CheckReport(True, worst, witness, len(pairs), holds)
+
+
 def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     """Check phi(m x, m y) <= L * |m|**3 * phi(x, y) on sample pairs.
 
-    The slack is tol * max(1, rhs): purely absolute near unit scale,
+    ``samples`` is a sequence of (x, y) pairs or a ``GridPairs``.  The
+    slack is tol * max(1, rhs): purely absolute near unit scale,
     relative for large values, so that families whose ratio is exactly 1
     survive float rounding at any magnitude.
     """
     if math.isnan(L) or L < 0:
         raise InputError(f"L must be nonnegative, got {L!r}")
+    pairs = _pairs(samples)
     scale = L * abs(m) ** 3
-    worst = 0.0
-    worst_pair = None
-    for x, y in samples:
-        lhs = phi(m * np.asarray(x, dtype=float), m * np.asarray(y, dtype=float))
-        rhs = scale * phi(x, y)
-        ratio = _ratio(lhs, rhs)
-        if ratio > worst or worst_pair is None:
-            worst = ratio
-            worst_pair = (x, y)
-        if lhs > rhs + tol * max(1.0, rhs):
-            return CheckReport(False, ratio, (x, y), len(samples),
-                               f"phi(m x, m y) = {lhs!r} exceeds L |m|^3 phi(x, y) = {rhs!r}")
-    return CheckReport(True, worst, worst_pair, len(samples),
-                       f"contractive on {len(samples)} pairs")
+
+    def sides(X, Y, sel):
+        return (_phi_rows(phi, m * X, m * Y, pairs.scalar),
+                scale * _phi_rows(phi, X, Y, pairs.scalar))
+
+    return _scan(pairs, sides, tol,
+                 lambda lhs, rhs: f"phi(m x, m y) = {lhs!r} exceeds L |m|^3 phi(x, y) = {rhs!r}",
+                 f"contractive on {len(pairs)} pairs")
 
 
 def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euclidean_norm,
                             tol=DEFAULT_TOL) -> CheckReport:
     """Check el_defect(f, m, x, y) <= phi(x, y) + tol * max(1, phi) on samples.
 
+    ``samples`` is a sequence of (x, y) pairs or a ``GridPairs``.
     ``f(0) = 0`` is verified first; its failure invalidates the whole
     construction and raises ``HypothesisViolation``.
     """
-    z = _zero_like(samples[0][0]) if len(samples) else 0.0
-    f0 = norm(np.asarray(f(z), dtype=float))
+    pairs = _pairs(samples)
+    f0 = norm(np.asarray(pairs.f_zero(f), dtype=float))
     if f0 > tol:
         raise HypothesisViolation(
-            f"f(0) has norm {f0!r}, expected 0", witness=(z,), observed=f0, allowed=tol)
-    worst = 0.0
-    worst_pair = None
-    for x, y in samples:
-        defect = el_defect(f, m, x, y, norm=norm)
-        bound = phi(x, y)
-        ratio = _ratio(defect, bound)
-        if ratio > worst or worst_pair is None:
-            worst = ratio
-            worst_pair = (x, y)
-        if defect > bound + tol * max(1.0, bound):
-            return CheckReport(False, ratio, (x, y), len(samples),
-                               f"defect {defect!r} exceeds phi {bound!r}")
-    return CheckReport(True, worst, worst_pair, len(samples),
-                       f"defect dominated by phi on {len(samples)} pairs")
+            f"f(0) has norm {f0!r}, expected 0", witness=(pairs.zero,), observed=f0, allowed=tol)
+    fy = pairs.f_at_y(f) if len(pairs) else None
+    norm_rows = row_norm(norm)
+
+    def sides(X, Y, sel):
+        R = _el_residual_rows(f, m, X, Y, fy[sel], pairs.scalar)
+        return norm_rows(R.reshape(len(R), -1)), _phi_rows(phi, X, Y, pairs.scalar)
+
+    return _scan(pairs, sides, tol,
+                 lambda defect, bound: f"defect {defect!r} exceeds phi {bound!r}",
+                 f"defect dominated by phi on {len(pairs)} pairs")
 
 
 # =========================================================================
@@ -304,6 +496,8 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
                       codomain: QuasiNormedSpace | None = None) -> SampledMap:
     """Extract q(x) = lim f(m**n x) / m**(3 n) on a finite grid.
 
+    ``grid`` is an array of points, or a ``SampledMap`` holding f on its
+    grid: its values are then stage 0 and f is not called there again.
     Stops once the sup over the grid of the codomain-norm change between
     successive stages drops to ``tol``, or at ``n_max`` stages.  The
     stage count and final change land in the result's ``meta``.
@@ -318,19 +512,10 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max!r}")
     codomain = codomain or real_line()
-    g = np.array(grid, dtype=float)
-    if np.isnan(g).any() or np.isinf(g).any():
-        raise InputError("grid must be finite")
-    rows = g if g.ndim == 2 else g[:, None]
-
-    def stage_values(points):
-        vals = np.array([np.asarray(f(p if g.ndim == 2 else float(p[0])), dtype=float)
-                         for p in points])
-        return vals
-
-    points = rows.copy()
+    sampled = isinstance(grid, SampledMap)
+    g, points, scalar = _as_rows(grid.domain_grid if sampled else grid)
+    vals = grid.values if sampled else _f_rows(f, points, scalar)
     denom = 1.0
-    vals = stage_values(points)
     n_used = 0
     change = math.inf
     for n in range(1, n_max + 1):
@@ -342,15 +527,14 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
                 last_safe=SampledMap(g, vals, codomain,
                                      meta={"iterations": n - 1, "final_change": change}),
                 iterations=n - 1)
-        new_vals = stage_values(points) / denom
+        new_vals = _f_rows(f, points, scalar) / denom
         if not np.isfinite(new_vals).all():
             raise OverflowGuardError(
                 f"f overflowed along the orbit at stage {n}",
                 last_safe=SampledMap(g, vals, codomain,
                                      meta={"iterations": n - 1, "final_change": change}),
                 iterations=n - 1)
-        change = max(
-            (codomain.norm(new_vals[i] - vals[i]) for i in range(len(rows))), default=0.0)
+        change = float(np.max(codomain.norm_rows(new_vals - vals), initial=0.0))
         vals = new_vals
         n_used = n
         if change <= tol:
@@ -363,13 +547,16 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
 # Bounds and distances
 # =========================================================================
 
-def stability_bound(config: StabilityConfig, phi, x) -> float:
-    """Certified per-point bound (4/(1 - L**p))**(1/p) * phi(x, 0) / (2 |m|**3)."""
+def _bound_factor(config: StabilityConfig) -> float:
     Lp = config.L ** config.p
     if not Lp < 1.0:
         raise InputError(f"L**p must stay below 1, got {Lp!r}")
-    factor = (4.0 / (1.0 - Lp)) ** (1.0 / config.p)
-    return factor * phi_at_zero(phi, x) / (2.0 * abs(config.m) ** 3)
+    return (4.0 / (1.0 - Lp)) ** (1.0 / config.p)
+
+
+def stability_bound(config: StabilityConfig, phi, x) -> float:
+    """Certified per-point bound (4/(1 - L**p))**(1/p) * phi(x, 0) / (2 |m|**3)."""
+    return _bound_factor(config) * phi_at_zero(phi, x) / (2.0 * abs(config.m) ** 3)
 
 
 def power_law_bound(phi: PowerLaw, m, p, x) -> float:
@@ -395,12 +582,9 @@ def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
     """
     if not np.array_equal(g.domain_grid, h.domain_grid):
         raise InputError("sampled maps live on different grids")
-    norm = g.codomain.norm
-    worst = 0.0
-    for i in range(len(g)):
-        num = norm(np.asarray(g.values[i], dtype=float) - np.asarray(h.values[i], dtype=float))
-        worst = max(worst, _ratio(num, phi_at_zero(phi, g.point_at(i))))
-    return worst
+    _, rows, scalar = _as_rows(g.domain_grid)
+    num = g.codomain.norm_rows(g.values - h.values)
+    return _max_ratio(num, _phi_at_zero_rows(phi, rows, scalar))
 
 
 def cubic_rescale(g: SampledMap, m) -> SampledMap:
@@ -409,16 +593,12 @@ def cubic_rescale(g: SampledMap, m) -> SampledMap:
     Defined on the sub-grid of points whose m-multiple is still on g's
     grid; empty sub-grids are an input error.
     """
-    keep = []
-    values = []
-    for i in range(len(g)):
-        j = g.try_index(m * np.asarray(g.domain_grid[i], dtype=float))
-        if j is not None:
-            keep.append(i)
-            values.append(g.values[j] / m**3)
-    if not keep:
+    _, rows, _ = _as_rows(g.domain_grid)
+    j = g.index_rows(m * rows)
+    keep = np.flatnonzero(j >= 0)
+    if not len(keep):
         raise InputError("no grid point has its m-multiple on the grid")
-    return SampledMap(g.domain_grid[keep], np.array(values), g.codomain)
+    return SampledMap(g.domain_grid[keep], g.values[j[keep]] / m**3, g.codomain)
 
 
 def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.ndarray:
@@ -449,12 +629,15 @@ def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.nd
             if symmetric:
                 rows.append(-cur)
             cur = cur * m
-    out = []
-    for r in rows:
-        tol = 1e-12 + 1e-9 * np.abs(r)
-        if not any(np.all(np.abs(r - o) <= tol) for o in out):
-            out.append(r)
-    grid = np.array(out)
+    R = np.array(rows)
+    flat = R.reshape(len(R), -1)
+    kept = np.empty_like(flat)
+    keep = []
+    for i, r in enumerate(flat):
+        if not np.all(np.abs(r - kept[:len(keep)]) <= 1e-12 + 1e-9 * np.abs(r), axis=1).any():
+            kept[len(keep)] = r
+            keep.append(i)
+    grid = R[keep]
     return grid[:, 0] if len(d) == 1 and d[0] == 1 and np.asarray(base[0]).ndim == 0 else grid
 
 
@@ -624,68 +807,58 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     enough for the homogeneity check to see at least one pair (x, m x).
     Hypothesis violations produce a failing certificate with witnesses;
     only malformed inputs and numerical overflow raise.
+
+    f is called once per evaluation point, never on a batch: f at the
+    grid points is computed once and serves the f(y) term of the defect
+    check, the one-step check, the errors and stage 0 of the approximant.
+    The n**2 grid pairs are processed one x-row at a time.
     """
-    g = np.array(grid, dtype=float)
-    if np.isnan(g).any() or np.isinf(g).any():
-        raise InputError("grid must be finite")
-    rows = g if g.ndim == 2 else g[:, None]
+    g, rows, scalar = _as_rows(grid)
     n_pts = len(rows)
-    norm = config.codomain.norm
-    points = [g[i] if g.ndim == 2 else float(g[i]) for i in range(n_pts)]
-    zero_idx = next((i for i in range(n_pts) if not np.any(rows[i])), None)
-    if zero_idx is None:
+    codomain = config.codomain
+    nonzero = np.any(rows != 0.0, axis=1)
+    if nonzero.all():
         raise InputError("grid must contain the zero point")
+    zero_idx = int(np.argmin(nonzero))
+    F = _f_rows(f, rows, scalar)
 
     # f(0) = 0 is the ground everything else stands on.
-    f0 = norm(np.asarray(f(points[zero_idx]), dtype=float))
+    f0 = codomain.norm(F[zero_idx])
     if f0 > config.tol:
         return _failing_certificate(
-            config, n_pts, f"f(0) has norm {f0!r}, expected 0", (points[zero_idx],))
+            config, n_pts, f"f(0) has norm {f0!r}, expected 0", (_point(rows[zero_idx], scalar),))
 
-    pairs = [(points[i], points[j]) for i in range(n_pts) for j in range(n_pts)]
-    if getattr(phi, "excludes_zero", False):
-        # The power-law hypotheses are stated away from the origin only.
-        defect_pairs = [(x, y) for x, y in pairs
-                        if _is_nonzero(x) and _is_nonzero(y)]
-    else:
-        defect_pairs = pairs
-
-    phi_report = phi_contractivity_check(phi, config.m, config.L, pairs)
-    defect_report = hypothesis_defect_check(f, phi, config.m, defect_pairs,
-                                            norm=norm, tol=config.tol)
+    # The power-law hypotheses are stated away from the origin only.
+    excludes_zero = getattr(phi, "excludes_zero", False)
+    phi_report = phi_contractivity_check(phi, config.m, config.L, GridPairs(g))
+    defect_report = hypothesis_defect_check(f, phi, config.m,
+                                            GridPairs(g, excludes_zero, values=F),
+                                            norm=codomain.norm, tol=config.tol)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
     m3 = config.m**3
-    one_step_worst = 0.0
-    one_step_ok = True
-    for x in points:
-        xm = config.m * np.asarray(x, dtype=float)
-        lhs = norm(np.asarray(f(xm if g.ndim == 2 else float(xm)), dtype=float) / m3
-                   - np.asarray(f(x), dtype=float))
-        rhs = phi_at_zero(phi, x) / (2.0 * abs(config.m) ** 3)
-        one_step_worst = max(one_step_worst, _ratio(lhs, rhs))
-        if lhs > rhs + config.tol * max(1.0, rhs):
-            one_step_ok = False
+    weights = _phi_at_zero_rows(phi, rows, scalar)
+    lhs = codomain.norm_rows(_f_rows(f, config.m * rows, scalar) / m3 - F)
+    rhs = weights / (2.0 * abs(config.m) ** 3)
+    one_step_worst = _max_ratio(lhs, rhs)
+    one_step_ok = not (lhs > rhs + config.tol * np.maximum(1.0, rhs)).any()
 
-    q = cubic_approximant(f, config.m, g, n_max=n_max, tol=config.tol,
-                          codomain=config.codomain)
-    scale = max(1.0, max(norm(q.values[i]) for i in range(n_pts)))
+    q = cubic_approximant(f, config.m, SampledMap(g, F, codomain), n_max=n_max,
+                          tol=config.tol, codomain=codomain)
+    scale = max(1.0, float(np.max(codomain.norm_rows(q.values))))
 
-    bounds = tuple(stability_bound(config, phi, x) for x in points)
-    errors = tuple(norm(np.asarray(f(points[i]), dtype=float) - q.values[i])
-                   for i in range(n_pts))
-    max_error_ratio = max((_ratio(e, b) for e, b in zip(errors, bounds)), default=0.0)
+    bounds = _bound_factor(config) * weights / (2.0 * abs(config.m) ** 3)
+    errors = codomain.norm_rows(F - q.values)
+    ratios = _ratios(errors, bounds)
+    max_error_ratio = float(ratios[_first_max(ratios)])
 
-    homo_defect = 0.0
-    homo_points = 0
-    for i in range(n_pts):
-        j = q.try_index(config.m * rows[i])
-        if j is None:
-            continue
-        homo_points += 1
-        homo_defect = max(homo_defect, norm(q.values[j] - m3 * q.values[i]))
+    image = q.index_rows(config.m * rows)
+    on_grid = np.flatnonzero(image >= 0)
+    homo_points = len(on_grid)
+    homo_defect = float(np.max(codomain.norm_rows(q.values[image[on_grid]]
+                                                  - m3 * q.values[on_grid]), initial=0.0))
 
-    el_q, jk_q, n_checked = _solution_defects(q, config.m, norm, n_pts, zero_idx)
+    el_q, jk_q, n_checked = _solution_defects(q, config.m, codomain.norm, n_pts, zero_idx)
 
     notes = []
     if not defect_report.passed:
@@ -706,8 +879,8 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
         q=q,
         approximant_iterations=q.meta.get("iterations", 0),
         scale=scale,
-        bound_per_point=bounds,
-        error_per_point=errors,
+        bound_per_point=tuple(bounds.tolist()),
+        error_per_point=tuple(errors.tolist()),
         max_error_ratio=max_error_ratio,
         homogeneity_defect=homo_defect,
         homogeneity_points=homo_points,
@@ -722,28 +895,36 @@ def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
 
     A pair is in range when every point the equations touch lands on the
     grid.  Large grids enumerate only pairs through the origin; on the
-    geometric grids used here those are the in-range pairs.
+    geometric grids used here those are the in-range pairs.  Pairs are
+    looked up and evaluated one block at a time: an x-row against every
+    y, or the origin against every point.
     """
+    rows = q.domain_grid.reshape(n_pts, -1)
+    V = q.values
+    norm_rows = row_norm(norm)
+    every = np.arange(n_pts)
     if n_pts <= _FULL_PAIR_LIMIT:
-        candidates = [(i, j) for i in range(n_pts) for j in range(n_pts)]
+        blocks = [(np.full(n_pts, i), every) for i in range(n_pts)]
     else:
-        candidates = ([(zero_idx, j) for j in range(n_pts)]
-                      + [(i, zero_idx) for i in range(n_pts) if i != zero_idx])
+        others = every[every != zero_idx]
+        blocks = [(np.full(n_pts, zero_idx), every),
+                  (others, np.full(len(others), zero_idx))]
     el_worst = 0.0
     jk_worst = 0.0
     checked = 0
-    for i, j in candidates:
-        x = q.domain_grid[i]
-        y = q.domain_grid[j]
-        el_pts = (x + m * y, m * x - y, x + y, x - y, y)
-        jk_pts = (2.0 * x + y, 2.0 * x - y, x + y, x - y, x)
-        el_ok = all(q.try_index(pt) is not None for pt in el_pts)
-        jk_ok = all(q.try_index(pt) is not None for pt in jk_pts)
-        if not (el_ok or jk_ok):
-            continue
-        checked += 1
-        if el_ok:
-            el_worst = max(el_worst, el_defect(q, m, x, y, norm=norm))
-        if jk_ok:
-            jk_worst = max(jk_worst, junkim_defect(q, x, y, norm=norm))
+    for i, j in blocks:
+        X, Y = rows[i], rows[j]
+        at = q.index_rows
+        sum_, diff = at(X + Y), at(X - Y)
+        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, at(Y)])
+        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, at(X)])
+        el_ok = (el >= 0).all(axis=0)
+        jk_ok = (jk >= 0).all(axis=0)
+        checked += int(np.count_nonzero(el_ok | jk_ok))
+        if el_ok.any():
+            R = _el_combine(m, *(V[k] for k in el[:, el_ok]))
+            el_worst = max(el_worst, float(np.max(norm_rows(R.reshape(len(R), -1)))))
+        if jk_ok.any():
+            R = _junkim_combine(*(V[k] for k in jk[:, jk_ok]))
+            jk_worst = max(jk_worst, float(np.max(norm_rows(R.reshape(len(R), -1)))))
     return el_worst, jk_worst, checked
