@@ -183,9 +183,11 @@ def _cmd_fixpoint(args, timings):
 # verify
 # =========================================================================
 
+# Products, not u**3: the array power costs about 50 times more per
+# 1024-sample vector and is not bitwise equal to the product.
 _BUILTIN_F = {
-    "cubic": lambda u: u**3,
-    "cubic_plus_linear": lambda u: u**3 + u,
+    "cubic": lambda u: u * u * u,
+    "cubic_plus_linear": lambda u: u * u * u + u,
 }
 
 
