@@ -450,9 +450,15 @@ class SampledMap:
         for t in range(int(width.max(initial=0))):
             live = np.flatnonzero(width > t)
             cand = self._order[lo[live] + t]
-            q = P[live]
-            hit = np.all(np.abs(self._rows[cand] - q)
-                         <= _MATCH_ATOL + _MATCH_RTOL * np.abs(q), axis=1)
+            q = P if len(live) == len(P) else P[live]
+            # |row - q| <= atol + rtol |q|, computed in place.
+            gap = self._rows[cand]
+            gap -= q
+            np.abs(gap, out=gap)
+            tol = np.abs(q)
+            tol *= _MATCH_RTOL
+            tol += _MATCH_ATOL
+            hit = np.all(gap <= tol, axis=1)
             if after is not None:
                 hit &= cand > after[live]
             found[live[hit]] = np.minimum(found[live[hit]], cand[hit])

@@ -92,8 +92,8 @@ def _as_rows(grid):
     A 1-d grid holds points of the real line.  Its points are unwrapped
     to floats only where f is called and where a witness is reported.
     """
-    g = np.array(grid, dtype=float)
-    if np.isnan(g).any() or np.isinf(g).any():
+    g = np.asarray(grid, dtype=float)
+    if not np.isfinite(g).all():
         raise InputError("grid must be finite")
     return g, g.reshape(len(g), -1), g.ndim == 1
 
@@ -355,12 +355,14 @@ class GridPairs:
         _, rows, self.scalar = _as_rows(grid)
         nonzero = np.any(rows != 0.0, axis=1)
         self.zero = _point(np.zeros(rows.shape[1]), self.scalar)
+        self.values = None if values is None else np.asarray(values, dtype=float)
         self._f0 = None
-        if values is not None and not nonzero.all():
-            self._f0 = values[int(np.argmin(nonzero))]
-        keep = nonzero if exclude_zero else np.ones(len(rows), dtype=bool)
-        self.rows = rows[keep]
-        self.values = None if values is None else np.asarray(values, dtype=float)[keep]
+        if self.values is not None and not nonzero.all():
+            self._f0 = self.values[int(np.argmin(nonzero))]
+        if exclude_zero:
+            rows = rows[nonzero]
+            self.values = None if values is None else self.values[nonzero]
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows) ** 2
@@ -391,8 +393,9 @@ class _PairList:
         self.samples = samples
         self.scalar = bool(len(samples)) and np.ndim(samples[0][0]) == 0
         self.zero = _zero_like(samples[0][0]) if len(samples) else 0.0
-        self.xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in samples])
-        self.ys = np.array([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in samples])
+        both = (np.asarray(samples, dtype=float).reshape(len(samples), 2, -1)
+                if len(samples) else np.empty((0, 2, 1)))
+        self.xs, self.ys = both[:, 0], both[:, 1]
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -902,22 +905,22 @@ def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
     rows = q.domain_grid.reshape(n_pts, -1)
     V = q.values
     norm_rows = row_norm(norm)
-    every = np.arange(n_pts)
+    at = q.index_rows
+    own = at(rows)
+    origin = slice(zero_idx, zero_idx + 1)
     if n_pts <= _FULL_PAIR_LIMIT:
-        blocks = [(np.full(n_pts, i), every) for i in range(n_pts)]
+        blocks = [(slice(i, i + 1), slice(None)) for i in range(n_pts)]
     else:
-        others = every[every != zero_idx]
-        blocks = [(np.full(n_pts, zero_idx), every),
-                  (others, np.full(len(others), zero_idx))]
+        blocks = [(origin, slice(None)), (np.flatnonzero(np.arange(n_pts) != zero_idx), origin)]
     el_worst = 0.0
     jk_worst = 0.0
     checked = 0
     for i, j in blocks:
         X, Y = rows[i], rows[j]
-        at = q.index_rows
+        ix, iy = np.broadcast_arrays(own[i], own[j])
         sum_, diff = at(X + Y), at(X - Y)
-        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, at(Y)])
-        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, at(X)])
+        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, iy])
+        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, ix])
         el_ok = (el >= 0).all(axis=0)
         jk_ok = (jk >= 0).all(axis=0)
         checked += int(np.count_nonzero(el_ok | jk_ok))
