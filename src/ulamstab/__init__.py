@@ -14,13 +14,11 @@ from .core_spaces import (
     as_extended,
     as_extended_matrix,
     euclidean_norm,
-    euclidean_norm_rows,
     ext_pow,
     load_distance_csv,
     load_distance_json,
     p_exponent,
     real_line,
-    row_norm,
     save_distance_csv,
     save_distance_json,
     validate_b_metric,
@@ -29,7 +27,6 @@ from .core_spaces import (
 from .cubic_stability import (
     CheckReport,
     ConstantBound,
-    GridPairs,
     PowerLaw,
     ShiftNorm,
     StabilityCertificate,
@@ -37,7 +34,6 @@ from .cubic_stability import (
     cubic_approximant,
     cubic_rescale,
     el_defect,
-    el_defect_rows,
     el_residual,
     hypothesis_defect_check,
     junkim_defect,
@@ -70,11 +66,9 @@ from .function_spaces import (
     LHalfSpace,
     ell_r_kappa,
     ell_r_quasi_norm,
-    ell_r_quasi_norm_rows,
     ell_r_space,
     example_corpus,
     lhalf_norm,
-    lhalf_norm_rows,
 )
 from .metrization import ChainMetric, aoki_rolewicz_estimate, chain_metric
 
@@ -85,7 +79,7 @@ __all__ = [
     "HypothesisViolation", "OverflowGuardError",
     # core spaces
     "AXIOM_SLACK", "as_extended", "as_extended_matrix", "ext_pow", "p_exponent",
-    "euclidean_norm", "euclidean_norm_rows", "row_norm", "QuasiNormedSpace", "real_line", "GeneralizedBMetricSpace",
+    "euclidean_norm", "QuasiNormedSpace", "real_line", "GeneralizedBMetricSpace",
     "SampledMap", "BMetricReport", "QuasiNormReport", "validate_b_metric",
     "validate_quasi_norm", "load_distance_csv", "save_distance_csv",
     "load_distance_json", "save_distance_json",
@@ -96,13 +90,12 @@ __all__ = [
     "iterate", "estimate_lipschitz",
     # cubic stability
     "PowerLaw", "ShiftNorm", "ConstantBound", "phi_at_zero", "el_residual",
-    "el_defect", "el_defect_rows", "junkim_residual", "junkim_defect", "CheckReport",
-    "GridPairs", "phi_contractivity_check", "hypothesis_defect_check", "cubic_approximant",
+    "el_defect", "junkim_residual", "junkim_defect", "CheckReport",
+    "phi_contractivity_check", "hypothesis_defect_check", "cubic_approximant",
     "stability_bound", "power_law_bound", "sup_weighted_distance",
     "cubic_rescale", "m_closed_grid", "StabilityConfig", "StabilityCertificate",
     "verify_stability",
     # function spaces
-    "lhalf_norm", "lhalf_norm_rows", "LHalfSpace", "ell_r_quasi_norm",
-    "ell_r_quasi_norm_rows", "ell_r_kappa",
+    "lhalf_norm", "LHalfSpace", "ell_r_quasi_norm", "ell_r_kappa",
     "ell_r_space", "example_corpus",
 ]

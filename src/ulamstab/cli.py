@@ -41,7 +41,7 @@ from .cubic_stability import (
     PowerLaw,
     ShiftNorm,
     StabilityConfig,
-    el_defect_rows,
+    _el_defect_rows,
     m_closed_grid,
     phi_at_zero,
     verify_stability,
@@ -285,8 +285,8 @@ def _per_point_csv(path, f, phi, config, cert):
     q = cert.q
     scalar = q.domain_grid.ndim == 1
     # The y = 0 row of the defect kernel: one defect per grid point.
-    defects = el_defect_rows(f, config.m, q.domain_grid, np.zeros_like(q.domain_grid[:1]),
-                             config.codomain.norm)
+    defects = _el_defect_rows(f, config.m, q.domain_grid, np.zeros_like(q.domain_grid[:1]),
+                              config.codomain.norm)
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["index", "x" if scalar else "x_norm",
@@ -368,7 +368,7 @@ def run_example_lhalf(quadrature_n=1024, ms=(2.0, 3.0), tol=None, levels=1, seed
             # x against every y of the corpus at once.
             w = space.norm_rows(x + m * ys)
             kept = w >= 1e-9
-            c_meas = el_defect_rows(f, m, x[None, :], ys, space.norm)[kept] / w[kept]
+            c_meas = _el_defect_rows(f, m, x[None, :], ys, space.norm)[kept] / w[kept]
             measured.extend(c_meas.tolist())
             worst_rel = max(worst_rel, float(np.max(np.abs(c_meas - c_exact) / c_exact,
                                                     initial=0.0)))

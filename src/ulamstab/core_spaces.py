@@ -35,8 +35,6 @@ __all__ = [
     "ext_pow",
     "p_exponent",
     "euclidean_norm",
-    "euclidean_norm_rows",
-    "row_norm",
     "QuasiNormedSpace",
     "real_line",
     "GeneralizedBMetricSpace",
@@ -116,29 +114,40 @@ def p_exponent(kappa) -> float:
 
 def euclidean_norm(x) -> float:
     """Euclidean norm; reduces to abs() for scalars."""
-    return float(euclidean_norm_rows(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
+    return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
 
 
-def euclidean_norm_rows(X) -> np.ndarray:
-    """``euclidean_norm`` of each row of a block, bit for bit."""
+def _euclidean_norm_rows(X) -> np.ndarray:
+    """``euclidean_norm`` of each point of a block, bit for bit: one dot
+    product per row, as ``np.linalg.norm`` takes it."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(len(X), -1)
-    return np.sqrt(np.sum(X * X, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as quiet as the BLAS dot
+        return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
-def row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:
-    """The row-wise form of a norm callable: one value per row of a block.
+def _scalar_pow(values, e) -> np.ndarray:
+    """values**e element by element through the scalar pow, so that a row
+    form matches its one-point form bit for bit (the array power may
+    round the last bit differently)."""
+    return np.array([v ** e for v in values.tolist()], dtype=float)
 
-    ``euclidean_norm`` and a bound ``norm`` method whose owner also has
-    ``norm_rows`` (``QuasiNormedSpace``, ``LHalfSpace``) have one; any
-    other norm is applied row by row.
+
+def _row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:
+    """The block form of a norm callable: one value per point of a block.
+
+    A block holds one point per leading index: a 1-d block holds real
+    numbers, a 2-d block one vector per row.  ``euclidean_norm`` and a
+    bound ``norm`` method whose owner also has ``norm_rows``
+    (``QuasiNormedSpace``, ``LHalfSpace``) have a block form; any other
+    norm is called on each point as it stands, a number or a row.
     """
     if norm is euclidean_norm:
-        return euclidean_norm_rows
+        return _euclidean_norm_rows
     owner = getattr(norm, "__self__", None)
     if hasattr(owner, "norm_rows") and norm == getattr(owner, "norm", None):
         return owner.norm_rows
-    return lambda X: np.array([norm(x) for x in X], dtype=float)
+    return lambda X: np.array([norm(x) for x in X], dtype=float).reshape(len(X))
 
 
 @dataclass(frozen=True)
@@ -172,9 +181,8 @@ class QuasiNormedSpace:
         return as_extended(self.norm_eval(x), name="norm value")
 
     def norm_rows(self, X) -> np.ndarray:
-        """``norm`` of each row of a block (one point per leading index)."""
-        X = np.asarray(X, dtype=float)
-        v = row_norm(self.norm_eval)(X.reshape(len(X), -1))
+        """``norm`` of each point of a block (one point per leading index)."""
+        v = _row_norm(self.norm_eval)(np.asarray(X, dtype=float))
         if np.isnan(v).any():
             raise InputError("norm value is NaN; distances must be in [0, +inf]")
         if (v < 0.0).any():

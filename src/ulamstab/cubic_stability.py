@@ -42,9 +42,10 @@ from .core_spaces import (
     AXIOM_SLACK,
     QuasiNormedSpace,
     SampledMap,
+    _row_norm,
+    _scalar_pow,
     euclidean_norm,
     real_line,
-    row_norm,
 )
 from .errors import HypothesisViolation, InputError, OverflowGuardError
 
@@ -56,11 +57,9 @@ __all__ = [
     "phi_at_zero",
     "el_residual",
     "el_defect",
-    "el_defect_rows",
     "junkim_residual",
     "junkim_defect",
     "CheckReport",
-    "GridPairs",
     "phi_contractivity_check",
     "hypothesis_defect_check",
     "cubic_approximant",
@@ -96,10 +95,6 @@ def _as_rows(grid):
     if not np.isfinite(g).all():
         raise InputError("grid must be finite")
     return g, g.reshape(len(g), -1), g.ndim == 1
-
-
-def _row(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(1, -1)
 
 
 def _point(row, scalar):
@@ -158,26 +153,36 @@ class PowerLaw:
             raise InputError(f"power-law exponent must satisfy s < 3, got {self.s!r}")
 
     def __call__(self, x, y) -> float:
-        return float(self.rows(_row(x), _row(y))[0])
+        nx = self.norm(x)
+        ny = self.norm(y)
+        if nx == 0.0 or ny == 0.0:
+            return 0.0
+        return self.lam * (nx**self.s + ny**self.s)
 
     def at_zero(self, x) -> float:
         """The bound-effective phi(x, 0) = lam * |x|**s."""
-        return float(self.at_zero_rows(_row(x))[0])
+        nx = self.norm(x)
+        if nx == 0.0:
+            if self.s > 0:
+                return 0.0
+            return self.lam if self.s == 0 else math.inf
+        return self.lam * nx**self.s
+
+    def _pow(self, nx) -> np.ndarray:
+        # Zero norms are masked by the callers; 0**s may not exist.
+        return _scalar_pow(np.where(nx == 0.0, 1.0, nx), self.s)
 
     def rows(self, X, Y) -> np.ndarray:
-        """phi over matching rows of X and Y (a single row broadcasts)."""
-        norm = row_norm(self.norm)
+        """phi over matching points of two blocks (a single point broadcasts)."""
+        norm = _row_norm(self.norm)
         nx, ny = norm(X), norm(Y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = self.lam * (np.power(nx, self.s) + np.power(ny, self.s))
+        v = self.lam * (self._pow(nx) + self._pow(ny))
         return np.where((nx == 0.0) | (ny == 0.0), 0.0, v)
 
     def at_zero_rows(self, X) -> np.ndarray:
-        nx = row_norm(self.norm)(X)
+        nx = _row_norm(self.norm)(X)
         at_origin = 0.0 if self.s > 0 else (self.lam if self.s == 0 else math.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = self.lam * np.power(nx, self.s)
-        return np.where(nx == 0.0, at_origin, v)
+        return np.where(nx == 0.0, at_origin, self.lam * self._pow(nx))
 
     def lipschitz(self, m) -> float:
         return abs(m) ** (self.s - 3.0)
@@ -203,11 +208,11 @@ class ShiftNorm:
         return self.c * self.norm(x)
 
     def rows(self, X, Y) -> np.ndarray:
-        """phi over matching rows of X and Y (a single row broadcasts)."""
-        return self.c * row_norm(self.norm)(X + self.m * Y)
+        """phi over matching points of two blocks (a single point broadcasts)."""
+        return self.c * _row_norm(self.norm)(X + self.m * Y)
 
     def at_zero_rows(self, X) -> np.ndarray:
-        return self.c * row_norm(self.norm)(X)
+        return self.c * _row_norm(self.norm)(X)
 
     def lipschitz(self, m) -> float:
         return abs(m) ** -2.0
@@ -248,17 +253,21 @@ def phi_at_zero(phi, x) -> float:
 
 
 def _phi_rows(phi, X, Y, scalar) -> np.ndarray:
-    """phi over matching rows of X and Y; a phi with no row form is called pair by pair."""
-    if hasattr(phi, "rows"):
-        return phi.rows(X, Y)
-    return np.array([phi(_point(x, scalar), _point(y, scalar))
-                     for x, y in zip(*np.broadcast_arrays(X, Y))], dtype=float)
+    """phi over matching rows of X and Y; a phi with no row form is called pair by pair.
+
+    A row form sees real-line points as a 1-d block of numbers, so that
+    a norm it has no block form for is called on numbers, not rows.
+    """
+    if not hasattr(phi, "rows"):
+        return np.array([phi(_point(x, scalar), _point(y, scalar))
+                         for x, y in zip(*np.broadcast_arrays(X, Y))], dtype=float)
+    return phi.rows(X[:, 0], Y[:, 0]) if scalar else phi.rows(X, Y)
 
 
 def _phi_at_zero_rows(phi, X, scalar) -> np.ndarray:
-    if hasattr(phi, "at_zero_rows"):
-        return phi.at_zero_rows(X)
-    return np.array([phi_at_zero(phi, _point(x, scalar)) for x in X], dtype=float)
+    if not hasattr(phi, "at_zero_rows"):
+        return np.array([phi_at_zero(phi, _point(x, scalar)) for x in X], dtype=float)
+    return phi.at_zero_rows(X[:, 0] if scalar else X)
 
 
 # =========================================================================
@@ -295,7 +304,7 @@ def _el_residual_rows(f, m, X, Y, FY, scalar) -> np.ndarray:
                        _f_rows(f, X + Y, scalar), _f_rows(f, X - Y, scalar), FY)
 
 
-def el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
+def _el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
     """``el_defect`` at each pair of matching points of two grids, bit for bit.
 
     ``xs`` and ``ys`` are grids (1-d on the real line, else one row per
@@ -304,8 +313,7 @@ def el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
     """
     _, X, scalar = _as_rows(xs)
     _, Y, _ = _as_rows(ys)
-    R = _el_residual_rows(f, m, X, Y, _f_rows(f, Y, scalar), scalar)
-    return row_norm(norm)(R.reshape(len(R), -1))
+    return _row_norm(norm)(_el_residual_rows(f, m, X, Y, _f_rows(f, Y, scalar), scalar))
 
 
 def junkim_residual(f, x, y):
@@ -342,7 +350,7 @@ class CheckReport:
     detail: str = ""
 
 
-class GridPairs:
+class _GridPairs:
     """Every ordered pair (x, y) of points of a grid, in lexicographic order.
 
     The pairs are never stored: the checks walk them one x-row at a time
@@ -370,8 +378,11 @@ class GridPairs:
     def f_zero(self, f):
         return f(self.zero) if self._f0 is None else self._f0
 
-    def f_at_y(self, f) -> np.ndarray:
-        return _f_rows(f, self.rows, self.scalar) if self.values is None else self.values
+    def f_at_y(self, f):
+        """f at the y points of a block, from its selection: f is called
+        on the grid once, unless its values came with the pairs."""
+        values = _f_rows(f, self.rows, self.scalar) if self.values is None else self.values
+        return lambda Y, sel: values[sel]
 
     def blocks(self):
         """(index of the first pair, x-row, every y, selection of the y values)."""
@@ -403,8 +414,10 @@ class _PairList:
     def f_zero(self, f):
         return f(self.zero)
 
-    def f_at_y(self, f) -> np.ndarray:
-        return _f_rows(f, self.ys, self.scalar)
+    def f_at_y(self, f):
+        """f at the y points of a block, called block by block, so that a
+        check stopping early calls f on no later pair."""
+        return lambda Y, sel: _f_rows(f, Y, self.scalar)
 
     def blocks(self):
         for start in range(0, len(self.samples), self.BLOCK):
@@ -417,7 +430,7 @@ class _PairList:
 
 
 def _pairs(samples):
-    return samples if isinstance(samples, GridPairs) else _PairList(samples)
+    return samples if isinstance(samples, _GridPairs) else _PairList(samples)
 
 
 def _scan(pairs, sides, tol, exceeds, holds) -> CheckReport:
@@ -447,10 +460,11 @@ def _scan(pairs, sides, tol, exceeds, holds) -> CheckReport:
 def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     """Check phi(m x, m y) <= L * |m|**3 * phi(x, y) on sample pairs.
 
-    ``samples`` is a sequence of (x, y) pairs or a ``GridPairs``.  The
-    slack is tol * max(1, rhs): purely absolute near unit scale,
-    relative for large values, so that families whose ratio is exactly 1
-    survive float rounding at any magnitude.
+    ``samples`` is a sequence of (x, y) pairs, or every pair of a grid
+    as ``verify_stability`` passes them.  The slack is tol * max(1, rhs):
+    purely absolute near unit scale, relative for large values, so that
+    families whose ratio is exactly 1 survive float rounding at any
+    magnitude.
     """
     if math.isnan(L) or L < 0:
         raise InputError(f"L must be nonnegative, got {L!r}")
@@ -470,21 +484,22 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
                             tol=DEFAULT_TOL) -> CheckReport:
     """Check el_defect(f, m, x, y) <= phi(x, y) + tol * max(1, phi) on samples.
 
-    ``samples`` is a sequence of (x, y) pairs or a ``GridPairs``.
-    ``f(0) = 0`` is verified first; its failure invalidates the whole
-    construction and raises ``HypothesisViolation``.
+    ``samples`` is a sequence of (x, y) pairs, or every pair of a grid
+    as ``verify_stability`` passes them.  ``f(0) = 0`` is verified first;
+    its failure invalidates the whole construction and raises
+    ``HypothesisViolation``.
     """
     pairs = _pairs(samples)
     f0 = norm(np.asarray(pairs.f_zero(f), dtype=float))
     if f0 > tol:
         raise HypothesisViolation(
             f"f(0) has norm {f0!r}, expected 0", witness=(pairs.zero,), observed=f0, allowed=tol)
-    fy = pairs.f_at_y(f) if len(pairs) else None
-    norm_rows = row_norm(norm)
+    f_at_y = pairs.f_at_y(f)
+    norm_rows = _row_norm(norm)
 
     def sides(X, Y, sel):
-        R = _el_residual_rows(f, m, X, Y, fy[sel], pairs.scalar)
-        return norm_rows(R.reshape(len(R), -1)), _phi_rows(phi, X, Y, pairs.scalar)
+        R = _el_residual_rows(f, m, X, Y, f_at_y(Y, sel), pairs.scalar)
+        return norm_rows(R), _phi_rows(phi, X, Y, pairs.scalar)
 
     return _scan(pairs, sides, tol,
                  lambda defect, bound: f"defect {defect!r} exceeds phi {bound!r}",
@@ -495,18 +510,7 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
 # Cubic approximant extraction
 # =========================================================================
 
-def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
-                      codomain: QuasiNormedSpace | None = None) -> SampledMap:
-    """Extract q(x) = lim f(m**n x) / m**(3 n) on a finite grid.
-
-    ``grid`` is an array of points, or a ``SampledMap`` holding f on its
-    grid: its values are then stage 0 and f is not called there again.
-    Stops once the sup over the grid of the codomain-norm change between
-    successive stages drops to ``tol``, or at ``n_max`` stages.  The
-    stage count and final change land in the result's ``meta``.
-    Requires |m| > 1; an orbit or denominator leaving the safe floating
-    range raises ``OverflowGuardError`` carrying the last safe stage.
-    """
+def _check_stage_args(m, n_max, tol):
     if not abs(m) > 1.0:
         raise InputError(
             f"|m| must exceed 1 for the forward rescaling to contract, got m = {m!r}")
@@ -514,10 +518,27 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
         raise InputError(f"tol must be nonnegative, got {tol!r}")
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max!r}")
-    codomain = codomain or real_line()
-    sampled = isinstance(grid, SampledMap)
-    g, points, scalar = _as_rows(grid.domain_grid if sampled else grid)
-    vals = grid.values if sampled else _f_rows(f, points, scalar)
+
+
+def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
+                      codomain: QuasiNormedSpace | None = None) -> SampledMap:
+    """Extract q(x) = lim f(m**n x) / m**(3 n) on a finite grid.
+
+    Stops once the sup over the grid of the codomain-norm change between
+    successive stages drops to ``tol``, or at ``n_max`` stages.  The
+    stage count and final change land in the result's ``meta``.
+    Requires |m| > 1; an orbit or denominator leaving the safe floating
+    range raises ``OverflowGuardError`` carrying the last safe stage.
+    """
+    _check_stage_args(m, n_max, tol)
+    g, points, scalar = _as_rows(grid)
+    return _approximant(f, m, g, _f_rows(f, points, scalar), n_max, tol,
+                        codomain or real_line())
+
+
+def _approximant(f, m, g, vals, n_max, tol, codomain) -> SampledMap:
+    """``cubic_approximant`` from stage 0, the values of f on the grid g."""
+    _, points, scalar = _as_rows(g)
     denom = 1.0
     n_used = 0
     change = math.inf
@@ -833,9 +854,9 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
 
     # The power-law hypotheses are stated away from the origin only.
     excludes_zero = getattr(phi, "excludes_zero", False)
-    phi_report = phi_contractivity_check(phi, config.m, config.L, GridPairs(g))
+    phi_report = phi_contractivity_check(phi, config.m, config.L, _GridPairs(g))
     defect_report = hypothesis_defect_check(f, phi, config.m,
-                                            GridPairs(g, excludes_zero, values=F),
+                                            _GridPairs(g, excludes_zero, values=F),
                                             norm=codomain.norm, tol=config.tol)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
@@ -846,8 +867,8 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     one_step_worst = _max_ratio(lhs, rhs)
     one_step_ok = not (lhs > rhs + config.tol * np.maximum(1.0, rhs)).any()
 
-    q = cubic_approximant(f, config.m, SampledMap(g, F, codomain), n_max=n_max,
-                          tol=config.tol, codomain=codomain)
+    _check_stage_args(config.m, n_max, config.tol)
+    q = _approximant(f, config.m, g, F, n_max, config.tol, codomain)
     scale = max(1.0, float(np.max(codomain.norm_rows(q.values))))
 
     bounds = _bound_factor(config) * weights / (2.0 * abs(config.m) ** 3)
@@ -904,7 +925,7 @@ def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
     """
     rows = q.domain_grid.reshape(n_pts, -1)
     V = q.values
-    norm_rows = row_norm(norm)
+    norm_rows = _row_norm(norm)
     at = q.index_rows
     own = at(rows)
     origin = slice(zero_idx, zero_idx + 1)
@@ -926,8 +947,8 @@ def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
         checked += int(np.count_nonzero(el_ok | jk_ok))
         if el_ok.any():
             R = _el_combine(m, *(V[k] for k in el[:, el_ok]))
-            el_worst = max(el_worst, float(np.max(norm_rows(R.reshape(len(R), -1)))))
+            el_worst = max(el_worst, float(np.max(norm_rows(R))))
         if jk_ok.any():
             R = _junkim_combine(*(V[k] for k in jk[:, jk_ok]))
-            jk_worst = max(jk_worst, float(np.max(norm_rows(R.reshape(len(R), -1)))))
+            jk_worst = max(jk_worst, float(np.max(norm_rows(R))))
     return el_worst, jk_worst, checked

@@ -21,42 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_spaces import QuasiNormedSpace
+from .core_spaces import QuasiNormedSpace, _scalar_pow
 from .errors import InputError
 
 __all__ = [
     "ell_r_quasi_norm",
-    "ell_r_quasi_norm_rows",
     "ell_r_kappa",
     "ell_r_space",
     "lhalf_norm",
-    "lhalf_norm_rows",
     "LHalfSpace",
     "example_corpus",
 ]
 
 
-def _scalar_pow(values, e) -> np.ndarray:
-    """values**e element by element through the scalar pow, so that a row
-    form matches its single-vector norm bit for bit (the array power may
-    round the last bit differently)."""
-    return np.array([v ** e for v in values.tolist()], dtype=float)
-
-
 def ell_r_quasi_norm(x, r) -> float:
     """(sum |x_i|**r)**(1/r); requires r > 0."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(ell_r_quasi_norm_rows(v.reshape(1, -1), r)[0])
-
-
-def ell_r_quasi_norm_rows(X, r) -> np.ndarray:
-    """``ell_r_quasi_norm`` of each row of a 2-D block, bit for bit."""
     if math.isnan(r) or r <= 0:
         raise InputError(f"r must be positive, got {r!r}")
-    V = np.asarray(X, dtype=float)
-    if np.isnan(V).any():
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(v).any():
         raise InputError("vector contains NaN")
-    return _scalar_pow(np.sum(np.abs(V) ** r, axis=1), 1.0 / r)
+    return float(np.sum(np.abs(v) ** r) ** (1.0 / r))
 
 
 def ell_r_kappa(r) -> float:
@@ -66,20 +51,10 @@ def ell_r_kappa(r) -> float:
     return 2.0 ** (1.0 / r - 1.0) if r < 1.0 else 1.0
 
 
-@dataclass(frozen=True)
-class _EllR:
-    r: float
-
-    def norm(self, x) -> float:
-        return ell_r_quasi_norm(x, self.r)
-
-    def norm_rows(self, X) -> np.ndarray:
-        return ell_r_quasi_norm_rows(X, self.r)
-
-
 def ell_r_space(dim, r) -> QuasiNormedSpace:
     k = ell_r_kappa(r)
-    return QuasiNormedSpace(dim=dim, norm_eval=_EllR(r).norm, kappa=k, name=f"ell^{r}")
+    return QuasiNormedSpace(dim=dim, norm_eval=lambda x: ell_r_quasi_norm(x, r),
+                            kappa=k, name=f"ell^{r}")
 
 
 def lhalf_norm(x, quadrature_n=None) -> float:
@@ -91,10 +66,10 @@ def lhalf_norm(x, quadrature_n=None) -> float:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1 or len(v) == 0:
         raise InputError(f"expected a 1-d sample vector, got shape {v.shape}")
-    return float(lhalf_norm_rows(v[None, :], quadrature_n)[0])
+    return float(_lhalf_norm_rows(v[None, :], quadrature_n)[0])
 
 
-def lhalf_norm_rows(X, quadrature_n=None) -> np.ndarray:
+def _lhalf_norm_rows(X, quadrature_n=None) -> np.ndarray:
     """``lhalf_norm`` of each row of a 2-D block of sample vectors, bit for bit."""
     V = np.asarray(X, dtype=float)
     if V.ndim != 2 or V.shape[1] == 0:
@@ -132,7 +107,9 @@ class LHalfSpace:
         return lhalf_norm(x, self.quadrature_n)
 
     def norm_rows(self, X) -> np.ndarray:
-        return lhalf_norm_rows(X, self.quadrature_n)
+        """``norm`` of each point of a block (one sample vector per row)."""
+        X = np.asarray(X, dtype=float)
+        return _lhalf_norm_rows(X.reshape(len(X), -1), self.quadrature_n)
 
     def space(self) -> QuasiNormedSpace:
         """The QuasiNormedSpace view (dim = quadrature_n, kappa = 2)."""

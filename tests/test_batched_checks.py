@@ -1,12 +1,14 @@
 """The block kernels against per-pair and per-point reference loops.
 
 The hypothesis checks walk the grid pairs one x-row at a time against all
-y.  The reference loops below are the plain per-pair definitions: they
-call phi, f and the norms on one pair at a time, keep a running maximum
-of lhs/rhs, and stop at the first violating pair.  The kernels must agree
-with them exactly: verdict, worst ratio bit for bit, witness and sample
-count.  The grid index behind ``SampledMap.try_index`` is checked against
-a scan of every row.
+y.  The reference loops below are the plain per-pair definitions, written
+out here rather than taken from the library: the Euler-Lagrange residual,
+the control functions and the norms are evaluated one pair at a time
+with scalar arithmetic, a running maximum of lhs/rhs is kept, and the
+loop stops at the first violating pair.  The kernels must agree with them
+exactly: verdict, worst ratio bit for bit, witness and sample count.  The
+grid index behind ``SampledMap.try_index`` is checked against a scan of
+every row.
 """
 
 from __future__ import annotations
@@ -21,19 +23,21 @@ from hypothesis import strategies as st
 from ulamstab import (
     AXIOM_SLACK,
     ConstantBound,
-    GridPairs,
     InputError,
     LHalfSpace,
     PowerLaw,
+    QuasiNormedSpace,
     SampledMap,
     ShiftNorm,
-    el_defect,
+    StabilityConfig,
     euclidean_norm,
     hypothesis_defect_check,
+    m_closed_grid,
     phi_contractivity_check,
     real_line,
+    verify_stability,
 )
-from ulamstab.cubic_stability import DEFAULT_TOL
+from ulamstab.cubic_stability import DEFAULT_TOL, _GridPairs
 
 DIM = 8
 
@@ -45,6 +49,50 @@ def cubic_plus_linear(u):
 # ---------------------------------------------------------------------------
 # per-pair reference loops
 # ---------------------------------------------------------------------------
+
+
+def ref_euclidean(x):
+    return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+
+
+def ref_lhalf(x):
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    return float((np.sum(np.sqrt(np.abs(v))) / len(v)) ** 2)
+
+
+def l1_norm(x):
+    """A norm with no block form: the kernels call it point by point."""
+    return float(np.sum(np.abs(x)))
+
+
+def cond_abs(t):
+    """Defined on numbers only: a row would not pass the comparison alone."""
+    return t if t >= 0 else -t
+
+
+def ref_phi(phi, norm):
+    """phi as a per-pair function, with the reference norm."""
+    if isinstance(phi, ConstantBound):
+        return lambda x, y: phi.value
+    if isinstance(phi, ShiftNorm):
+        return lambda x, y: phi.c * norm(np.asarray(x, dtype=float)
+                                         + phi.m * np.asarray(y, dtype=float))
+
+    def power(x, y):
+        nx, ny = norm(x), norm(y)
+        if nx == 0.0 or ny == 0.0:
+            return 0.0
+        return phi.lam * (nx**phi.s + ny**phi.s)
+
+    return power
+
+
+def ref_el_residual(f, m, x, y):
+    return (2.0 * m * np.asarray(f(x + m * y), dtype=float)
+            + 2.0 * np.asarray(f(m * x - y), dtype=float)
+            - (m**3 + m) * (np.asarray(f(x + y), dtype=float)
+                            + np.asarray(f(x - y), dtype=float))
+            - 2.0 * (m**4 - 1.0) * np.asarray(f(y), dtype=float))
 
 
 def _ratio(num, denom):
@@ -73,7 +121,8 @@ def reference_contractivity(phi, m, L, pairs, tol=AXIOM_SLACK):
 
 
 def reference_defect(f, phi, m, pairs, norm, tol=DEFAULT_TOL):
-    return _reference_scan(pairs, lambda x, y: (el_defect(f, m, x, y, norm=norm), phi(x, y)), tol)
+    return _reference_scan(pairs, lambda x, y: (norm(ref_el_residual(f, m, x, y)), phi(x, y)),
+                           tol)
 
 
 def _same_float(a, b):
@@ -130,8 +179,14 @@ def _phi(kind, rng, m, norm):
         c = abs(2.0 * m * (1.0 - m**2)) * float(rng.choice([0.25, 0.99, 1.0, 1.5]))
         return ShiftNorm(c=c, m=m, norm=norm)
     return PowerLaw(lam=float(rng.choice([1.0, 24.0])),
-                    s=float(rng.choice([-1.0, 0.5, 1.0, 2.0])), norm=norm)
+                    s=float(rng.choice([-1.0, -0.7, 0.5, 1.0, 1.3, 2.0])), norm=norm)
 
+
+# (library norm, reference norm): with a block form, and without one.
+SCALAR_NORMS = [(euclidean_norm, ref_euclidean), (abs, abs), (np.abs, np.abs),
+                (cond_abs, cond_abs)]
+VECTOR_NORMS = [(euclidean_norm, ref_euclidean), (LHalfSpace(DIM).norm, ref_lhalf),
+                (l1_norm, l1_norm)]
 
 checks = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
@@ -140,16 +195,17 @@ checks = st.fixed_dictionaries({
     "dyadic": st.booleans(),
     "kind": st.sampled_from(["constant", "shift", "power"]),
     "m": st.sampled_from([2.0, 3.0, -2.0]),
-    "lhalf": st.booleans(),
+    "norm": st.integers(0, 11),
 })
 
 
 def _setup(case):
     rng = np.random.default_rng(case["seed"])
     grid = _grid(rng, case["n"], case["vector"], case["dyadic"])
-    norm = LHalfSpace(DIM).norm if case["vector"] and case["lhalf"] else euclidean_norm
+    norms = VECTOR_NORMS if case["vector"] else SCALAR_NORMS
+    norm, ref_norm = norms[case["norm"] % len(norms)]
     phi = _phi(case["kind"], rng, case["m"], norm)
-    return rng, grid, norm, phi
+    return rng, grid, norm, ref_norm, phi
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +216,29 @@ def _setup(case):
 @given(checks)
 @settings(max_examples=120, deadline=None)
 def test_contractivity_check_matches_the_per_pair_loop(case):
-    rng, grid, norm, phi = _setup(case)
+    rng, grid, norm, ref_norm, phi = _setup(case)
     m = case["m"]
     # The family's own constant, or one declared too small.
     L = phi.lipschitz(m) * float(rng.choice([1.0, 0.5]))
     pts = _points(grid)
     pairs = [(x, y) for x in pts for y in pts]
-    reference = reference_contractivity(phi, m, L, pairs)
-    assert_same_report(phi_contractivity_check(phi, m, L, GridPairs(grid)), reference)
+    reference = reference_contractivity(ref_phi(phi, ref_norm), m, L, pairs)
+    assert_same_report(phi_contractivity_check(phi, m, L, _GridPairs(grid)), reference)
     assert_same_report(phi_contractivity_check(phi, m, L, pairs), reference)
 
 
 @given(checks)
 @settings(max_examples=120, deadline=None)
 def test_defect_check_matches_the_per_pair_loop(case):
-    rng, grid, norm, phi = _setup(case)
+    rng, grid, norm, ref_norm, phi = _setup(case)
     m = case["m"]
     excl = phi.excludes_zero
     pts = _points(grid)
     pairs = [(x, y) for x in pts for y in pts
              if not excl or (_nonzero(x) and _nonzero(y))]
-    reference = reference_defect(cubic_plus_linear, phi, m, pairs, norm)
+    reference = reference_defect(cubic_plus_linear, ref_phi(phi, ref_norm), m, pairs, ref_norm)
     assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m,
-                                               GridPairs(grid, excl), norm=norm),
+                                               _GridPairs(grid, excl), norm=norm),
                        reference)
     assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m, pairs, norm=norm),
                        reference)
@@ -203,16 +259,17 @@ def test_non_finite_sides_follow_the_running_maximum(grid, phi):
     pairs = [(x, y) for x in pts for y in pts]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_report(
-            hypothesis_defect_check(cube, phi, 2.0, GridPairs(np.array(grid))),
-            reference_defect(cube, phi, 2.0, pairs, euclidean_norm))
-        assert_same_report(phi_contractivity_check(phi, 2.0, 0.25, GridPairs(np.array(grid))),
-                           reference_contractivity(phi, 2.0, 0.25, pairs))
+            hypothesis_defect_check(cube, phi, 2.0, _GridPairs(np.array(grid))),
+            reference_defect(cube, ref_phi(phi, ref_euclidean), 2.0, pairs, ref_euclidean))
+        assert_same_report(phi_contractivity_check(phi, 2.0, 0.25, _GridPairs(np.array(grid))),
+                           reference_contractivity(ref_phi(phi, ref_euclidean), 2.0, 0.25,
+                                                   pairs))
 
 
 def test_both_outcomes_are_exercised():
     # Both verdicts occur for both checks on the grids drawn above.
     grid = _grid(np.random.default_rng(0), 6, False, True)
-    pairs = GridPairs(grid)
+    pairs = _GridPairs(grid)
     assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, pairs).passed
     assert not phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.125, pairs).passed
     assert hypothesis_defect_check(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0), 2.0,
@@ -231,7 +288,7 @@ def test_grid_pairs_with_f_values_skip_the_grid_calls():
 
     values = np.array([cubic_plus_linear(x) for x in grid])
     report = hypothesis_defect_check(f, ShiftNorm(c=12.0, m=2.0), 2.0,
-                                     GridPairs(grid, values=values))
+                                     _GridPairs(grid, values=values))
     assert report.passed and report.n_samples == len(grid) ** 2
     # Four evaluation points per pair; f(y) and f(0) come from the values.
     assert len(calls) == 4 * len(grid) ** 2
@@ -240,8 +297,41 @@ def test_grid_pairs_with_f_values_skip_the_grid_calls():
 
 def test_power_law_pairs_exclude_zero_arguments():
     grid = _grid(np.random.default_rng(2), 4, True, False)
-    assert len(GridPairs(grid)) == 25
-    assert len(GridPairs(grid, exclude_zero=True)) == 16
+    assert len(_GridPairs(grid)) == 25
+    assert len(_GridPairs(grid, exclude_zero=True)) == 16
+
+
+def test_pair_list_stops_calling_f_after_the_failing_block():
+    # A violation on the first pair: f is not called on the y of a pair
+    # two blocks later, where it would raise.
+    far = 1e6
+
+    def f(u):
+        if u == far:
+            raise AssertionError("f called past the failing block")
+        return cubic_plus_linear(u)
+
+    pairs = [(1.0, 1.0)] * 200
+    pairs[150] = (1.0, far)
+    report = hypothesis_defect_check(f, ConstantBound(value=0.0), 2.0, pairs)
+    assert not report.passed and report.witness == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("norm", [abs, np.abs, cond_abs])
+def test_norms_without_a_block_form_are_called_on_numbers(norm):
+    # On the real line the absolute value is the Euclidean norm bit for
+    # bit, so the certificate must not depend on which of them is passed,
+    # to phi or to the codomain.
+    grid = m_closed_grid([1.0, 3.0], 2.0, levels=2)
+    certs = []
+    for nrm in (euclidean_norm, norm):
+        codomain = QuasiNormedSpace(dim=1, norm_eval=nrm, kappa=1.0)
+        for phi in (ShiftNorm(c=12.0, m=2.0, norm=nrm), PowerLaw(lam=24.0, s=1.0, norm=nrm)):
+            config = StabilityConfig(m=2.0, L=phi.lipschitz(2.0), codomain=codomain)
+            certs.append(verify_stability(cubic_plus_linear, phi, config, grid).to_dict())
+    assert certs[0]["passed"] and certs[1]["hypothesis_defect_ok"]
+    assert certs[:2] == certs[2:]
+    assert all(isinstance(b, float) for c in certs for b in c["bound_per_point"])
 
 
 # ---------------------------------------------------------------------------
