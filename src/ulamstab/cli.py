@@ -194,25 +194,41 @@ _BUILTIN_F = {
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return doc
 
 
-def _field(cfg, name, kind, where="config"):
+def _field(cfg, name, kind):
+    """The config value at a dotted path (a number indexes a list), checked
+    against ``kind``; an int field takes a number with no fractional part."""
     cur = cfg
     for part in name.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise InputError(f"{where}: missing field {name!r}")
-        cur = cur[part]
-    if kind is float and isinstance(cur, (int, float)) and not isinstance(cur, bool):
+        if isinstance(cur, list) and part.isdigit() and int(part) < len(cur):
+            cur = cur[int(part)]
+        elif isinstance(cur, dict) and part in cur:
+            cur = cur[part]
+        else:
+            raise InputError(f"config: missing field {name!r}")
+    number = isinstance(cur, (int, float)) and not isinstance(cur, bool)
+    if kind is float and number:
         return float(cur)
-    if not isinstance(cur, kind):
-        raise InputError(f"{where}: field {name!r} must be {kind.__name__}")
+    if kind is int and number and (isinstance(cur, int) or cur.is_integer()):
+        return int(cur)
+    if kind in (float, int) or not isinstance(cur, kind):
+        raise InputError(f"config: field {name!r} must be {kind.__name__}")
     return cur
+
+
+def _numbers(cfg, name) -> list:
+    """The list of numbers at a dotted path of the config."""
+    return [_field(cfg, f"{name}.{i}", float) for i in range(len(_field(cfg, name, list)))]
 
 
 def _build_f(doc):
@@ -221,7 +237,7 @@ def _build_f(doc):
         coeffs = _field(doc, "f.coefficients", list)
         if len(coeffs) > 4 or not coeffs:
             raise InputError("config: f.coefficients supports degree <= 3")
-        cs = [float(c) for c in coeffs]
+        cs = _numbers(doc, "f.coefficients")
 
         def f(u):
             acc = 0.0
@@ -254,27 +270,33 @@ def _build_space(doc):
     if kind == "reals":
         return None, None  # codomain defaults to the real line
     if kind == "lhalf":
-        qn = int(doc.get("space", {}).get("quadrature_n", 1024))
+        qn = _field(doc, "space.quadrature_n", int) if "quadrature_n" in doc["space"] else 1024
         lh = LHalfSpace(qn)
         return lh, lh.space()
     raise InputError(f"config: unknown space.kind {kind!r}")
 
 
 def _build_grid(doc, m, lhalf):
-    spec = doc.get("grid", {"base": [1.0], "levels": 2, "symmetric": True})
+    spec = doc.get("grid", {})
     if not isinstance(spec, dict):
         raise InputError("config: field 'grid' must be an object")
     if "points" in spec:
-        pts = np.asarray(spec["points"], dtype=float)
+        # A point is a number, or a list of numbers for a vector point.
+        pts = [_numbers(doc, f"grid.points.{i}") if isinstance(p, list)
+               else _field(doc, f"grid.points.{i}", float)
+               for i, p in enumerate(_field(doc, "grid.points", list))]
+        if len({np.shape(p) for p in pts}) > 1:
+            raise InputError("config: the entries of field 'grid.points' must share one shape")
+        pts = np.asarray(pts, dtype=float)
         return pts, {"points": pts.tolist()}
-    levels = int(spec.get("levels", 2))
-    symmetric = bool(spec.get("symmetric", True))
+    levels = _field(doc, "grid.levels", int) if "levels" in spec else 2
+    symmetric = _field(doc, "grid.symmetric", bool) if "symmetric" in spec else True
     if lhalf is not None:
-        seed = int(spec.get("seed", 7))
+        seed = _field(doc, "grid.seed", int) if "seed" in spec else 7
         base = example_corpus(lhalf.quadrature_n, seed=seed)
         echo = {"corpus": True, "seed": seed, "levels": levels, "symmetric": symmetric}
     else:
-        base = [float(b) for b in spec.get("base", [1.0])]
+        base = _numbers(doc, "grid.base") if "base" in spec else [1.0]
         echo = {"base": base, "levels": levels, "symmetric": symmetric}
     return m_closed_grid(base, m, levels=levels, symmetric=symmetric), echo
 
@@ -306,7 +328,7 @@ def _per_point_csv(path, f, phi, config, cert):
 
 def _cmd_verify(args, timings):
     doc = _load_config(args.config)
-    tol = float(doc["tol"]) if "tol" in doc else _default_tol()
+    tol = _field(doc, "tol", float) if "tol" in doc else _default_tol()
     m = _field(doc, "m", float)
     lhalf, codomain = _build_space(doc)
     norm = lhalf.norm if lhalf is not None else euclidean_norm

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,10 +102,46 @@ def p_exponent(kappa) -> float:
     kappa = 1 gives p = 1, kappa = 2 gives p = 1/2, kappa = 4 gives p = 1/3.
     Strictly decreasing in kappa; kappa < 1 is an input error.
     """
+    return math.log(2.0) / math.log(2.0 * _check_kappa(kappa))
+
+
+def _check_kappa(kappa) -> float:
+    """kappa as a float, if it is a modulus: kappa >= 1."""
     k = float(kappa)
     if math.isnan(k) or k < 1.0:
         raise InputError(f"kappa must be >= 1, got {kappa!r}")
-    return math.log(2.0) / math.log(2.0 * k)
+    return k
+
+
+def _check_p(p):
+    """p, if it is an exponent of a quasi-norm: p in (0, 1]."""
+    if math.isnan(p) or not 0.0 < p <= 1.0:
+        raise InputError(f"p must lie in (0, 1], got {p!r}")
+    return p
+
+
+def _check_L(L, name="L"):
+    """Reject L unless it is a contraction constant: L in [0, 1)."""
+    if math.isnan(L) or not 0.0 <= L < 1.0:
+        raise InputError(f"{name} must lie in [0, 1), got {L!r}")
+
+
+def _jsonable(v):
+    """v with numpy values, tuples and dicts made plain JSON values."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, np.generic):
+        return v.item()
+    if isinstance(v, (tuple, list)):
+        return [_jsonable(t) for t in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(t) for k, t in v.items()}
+    return v
+
+
+def _fields_dict(report) -> dict:
+    """The fields of a dataclass report by name, as plain JSON values."""
+    return {f.name: _jsonable(getattr(report, f.name)) for f in fields(report)}
 
 
 # =========================================================================
@@ -114,12 +150,17 @@ def p_exponent(kappa) -> float:
 
 def euclidean_norm(x) -> float:
     """Euclidean norm; reduces to abs() for scalars."""
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    return float(_euclidean_norm_rows(_block(x))[0])
+
+
+def _block(x) -> np.ndarray:
+    """A block of one point: a number on the real line, one row otherwise."""
+    return np.asarray(x, dtype=float)[None]
 
 
 def _euclidean_norm_rows(X) -> np.ndarray:
-    """``euclidean_norm`` of each point of a block, bit for bit: one dot
-    product per row, as ``np.linalg.norm`` takes it."""
+    """The Euclidean norm of each point of a block: one dot product per
+    row, as ``np.linalg.norm`` takes it, with the same bits."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(len(X), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # as quiet as the BLAS dot
@@ -169,8 +210,6 @@ class QuasiNormedSpace:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"dim must be >= 1, got {self.dim}")
-        if math.isnan(self.kappa) or self.kappa < 1.0:
-            raise InputError(f"kappa must be >= 1, got {self.kappa!r}")
         p = p_exponent(self.kappa)
         if abs((2.0 * self.kappa) ** p - 2.0) > 1e-12 * 2.0:
             raise InputError(f"derived exponent inconsistent for kappa={self.kappa!r}")
@@ -178,10 +217,11 @@ class QuasiNormedSpace:
 
     def norm(self, x) -> float:
         """Evaluate the quasi-norm, rejecting NaN results."""
-        return as_extended(self.norm_eval(x), name="norm value")
+        return float(self.norm_rows(_block(x))[0])
 
     def norm_rows(self, X) -> np.ndarray:
-        """``norm`` of each point of a block (one point per leading index)."""
+        """The quasi-norm of each point of a block (one point per leading
+        index), rejecting NaN and negative values."""
         v = _row_norm(self.norm_eval)(np.asarray(X, dtype=float))
         if np.isnan(v).any():
             raise InputError("norm value is NaN; distances must be in [0, +inf]")
@@ -214,8 +254,7 @@ class GeneralizedBMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "D", as_extended_matrix(self.D))
-        if math.isnan(self.kappa) or self.kappa < 1.0:
-            raise InputError(f"kappa must be >= 1, got {self.kappa!r}")
+        _check_kappa(self.kappa)
 
     @property
     def n(self) -> int:
@@ -236,12 +275,7 @@ class BMetricReport:
     detail: str = "ok"
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "axiom": self.axiom,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "detail": self.detail,
-        }
+        return _fields_dict(self)
 
 
 def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
@@ -253,9 +287,7 @@ def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
     or triple in lexicographic index order is reported.
     """
     A = as_extended_matrix(D)
-    k = float(kappa)
-    if math.isnan(k) or k < 1.0:
-        raise InputError(f"kappa must be >= 1, got {kappa!r}")
+    k = _check_kappa(kappa)
     n = A.shape[0]
 
     diag = np.diagonal(A)
@@ -315,12 +347,7 @@ class QuasiNormReport:
     detail: str = "ok"
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_triangle_ratio": self.worst_triangle_ratio,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "detail": self.detail,
-        }
+        return _fields_dict(self)
 
 
 def validate_quasi_norm(space: QuasiNormedSpace, samples: Sequence,
@@ -474,7 +501,7 @@ class SampledMap:
         return found
 
     def index_rows(self, points) -> np.ndarray:
-        """``try_index`` of each row of a 2-D block; -1 marks a point off the grid."""
+        """The grid index of each row of a 2-D block; -1 marks a point off the grid."""
         P = np.asarray(points, dtype=float)
         if P.ndim != 2 or P.shape[1:] != self._rows.shape[1:]:
             return np.full(len(P), -1)
@@ -482,10 +509,7 @@ class SampledMap:
 
     def try_index(self, point) -> int | None:
         """Index of ``point`` on the grid, or None if it is not a grid point."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.shape != self._rows.shape[1:]:
-            return None
-        idx = int(self._match(p[None, :])[0])
+        idx = int(self.index_rows(np.atleast_1d(np.asarray(point, dtype=float))[None])[0])
         return None if idx < 0 else idx
 
     def index_of(self, point) -> int:
@@ -496,10 +520,6 @@ class SampledMap:
 
     def __call__(self, point):
         v = self.values[self.index_of(point)]
-        return float(v) if v.ndim == 0 else v
-
-    def value_at(self, index: int):
-        v = self.values[index]
         return float(v) if v.ndim == 0 else v
 
     def point_at(self, index: int):

@@ -33,7 +33,7 @@ which cubic maps also satisfy identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,10 @@ from .core_spaces import (
     AXIOM_SLACK,
     QuasiNormedSpace,
     SampledMap,
+    _block,
+    _check_L,
+    _check_p,
+    _fields_dict,
     _row_norm,
     _scalar_pow,
     euclidean_norm,
@@ -153,20 +157,11 @@ class PowerLaw:
             raise InputError(f"power-law exponent must satisfy s < 3, got {self.s!r}")
 
     def __call__(self, x, y) -> float:
-        nx = self.norm(x)
-        ny = self.norm(y)
-        if nx == 0.0 or ny == 0.0:
-            return 0.0
-        return self.lam * (nx**self.s + ny**self.s)
+        return float(self.rows(_block(x), _block(y))[0])
 
     def at_zero(self, x) -> float:
         """The bound-effective phi(x, 0) = lam * |x|**s."""
-        nx = self.norm(x)
-        if nx == 0.0:
-            if self.s > 0:
-                return 0.0
-            return self.lam if self.s == 0 else math.inf
-        return self.lam * nx**self.s
+        return float(self.at_zero_rows(_block(x))[0])
 
     def _pow(self, nx) -> np.ndarray:
         # Zero norms are masked by the callers; 0**s may not exist.
@@ -202,10 +197,10 @@ class ShiftNorm:
             raise InputError(f"c must be nonnegative, got {self.c!r}")
 
     def __call__(self, x, y) -> float:
-        return self.c * self.norm(np.asarray(x, dtype=float) + self.m * np.asarray(y, dtype=float))
+        return float(self.rows(_block(x), _block(y))[0])
 
     def at_zero(self, x) -> float:
-        return self.c * self.norm(x)
+        return float(self.at_zero_rows(_block(x))[0])
 
     def rows(self, X, Y) -> np.ndarray:
         """phi over matching points of two blocks (a single point broadcasts)."""
@@ -230,10 +225,10 @@ class ConstantBound:
             raise InputError(f"value must be nonnegative, got {self.value!r}")
 
     def __call__(self, x, y) -> float:
-        return self.value
+        return float(self.rows(_block(x), _block(y))[0])
 
     def at_zero(self, x) -> float:
-        return self.value
+        return float(self.at_zero_rows(_block(x))[0])
 
     def rows(self, X, Y) -> np.ndarray:
         return np.full(np.broadcast(X, Y).shape[0], float(self.value))
@@ -276,7 +271,11 @@ def _phi_at_zero_rows(phi, X, scalar) -> np.ndarray:
 
 def _el_combine(m, a, b, c, d, e):
     """The Euler-Lagrange residual from f at x + m y, m x - y, x + y, x - y, y."""
-    return (2.0 * m * a + 2.0 * b - (m**3 + m) * (c + d) - 2.0 * (m**4 - 1.0) * e)
+    try:
+        m4 = m**4
+    except OverflowError:
+        raise OverflowGuardError(f"the equation coefficient m**4 overflows at m = {m!r}") from None
+    return (2.0 * m * a + 2.0 * b - (m**3 + m) * (c + d) - 2.0 * (m4 - 1.0) * e)
 
 
 def _junkim_combine(a, b, c, d, e):
@@ -350,99 +349,82 @@ class CheckReport:
     detail: str = ""
 
 
-class _GridPairs:
-    """Every ordered pair (x, y) of points of a grid, in lexicographic order.
+class _Pairs:
+    """Ordered pairs (x, y) of points, walked by the checks in blocks.
 
-    The pairs are never stored: the checks walk them one x-row at a time
-    against all y at once.  ``len()`` counts the pairs.  ``exclude_zero``
-    leaves out the pairs with a zero argument.  ``values``, f at the grid
-    points in grid order, spares the defect check from calling f there.
+    ``_Pairs.grid`` holds every pair of a grid in lexicographic order; the
+    pairs are never stored, and a block is one x-row against every y.
+    ``_Pairs.of`` holds a sequence of pairs, walked in consecutive blocks
+    of ``BLOCK``.  ``len()`` counts the pairs.
     """
-
-    def __init__(self, grid, exclude_zero=False, values=None):
-        _, rows, self.scalar = _as_rows(grid)
-        nonzero = np.any(rows != 0.0, axis=1)
-        self.zero = _point(np.zeros(rows.shape[1]), self.scalar)
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        self._f0 = None
-        if self.values is not None and not nonzero.all():
-            self._f0 = self.values[int(np.argmin(nonzero))]
-        if exclude_zero:
-            rows = rows[nonzero]
-            self.values = None if values is None else self.values[nonzero]
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows) ** 2
-
-    def f_zero(self, f):
-        return f(self.zero) if self._f0 is None else self._f0
-
-    def f_at_y(self, f):
-        """f at the y points of a block, from its selection: f is called
-        on the grid once, unless its values came with the pairs."""
-        values = _f_rows(f, self.rows, self.scalar) if self.values is None else self.values
-        return lambda Y, sel: values[sel]
-
-    def blocks(self):
-        """(index of the first pair, x-row, every y, selection of the y values)."""
-        n = len(self.rows)
-        for i in range(n):
-            yield i * n, self.rows[i:i + 1], self.rows, slice(None)
-
-    def pair(self, k) -> tuple:
-        i, j = divmod(k, len(self.rows))
-        return _point(self.rows[i], self.scalar), _point(self.rows[j], self.scalar)
-
-
-class _PairList:
-    """A sequence of (x, y) pairs, walked in consecutive blocks."""
 
     BLOCK = 64
 
-    def __init__(self, samples):
-        self.samples = samples
-        self.scalar = bool(len(samples)) and np.ndim(samples[0][0]) == 0
-        self.zero = _zero_like(samples[0][0]) if len(samples) else 0.0
+    def __init__(self, xs, ys, scalar, zero, values=None, f0=None, samples=None):
+        self.xs, self.ys, self.scalar, self.zero = xs, ys, scalar, zero
+        self.values, self.f0, self.samples = values, f0, samples
+
+    @classmethod
+    def grid(cls, grid, exclude_zero=False, values=None):
+        """Every pair of a grid.  ``exclude_zero`` leaves out the pairs with a
+        zero argument.  ``values``, f at the grid points in grid order,
+        spares the defect check from calling f there, f(0) included."""
+        _, rows, scalar = _as_rows(grid)
+        nonzero = np.any(rows != 0.0, axis=1)
+        values = None if values is None else np.asarray(values, dtype=float)
+        f0 = None if values is None or nonzero.all() else values[int(np.argmin(nonzero))]
+        if exclude_zero:
+            rows = rows[nonzero]
+            values = None if values is None else values[nonzero]
+        return cls(rows, rows, scalar, _point(np.zeros(rows.shape[1]), scalar), values, f0)
+
+    @classmethod
+    def of(cls, samples):
+        """A sequence of (x, y) pairs; pairs already walkable are returned as they are."""
+        if isinstance(samples, cls):
+            return samples
         both = (np.asarray(samples, dtype=float).reshape(len(samples), 2, -1)
                 if len(samples) else np.empty((0, 2, 1)))
-        self.xs, self.ys = both[:, 0], both[:, 1]
+        x0 = samples[0][0] if len(samples) else 0.0
+        return cls(both[:, 0], both[:, 1], np.ndim(x0) == 0, _zero_like(x0), samples=samples)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.xs) * len(self.ys) if self.samples is None else len(self.samples)
 
-    def f_zero(self, f):
-        return f(self.zero)
+    def blocks(self, f=None):
+        """(index of the first pair, x rows, y rows, f at the y rows if f is given).
 
-    def f_at_y(self, f):
-        """f at the y points of a block, called block by block, so that a
-        check stopping early calls f on no later pair."""
-        return lambda Y, sel: _f_rows(f, Y, self.scalar)
-
-    def blocks(self):
-        for start in range(0, len(self.samples), self.BLOCK):
-            sel = slice(start, start + self.BLOCK)
-            yield start, self.xs[sel], self.ys[sel], sel
+        A grid calls f on its points once, unless their values came with
+        it; a sequence calls f block by block, so that a check stopping
+        early calls f on no later pair.
+        """
+        if self.samples is None:
+            fy = self.values if self.values is not None or f is None else _f_rows(
+                f, self.ys, self.scalar)
+            for i in range(len(self.xs)):
+                yield i * len(self.ys), self.xs[i:i + 1], self.ys, fy
+            return
+        for start in range(0, len(self.xs), self.BLOCK):
+            X, Y = self.xs[start:start + self.BLOCK], self.ys[start:start + self.BLOCK]
+            yield start, X, Y, None if f is None else _f_rows(f, Y, self.scalar)
 
     def pair(self, k) -> tuple:
-        x, y = self.samples[k]
-        return x, y
+        if self.samples is not None:
+            return tuple(self.samples[k])
+        i, j = divmod(k, len(self.ys))
+        return _point(self.xs[i], self.scalar), _point(self.ys[j], self.scalar)
 
 
-def _pairs(samples):
-    return samples if isinstance(samples, _GridPairs) else _PairList(samples)
-
-
-def _scan(pairs, sides, tol, exceeds, holds) -> CheckReport:
+def _scan(pairs, sides, tol, exceeds, holds, f=None) -> CheckReport:
     """Check lhs <= rhs + tol * max(1, rhs) block by block.
 
-    ``sides(X, Y, sel)`` gives both sides for one block.  The first
-    violating pair fails the check; otherwise the witness is the first
-    pair of largest lhs/rhs.
+    ``sides(X, Y, FY)`` gives both sides for one block, FY being f at the
+    y rows when f is given.  The first violating pair fails the check;
+    otherwise the witness is the first pair of largest lhs/rhs.
     """
     worst, witness = 0.0, None
-    for start, X, Y, sel in pairs.blocks():
-        lhs, rhs = sides(X, Y, sel)
+    for start, X, Y, FY in pairs.blocks(f):
+        lhs, rhs = sides(X, Y, FY)
         ratio = _ratios(lhs, rhs)
         with np.errstate(invalid="ignore"):
             bad = lhs > rhs + tol * np.maximum(1.0, rhs)
@@ -468,10 +450,10 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     """
     if math.isnan(L) or L < 0:
         raise InputError(f"L must be nonnegative, got {L!r}")
-    pairs = _pairs(samples)
+    pairs = _Pairs.of(samples)
     scale = L * abs(m) ** 3
 
-    def sides(X, Y, sel):
+    def sides(X, Y, FY):
         return (_phi_rows(phi, m * X, m * Y, pairs.scalar),
                 scale * _phi_rows(phi, X, Y, pairs.scalar))
 
@@ -489,36 +471,25 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     its failure invalidates the whole construction and raises
     ``HypothesisViolation``.
     """
-    pairs = _pairs(samples)
-    f0 = norm(np.asarray(pairs.f_zero(f), dtype=float))
+    pairs = _Pairs.of(samples)
+    f0 = norm(np.asarray(f(pairs.zero) if pairs.f0 is None else pairs.f0, dtype=float))
     if f0 > tol:
         raise HypothesisViolation(
             f"f(0) has norm {f0!r}, expected 0", witness=(pairs.zero,), observed=f0, allowed=tol)
-    f_at_y = pairs.f_at_y(f)
     norm_rows = _row_norm(norm)
 
-    def sides(X, Y, sel):
-        R = _el_residual_rows(f, m, X, Y, f_at_y(Y, sel), pairs.scalar)
+    def sides(X, Y, FY):
+        R = _el_residual_rows(f, m, X, Y, FY, pairs.scalar)
         return norm_rows(R), _phi_rows(phi, X, Y, pairs.scalar)
 
     return _scan(pairs, sides, tol,
                  lambda defect, bound: f"defect {defect!r} exceeds phi {bound!r}",
-                 f"defect dominated by phi on {len(pairs)} pairs")
+                 f"defect dominated by phi on {len(pairs)} pairs", f)
 
 
 # =========================================================================
 # Cubic approximant extraction
 # =========================================================================
-
-def _check_stage_args(m, n_max, tol):
-    if not abs(m) > 1.0:
-        raise InputError(
-            f"|m| must exceed 1 for the forward rescaling to contract, got m = {m!r}")
-    if math.isnan(tol) or tol < 0.0:
-        raise InputError(f"tol must be nonnegative, got {tol!r}")
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max!r}")
-
 
 def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
                       codomain: QuasiNormedSpace | None = None) -> SampledMap:
@@ -530,14 +501,24 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
     Requires |m| > 1; an orbit or denominator leaving the safe floating
     range raises ``OverflowGuardError`` carrying the last safe stage.
     """
-    _check_stage_args(m, n_max, tol)
+    if not abs(m) > 1.0:
+        raise InputError(
+            f"|m| must exceed 1 for the forward rescaling to contract, got m = {m!r}")
+    if math.isnan(tol) or tol < 0.0:
+        raise InputError(f"tol must be nonnegative, got {tol!r}")
     g, points, scalar = _as_rows(grid)
     return _approximant(f, m, g, _f_rows(f, points, scalar), n_max, tol,
-                        codomain or real_line())
+                        codomain or real_line())[0]
 
 
-def _approximant(f, m, g, vals, n_max, tol, codomain) -> SampledMap:
-    """``cubic_approximant`` from stage 0, the values of f on the grid g."""
+def _approximant(f, m, g, vals, n_max, tol, codomain):
+    """``cubic_approximant`` from stage 0, the values of f on the grid g.
+
+    Also returns the per-point change from stage 0 to stage 1, the norm of
+    f(m x)/m**3 - f(x).
+    """
+    if n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max!r}")
     _, points, scalar = _as_rows(g)
     denom = 1.0
     n_used = 0
@@ -558,29 +539,33 @@ def _approximant(f, m, g, vals, n_max, tol, codomain) -> SampledMap:
                 last_safe=SampledMap(g, vals, codomain,
                                      meta={"iterations": n - 1, "final_change": change}),
                 iterations=n - 1)
-        change = float(np.max(codomain.norm_rows(new_vals - vals), initial=0.0))
+        step = codomain.norm_rows(new_vals - vals)
+        if n == 1:
+            step1 = step
+        change = float(np.max(step, initial=0.0))
         vals = new_vals
         n_used = n
         if change <= tol:
             break
     return SampledMap(g, vals, codomain,
-                      meta={"iterations": n_used, "final_change": change})
+                      meta={"iterations": n_used, "final_change": change}), step1
 
 
 # =========================================================================
 # Bounds and distances
 # =========================================================================
 
-def _bound_factor(config: StabilityConfig) -> float:
+def _bounds(config: StabilityConfig, weights):
+    """The certified bounds from the weights phi(x, 0) of a block of points."""
     Lp = config.L ** config.p
     if not Lp < 1.0:
         raise InputError(f"L**p must stay below 1, got {Lp!r}")
-    return (4.0 / (1.0 - Lp)) ** (1.0 / config.p)
+    return (4.0 / (1.0 - Lp)) ** (1.0 / config.p) * weights / (2.0 * abs(config.m) ** 3)
 
 
 def stability_bound(config: StabilityConfig, phi, x) -> float:
     """Certified per-point bound (4/(1 - L**p))**(1/p) * phi(x, 0) / (2 |m|**3)."""
-    return _bound_factor(config) * phi_at_zero(phi, x) / (2.0 * abs(config.m) ** 3)
+    return float(_bounds(config, phi_at_zero(phi, x)))
 
 
 def power_law_bound(phi: PowerLaw, m, p, x) -> float:
@@ -691,10 +676,8 @@ class StabilityConfig:
             raise InputError(
                 f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
                 f"rescaling diverges for 0 < |m| <= 1), got {self.m!r}")
-        if math.isnan(self.L) or not 0.0 <= self.L < 1.0:
-            raise InputError(f"L must lie in [0, 1), got {self.L!r}")
-        if math.isnan(self.p) or not 0.0 < self.p <= 1.0:
-            raise InputError(f"p must lie in (0, 1], got {self.p!r}")
+        _check_L(self.L)
+        _check_p(self.p)
         if math.isnan(self.tol) or self.tol <= 0.0:
             raise InputError(f"tol must be positive, got {self.tol!r}")
         if self.codomain is None:
@@ -702,16 +685,6 @@ class StabilityConfig:
         if abs(self.codomain.p - self.p) > 1e-9:
             raise InputError(
                 f"p = {self.p!r} disagrees with the codomain exponent {self.codomain.p!r}")
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(t) for t in v]
-    return v
 
 
 @dataclass(frozen=True)
@@ -759,45 +732,16 @@ class StabilityCertificate:
                 and self.el_defect_of_q <= self.tol * self.scale)
 
     def to_dict(self) -> dict:
-        doc = {
-            "m": self.m,
-            "L": self.L,
-            "p": self.p,
-            "tol": self.tol,
-            "grid_size": self.grid_size,
-            "passed": self.passed,
-            "hypothesis_defect_ok": self.hypothesis_defect_ok,
-            "defect_worst_ratio": self.defect_worst_ratio,
-            "defect_witness": _jsonable(self.defect_witness),
-            "hypothesis_phi_ok": self.hypothesis_phi_ok,
-            "phi_worst_ratio": self.phi_worst_ratio,
-            "phi_witness": _jsonable(self.phi_witness),
-            "one_step_ok": self.one_step_ok,
-            "one_step_worst_ratio": self.one_step_worst_ratio,
-            "approximant_iterations": self.approximant_iterations,
-            "scale": self.scale,
-            "bound_per_point": list(self.bound_per_point),
-            "error_per_point": list(self.error_per_point),
-            "max_error_ratio": self.max_error_ratio,
-            "homogeneity_defect": self.homogeneity_defect,
-            "homogeneity_points": self.homogeneity_points,
-            "el_defect_of_q": self.el_defect_of_q,
-            "junkim_defect_of_q": self.junkim_defect_of_q,
-            "defect_pairs_checked": self.defect_pairs_checked,
-            "notes": list(self.notes),
-        }
+        doc = {**_fields_dict(self), "passed": self.passed, "q": None}
         if self.q is not None:
-            summary = {
+            doc["q"] = {
                 "n_points": len(self.q),
                 "iterations": self.q.meta.get("iterations"),
                 "final_change": self.q.meta.get("final_change"),
             }
             if self.q.domain_grid.ndim == 1 and len(self.q) <= 256:
-                summary["domain"] = self.q.domain_grid.tolist()
-                summary["values"] = self.q.values.tolist()
-            doc["q"] = summary
-        else:
-            doc["q"] = None
+                doc["q"]["domain"] = self.q.domain_grid.tolist()
+                doc["q"]["values"] = self.q.values.tolist()
         return doc
 
 
@@ -835,7 +779,8 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     f is called once per evaluation point, never on a batch: f at the
     grid points is computed once and serves the f(y) term of the defect
     check, the one-step check, the errors and stage 0 of the approximant.
-    The n**2 grid pairs are processed one x-row at a time.
+    The n**2 grid pairs are processed one x-row at a time.  The one-step
+    estimate reads f at m x from stage 1 of the approximant.
     """
     g, rows, scalar = _as_rows(grid)
     n_pts = len(rows)
@@ -854,24 +799,20 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
 
     # The power-law hypotheses are stated away from the origin only.
     excludes_zero = getattr(phi, "excludes_zero", False)
-    phi_report = phi_contractivity_check(phi, config.m, config.L, _GridPairs(g))
+    phi_report = phi_contractivity_check(phi, config.m, config.L, _Pairs.grid(g))
     defect_report = hypothesis_defect_check(f, phi, config.m,
-                                            _GridPairs(g, excludes_zero, values=F),
+                                            _Pairs.grid(g, excludes_zero, values=F),
                                             norm=codomain.norm, tol=config.tol)
+    q, step = _approximant(f, config.m, g, F, n_max, config.tol, codomain)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
-    m3 = config.m**3
     weights = _phi_at_zero_rows(phi, rows, scalar)
-    lhs = codomain.norm_rows(_f_rows(f, config.m * rows, scalar) / m3 - F)
     rhs = weights / (2.0 * abs(config.m) ** 3)
-    one_step_worst = _max_ratio(lhs, rhs)
-    one_step_ok = not (lhs > rhs + config.tol * np.maximum(1.0, rhs)).any()
-
-    _check_stage_args(config.m, n_max, config.tol)
-    q = _approximant(f, config.m, g, F, n_max, config.tol, codomain)
+    one_step_worst = _max_ratio(step, rhs)
+    one_step_ok = not (step > rhs + config.tol * np.maximum(1.0, rhs)).any()
     scale = max(1.0, float(np.max(codomain.norm_rows(q.values))))
 
-    bounds = _bound_factor(config) * weights / (2.0 * abs(config.m) ** 3)
+    bounds = _bounds(config, weights)
     errors = codomain.norm_rows(F - q.values)
     ratios = _ratios(errors, bounds)
     max_error_ratio = float(ratios[_first_max(ratios)])
@@ -880,7 +821,8 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     on_grid = np.flatnonzero(image >= 0)
     homo_points = len(on_grid)
     homo_defect = float(np.max(codomain.norm_rows(q.values[image[on_grid]]
-                                                  - m3 * q.values[on_grid]), initial=0.0))
+                                                  - config.m**3 * q.values[on_grid]),
+                               initial=0.0))
 
     el_q, jk_q, n_checked = _solution_defects(q, config.m, codomain.norm, n_pts, zero_idx)
 

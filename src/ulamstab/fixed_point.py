@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .core_spaces import as_extended
+from .core_spaces import _check_L, _check_p, _fields_dict, as_extended
 from .errors import HypothesisViolation, InputError
 
 __all__ = ["Outcome", "ContractionMap", "FixedPointResult", "iterate", "estimate_lipschitz"]
@@ -49,8 +49,7 @@ class ContractionMap:
     L: float
 
     def __post_init__(self):
-        if math.isnan(self.L) or not 0.0 <= self.L < 1.0:
-            raise InputError(f"contraction constant must lie in [0, 1), got {self.L!r}")
+        _check_L(self.L, "contraction constant")
 
 
 @dataclass(frozen=True)
@@ -74,18 +73,7 @@ class FixedPointResult:
     residual_history: tuple
 
     def to_dict(self) -> dict:
-        it = self.iterate
-        if hasattr(it, "tolist"):
-            it = it.tolist()
-        return {
-            "outcome": self.outcome.value,
-            "iterate": it,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "error_bound": self.error_bound,
-            "bounds": dict(self.bounds),
-            "residual_history": list(self.residual_history),
-        }
+        return {**_fields_dict(self), "outcome": self.outcome.value}
 
 
 def bound_factors(L: float, p: float) -> dict:
@@ -95,10 +83,8 @@ def bound_factors(L: float, p: float) -> dict:
     (4 / (1 - L**p))**(1/p), which dominates because L**p >= L on [0, 1).
     ``metric`` is 1 / (1 - L), meaningful only when p = 1.
     """
-    if math.isnan(p) or not 0.0 < p <= 1.0:
-        raise InputError(f"p must lie in (0, 1], got {p!r}")
-    if math.isnan(L) or not 0.0 <= L < 1.0:
-        raise InputError(f"L must lie in [0, 1), got {L!r}")
+    _check_p(p)
+    _check_L(L)
     factors = {
         "from_L": (4.0 / (1.0 - L)) ** (1.0 / p),
         "from_L_pow_p": (4.0 / (1.0 - L**p)) ** (1.0 / p),

@@ -109,7 +109,7 @@ class LHalfSpace:
     def norm_rows(self, X) -> np.ndarray:
         """``norm`` of each point of a block (one sample vector per row)."""
         X = np.asarray(X, dtype=float)
-        return _lhalf_norm_rows(X.reshape(len(X), -1), self.quadrature_n)
+        return _lhalf_norm_rows(X[:, None] if X.ndim == 1 else X, self.quadrature_n)
 
     def space(self) -> QuasiNormedSpace:
         """The QuasiNormedSpace view (dim = quadrature_n, kappa = 2)."""

@@ -18,7 +18,6 @@ improve on the direct edge and delta equals D exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core_spaces import (
     AXIOM_SLACK,
     GeneralizedBMetricSpace,
     QuasiNormedSpace,
+    _check_p,
     p_exponent,
     validate_b_metric,
 )
@@ -73,12 +73,7 @@ def chain_metric(space: GeneralizedBMetricSpace, p: float | None = None) -> Chai
     report = validate_b_metric(space.D, space.kappa)
     if not report.passed:
         raise InvalidBMetricError(report)
-    if p is None:
-        p = p_exponent(space.kappa)
-    else:
-        p = float(p)
-        if math.isnan(p) or not 0.0 < p <= 1.0:
-            raise InputError(f"p must lie in (0, 1], got {p!r}")
+    p = p_exponent(space.kappa) if p is None else _check_p(float(p))
     # p == 1 keeps W bitwise equal to D, so a true metric passes through
     # Floyd-Warshall unchanged.
     W = space.D.copy() if p == 1.0 else np.power(space.D, p)

@@ -7,8 +7,10 @@ the control functions and the norms are evaluated one pair at a time
 with scalar arithmetic, a running maximum of lhs/rhs is kept, and the
 loop stops at the first violating pair.  The kernels must agree with them
 exactly: verdict, worst ratio bit for bit, witness and sample count.  The
-grid index behind ``SampledMap.try_index`` is checked against a scan of
-every row.
+per-point forms of the control functions and the norms, which are
+one-point calls of the block forms, are checked against the same reference
+formulas.  The grid index behind ``SampledMap.try_index`` is checked
+against a scan of every row.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ulamstab import (
     real_line,
     verify_stability,
 )
-from ulamstab.cubic_stability import DEFAULT_TOL, _GridPairs
+from ulamstab.cubic_stability import DEFAULT_TOL, _Pairs
 
 DIM = 8
 
@@ -83,6 +85,22 @@ def ref_phi(phi, norm):
         if nx == 0.0 or ny == 0.0:
             return 0.0
         return phi.lam * (nx**phi.s + ny**phi.s)
+
+    return power
+
+
+def ref_phi_at_zero(phi, norm):
+    """phi(x, 0) as a per-point function, with the reference norm."""
+    if isinstance(phi, ConstantBound):
+        return lambda x: phi.value
+    if isinstance(phi, ShiftNorm):
+        return lambda x: phi.c * norm(x)
+
+    def power(x):
+        nx = norm(x)
+        if nx == 0.0:
+            return 0.0 if phi.s > 0 else (phi.lam if phi.s == 0 else math.inf)
+        return phi.lam * nx**phi.s
 
     return power
 
@@ -223,7 +241,7 @@ def test_contractivity_check_matches_the_per_pair_loop(case):
     pts = _points(grid)
     pairs = [(x, y) for x in pts for y in pts]
     reference = reference_contractivity(ref_phi(phi, ref_norm), m, L, pairs)
-    assert_same_report(phi_contractivity_check(phi, m, L, _GridPairs(grid)), reference)
+    assert_same_report(phi_contractivity_check(phi, m, L, _Pairs.grid(grid)), reference)
     assert_same_report(phi_contractivity_check(phi, m, L, pairs), reference)
 
 
@@ -238,7 +256,7 @@ def test_defect_check_matches_the_per_pair_loop(case):
              if not excl or (_nonzero(x) and _nonzero(y))]
     reference = reference_defect(cubic_plus_linear, ref_phi(phi, ref_norm), m, pairs, ref_norm)
     assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m,
-                                               _GridPairs(grid, excl), norm=norm),
+                                               _Pairs.grid(grid, excl), norm=norm),
                        reference)
     assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m, pairs, norm=norm),
                        reference)
@@ -259,9 +277,9 @@ def test_non_finite_sides_follow_the_running_maximum(grid, phi):
     pairs = [(x, y) for x in pts for y in pts]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_report(
-            hypothesis_defect_check(cube, phi, 2.0, _GridPairs(np.array(grid))),
+            hypothesis_defect_check(cube, phi, 2.0, _Pairs.grid(np.array(grid))),
             reference_defect(cube, ref_phi(phi, ref_euclidean), 2.0, pairs, ref_euclidean))
-        assert_same_report(phi_contractivity_check(phi, 2.0, 0.25, _GridPairs(np.array(grid))),
+        assert_same_report(phi_contractivity_check(phi, 2.0, 0.25, _Pairs.grid(np.array(grid))),
                            reference_contractivity(ref_phi(phi, ref_euclidean), 2.0, 0.25,
                                                    pairs))
 
@@ -269,7 +287,7 @@ def test_non_finite_sides_follow_the_running_maximum(grid, phi):
 def test_both_outcomes_are_exercised():
     # Both verdicts occur for both checks on the grids drawn above.
     grid = _grid(np.random.default_rng(0), 6, False, True)
-    pairs = _GridPairs(grid)
+    pairs = _Pairs.grid(grid)
     assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, pairs).passed
     assert not phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.125, pairs).passed
     assert hypothesis_defect_check(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0), 2.0,
@@ -288,7 +306,7 @@ def test_grid_pairs_with_f_values_skip_the_grid_calls():
 
     values = np.array([cubic_plus_linear(x) for x in grid])
     report = hypothesis_defect_check(f, ShiftNorm(c=12.0, m=2.0), 2.0,
-                                     _GridPairs(grid, values=values))
+                                     _Pairs.grid(grid, values=values))
     assert report.passed and report.n_samples == len(grid) ** 2
     # Four evaluation points per pair; f(y) and f(0) come from the values.
     assert len(calls) == 4 * len(grid) ** 2
@@ -297,8 +315,8 @@ def test_grid_pairs_with_f_values_skip_the_grid_calls():
 
 def test_power_law_pairs_exclude_zero_arguments():
     grid = _grid(np.random.default_rng(2), 4, True, False)
-    assert len(_GridPairs(grid)) == 25
-    assert len(_GridPairs(grid, exclude_zero=True)) == 16
+    assert len(_Pairs.grid(grid)) == 25
+    assert len(_Pairs.grid(grid, exclude_zero=True)) == 16
 
 
 def test_pair_list_stops_calling_f_after_the_failing_block():
@@ -332,6 +350,74 @@ def test_norms_without_a_block_form_are_called_on_numbers(norm):
     assert certs[0]["passed"] and certs[1]["hypothesis_defect_ok"]
     assert certs[:2] == certs[2:]
     assert all(isinstance(b, float) for c in certs for b in c["bound_per_point"])
+
+
+@pytest.mark.parametrize("phi", [ShiftNorm(c=12.0, m=2.0), PowerLaw(lam=24.0, s=1.0),
+                                 ConstantBound(value=1e3)])
+def test_verify_stability_calls_f_once_per_evaluation_point(phi):
+    # f at the n grid points, f at the four new points of each pair of the
+    # defect check, and f at the n points of each approximant stage; the
+    # one-step estimate reads f(m x) from stage 1.
+    grid = m_closed_grid([0.5, 1.0, 3.0], 2.0, levels=2)
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return cubic_plus_linear(u)
+
+    cert = verify_stability(f, phi, StabilityConfig(m=2.0, L=phi.lipschitz(2.0)), grid)
+    n = len(grid)
+    pairs = (n - 1) ** 2 if phi.excludes_zero else n ** 2
+    assert cert.hypothesis_defect_ok and cert.approximant_iterations > 1
+    assert len(calls) == n + 4 * pairs + n * cert.approximant_iterations
+
+
+# ---------------------------------------------------------------------------
+# the per-point forms against the reference formulas
+# ---------------------------------------------------------------------------
+
+# (library norm, reference norm), on numbers and on DIM-vectors.
+POINT_NORMS = {False: [(euclidean_norm, ref_euclidean), (abs, abs), (l1_norm, l1_norm)],
+               True: [(euclidean_norm, ref_euclidean), (LHalfSpace(DIM).norm, ref_lhalf),
+                      (l1_norm, l1_norm)]}
+
+points = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "vector": st.booleans(),
+    "zero": st.sampled_from(["", "x", "y", "xy"]),
+    "kind": st.sampled_from(["constant", "shift", "power"]),
+    "s": st.sampled_from([-0.7, 1.3, 2.0]),
+    "norm": st.integers(0, 2),
+})
+
+
+@given(points)
+@settings(max_examples=300, deadline=None)
+def test_per_point_forms_match_the_reference_formulas(case):
+    # phi(x, y), phi(x, 0) and the norms are one-point calls of the block
+    # forms; they must keep the bits of the per-point formulas.
+    rng = np.random.default_rng(case["seed"])
+    vector = case["vector"]
+    norm, ref_norm = POINT_NORMS[vector][case["norm"]]
+
+    def point(zero):
+        v = np.zeros(DIM) if zero else rng.uniform(-2.0, 2.0, size=DIM) * float(
+            rng.choice([1e-3, 1.0, 3e3]))
+        return v if vector else float(v[0])
+
+    x, y = point("x" in case["zero"]), point("y" in case["zero"])
+    phi = {"constant": ConstantBound(value=float(rng.choice([0.0, 0.5, 3.0]))),
+           "shift": ShiftNorm(c=float(rng.uniform(0.0, 50.0)), m=float(rng.choice([2.0, -3.0])),
+                              norm=norm),
+           "power": PowerLaw(lam=float(rng.choice([1.0, 24.0])), s=case["s"], norm=norm),
+           }[case["kind"]]
+    assert _same_float(phi(x, y), ref_phi(phi, ref_norm)(x, y))
+    assert _same_float(phi.at_zero(x), ref_phi_at_zero(phi, ref_norm)(x))
+    assert _same_float(euclidean_norm(x), ref_euclidean(x))
+    space = QuasiNormedSpace(dim=DIM if vector else 1, norm_eval=norm,
+                             kappa=2.0 if ref_norm is ref_lhalf else 1.0)
+    assert _same_float(space.norm(x), ref_norm(x))
+    assert isinstance(phi(x, y), float) and isinstance(space.norm(x), float)
 
 
 # ---------------------------------------------------------------------------

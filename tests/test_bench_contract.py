@@ -2,13 +2,19 @@
 
 ``perfbench/tracer.py`` wraps library functions and methods from outside
 the library.  A refactor that drops or renames one of them fails here
-rather than in a traced benchmark run.
+rather than in a traced benchmark run.  Tracing must not change an answer
+either.  Under the tracer a norm bound as a default argument
+(``norm=euclidean_norm``) is no longer the module's ``euclidean_norm``, so
+it takes the per-point path instead of the block form; the certificate
+must stay the same.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import ulamstab
 import ulamstab.cli  # noqa: F401  (the tracer patches cli names too)
@@ -39,3 +45,37 @@ def test_tracer_installs_and_restores():
                          ulamstab.core_spaces.SampledMap.__dict__["try_index"],
                          ulamstab.cubic_stability.ShiftNorm.__dict__["__call__"],
                          dict(ulamstab.cli._BUILTIN_F))
+
+
+def _verify(space):
+    """verify_stability through the names the tracer patches, one
+    certificate per control function."""
+    cs, fs = ulamstab.cubic_stability, ulamstab.function_spaces
+    f = ulamstab.cli._BUILTIN_F["cubic_plus_linear"]
+    if space == "reals":
+        phis = [cs.ShiftNorm(c=12.0, m=2.0), cs.PowerLaw(lam=24.0, s=1.3)]
+        codomain = None
+        grid = cs.m_closed_grid([0.5, 1.0, 3.0], 2.0, levels=2)
+    else:
+        lhalf = fs.LHalfSpace(32)
+        phis = [cs.ShiftNorm(c=12.0, m=2.0, norm=lhalf.norm)]
+        codomain = lhalf.space()
+        grid = cs.m_closed_grid(fs.example_corpus(32)[:3], 2.0, levels=1)
+    return [cs.verify_stability(f, phi, cs.StabilityConfig(
+        m=2.0, L=phi.lipschitz(2.0), p=0.5 if codomain else 1.0, codomain=codomain),
+        grid).to_dict() for phi in phis]
+
+
+@pytest.mark.parametrize("space", ["reals", "lhalf"])
+def test_tracing_leaves_the_certificate_unchanged(space):
+    tracing = _load_tracer()
+    plain = _verify(space)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, ulamstab)
+        traced = tracer.call_root(lambda: _verify(space))
+    finally:
+        tracer.restore()
+    assert all(cert["hypothesis_defect_ok"] for cert in plain)
+    assert tracer.stats["cubic_stability.f_eval"][0] > 0
+    assert traced == plain

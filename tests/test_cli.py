@@ -261,6 +261,28 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
     assert "degree" in err
 
 
+@pytest.mark.parametrize("change, code, message", [
+    ({"tol": "abc"}, 2, "field 'tol' must be float"),
+    ({"grid": {"levels": "x"}}, 2, "field 'grid.levels' must be int"),
+    ({"f": {"name": "poly", "coefficients": [0.0, "a", 0.0, 1.0]}}, 2,
+     "field 'f.coefficients.1' must be float"),
+    ({"grid": {"points": [[0.0, 0.0], [1.0]]}}, 2, "'grid.points' must share one shape"),
+    ({"space": {"kind": "lhalf", "quadrature_n": "q"}}, 2,
+     "field 'space.quadrature_n' must be int"),
+    ({"m": 1e80}, 1, "m**4 overflows"),
+])
+def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, message):
+    # A malformed field is an input error and overflow a certified failure:
+    # a message on stderr, never a traceback.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, **change})
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (got, doc) == (code, None)
+    assert "Traceback" not in err
+    assert err.startswith("input error: " if code == 2 else "certified failure: ")
+    assert message in err
+
+
 def test_verify_output_is_bitwise_reproducible(tmp_path, capsys):
     cfg = _write_config(tmp_path, PASSING_CONFIG)
     code1 = main(["verify", "--config", cfg])
