@@ -316,7 +316,7 @@ def _per_point_csv(path, f, phi, config, cert):
         for i in range(len(q)):
             x = q.point_at(i)
             xcol = repr(float(x)) if scalar else repr(phi.norm(x) if hasattr(phi, "norm")
-                                                      else float(np.linalg.norm(x)))
+                                                      else euclidean_norm(x))
             writer.writerow([
                 i, xcol,
                 repr(float(defects[i])),
