@@ -269,13 +269,18 @@ def _phi_at_zero_rows(phi, X, scalar) -> np.ndarray:
 # Equation defects
 # =========================================================================
 
-def _el_combine(m, a, b, c, d, e):
-    """The Euler-Lagrange residual from f at x + m y, m x - y, x + y, x - y, y."""
+def _m4(m):
+    """m**4, the largest coefficient of the equation; its overflow is a
+    certified failure."""
     try:
-        m4 = m**4
+        return m**4
     except OverflowError:
         raise OverflowGuardError(f"the equation coefficient m**4 overflows at m = {m!r}") from None
-    return (2.0 * m * a + 2.0 * b - (m**3 + m) * (c + d) - 2.0 * (m4 - 1.0) * e)
+
+
+def _el_combine(m, a, b, c, d, e):
+    """The Euler-Lagrange residual from f at x + m y, m x - y, x + y, x - y, y."""
+    return (2.0 * m * a + 2.0 * b - (m**3 + m) * (c + d) - 2.0 * (_m4(m) - 1.0) * e)
 
 
 def _junkim_combine(a, b, c, d, e):
@@ -789,7 +794,12 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     if nonzero.all():
         raise InputError("grid must contain the zero point")
     zero_idx = int(np.argmin(nonzero))
+    _m4(config.m)  # an overflowing m**4 is reported before an overflowing f
     F = _f_rows(f, rows, scalar)
+    finite = np.isfinite(F.reshape(n_pts, -1)).all(axis=1)
+    if not finite.all():
+        raise OverflowGuardError(
+            f"f overflowed on the grid: f is not finite at grid point {int(np.argmin(finite))}")
 
     # f(0) = 0 is the ground everything else stands on.
     f0 = codomain.norm(F[zero_idx])

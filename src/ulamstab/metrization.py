@@ -12,6 +12,13 @@ is exactly the all-pairs shortest path distance over edge weights D**p;
 we compute it with Floyd-Warshall in a fixed relaxation order, which
 makes the result deterministic bit for bit.
 
+Points joined by no finite chain lie in different components of the
+graph whose edges are the finite entries of D.  Floyd-Warshall never
+relaxes a pair through a point of another component (one of the two
+links is +inf), so it runs on each component's submatrix alone, in the
+same k-major order, and every other pair keeps delta = +inf.  The
+result is bit for bit the k-major Floyd-Warshall over the whole matrix.
+
 When kappa = 1 (so p = 1 and D is already a metric) no relaxation can
 improve on the direct edge and delta equals D exactly.
 """
@@ -27,6 +34,8 @@ from .core_spaces import (
     GeneralizedBMetricSpace,
     QuasiNormedSpace,
     _check_p,
+    _TILE_ELEMENTS,
+    _finite_components,
     p_exponent,
     validate_b_metric,
 )
@@ -55,11 +64,33 @@ class ChainMetric:
 
 
 def _shortest_paths(W: np.ndarray) -> np.ndarray:
-    """Floyd-Warshall with a fixed k-major relaxation order."""
+    """Floyd-Warshall with a fixed k-major relaxation order, run on each
+    component of the finite entries of W on its own."""
     d = W.copy()
-    for k in range(d.shape[0]):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    for c in _finite_components(W):
+        if len(c) == len(d):
+            _floyd_warshall(d)
+        elif len(c) > 1:
+            sub = d[np.ix_(c, c)]
+            _floyd_warshall(sub)
+            d[np.ix_(c, c)] = sub
     return d
+
+
+def _floyd_warshall(d: np.ndarray) -> None:
+    """Relax d in place through k = 0, 1, ..., n - 1, in blocks of rows.
+
+    Row k and column k do not change at step k (d >= 0), so a block may
+    read row k after an earlier block of the same step was relaxed.
+    """
+    n = len(d)
+    rows = min(n, max(1, _TILE_ELEMENTS // n))
+    via = np.empty((rows, n))
+    blocks = [(d[i0:i0 + rows], via[:min(rows, n - i0)]) for i0 in range(0, n, rows)]
+    for k in range(n):
+        for block, sums in blocks:
+            np.add(block[:, k, None], d[None, k, :], out=sums)
+            np.minimum(block, sums, out=block)
 
 
 def chain_metric(space: GeneralizedBMetricSpace, p: float | None = None) -> ChainMetric:

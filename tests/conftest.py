@@ -7,9 +7,15 @@ oracle enumerates simple chains by brute force.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
+import pytest
+from hypothesis import strategies as st
+
+import ulamstab
+from ulamstab import AXIOM_SLACK
 
 
 def integer_metric(rng, n, lo=1, hi=16) -> np.ndarray:
@@ -98,3 +104,80 @@ def triple_oracle_b_metric(D, kappa, tol=1e-12):
                 if D[i][j] > kappa * (D[i][k] + D[k][j]) + tol:
                     return False, ("relaxed_triangle", (i, j, k))
     return True, None
+
+
+@st.composite
+def component_b_metrics(draw, max_n=40):
+    """(D, kappa) for a generalized b-metric on at most ``max_n`` points
+    whose +inf components interleave (each point draws a random label),
+    with +inf holes inside components, entries on the AXIOM_SLACK edge of
+    a triangle, and some triangles and symmetries broken on purpose.
+
+    Integer-valued matrices make ties between sums through different
+    points common; relaxed closures of random multi-scale matrices put
+    many entries on the edge D(i,j) = kappa * (D(i,k) + D(k,j)), where a
+    chain through k is strictly shorter in D**p.
+    """
+    n = draw(st.sampled_from(range(max_n + 1)))
+    kappa = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integer", "euclidean", "closure"]))
+    if kind == "integer":
+        D = integer_metric(rng, n) * _symmetric(rng.integers(1, int(kappa) + 1, size=(n, n)))
+    elif kind == "euclidean":
+        P = rng.normal(size=(n, 2))
+        E = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=-1))
+        D = E * _symmetric(rng.uniform(1.0, kappa, size=(n, n)))
+    else:
+        D = _relaxed_closure(_symmetric(np.exp(rng.uniform(0.0, 4.0, size=(n, n)))), kappa)
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    D[labels[:, None] != labels[None, :]] = np.inf
+
+    def pairs(count):
+        for _ in range(count if n >= 3 else 0):
+            yield (int(v) for v in rng.choice(n, size=3, replace=False))
+
+    for a, b, _ in pairs(draw(st.integers(0, 3))):
+        D[a, b] = D[b, a] = np.inf
+    for i, j, k in pairs(draw(st.integers(0, 2))):
+        edge = kappa * (D[i, k] + D[k, j]) + AXIOM_SLACK
+        if np.isfinite(edge):
+            D[i, j] = D[j, i] = np.nextafter(edge, np.inf) if draw(st.booleans()) else edge
+    for a, b, _ in pairs(draw(st.integers(0, 2))):
+        D[a, b] = D[b, a] = D[a, b] * float(rng.uniform(1.0, 3.0 * kappa))
+    for a, b, _ in pairs(draw(st.sampled_from([0, 0, 0, 1]))):
+        D[a, b] = D[a, b] + AXIOM_SLACK * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    np.fill_diagonal(D, draw(st.sampled_from([0.0, 0.0, 0.0, AXIOM_SLACK])))
+    return D, kappa
+
+
+def _relaxed_closure(D, kappa):
+    """The greatest matrix below D with D(i,j) <= kappa * (D(i,k) + D(k,j))
+    in float arithmetic: lower every entry to its relaxed least sum until
+    none moves."""
+    while True:
+        rhs = kappa * (D[:, :, None] + D[None, :, :]).min(axis=1, initial=np.inf)
+        if not (rhs < D).any():
+            return D
+        D = np.minimum(D, rhs)
+
+
+def _symmetric(F):
+    """The upper triangle of F mirrored below the diagonal."""
+    F = np.triu(F, 1)
+    return F + F.T
+
+
+@contextlib.contextmanager
+def tile_elements(count):
+    """Run the tiled kernels of the triangle check and Floyd-Warshall with
+    tiles of ``count`` sums, so that small matrices take the many-tile
+    paths too; None keeps the shipped size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if count is not None:
+            mp.setattr(ulamstab.core_spaces, "_TILE_ELEMENTS", count)
+            mp.setattr(ulamstab.metrization, "_TILE_ELEMENTS", count)
+        yield
+
+
+TILES = st.sampled_from([None, 1, 7, 64])

@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` wraps library functions and methods from outside
 the library.  A refactor that drops or renames one of them fails here
 rather than in a traced benchmark run.  Tracing must not change an answer
-either.  Under the tracer a norm bound as a default argument
+either.  The benchmark's own oracle also checks the chain metric on the
+benchmark's matrices with their blocks interleaved, which the benchmark
+itself (contiguous blocks) never sees.  Under the tracer a norm bound as a default argument
 (``norm=euclidean_norm``) is no longer the module's ``euclidean_norm``, so
 it takes the per-point path instead of the block form; the certificate
 must stay the same.
@@ -12,21 +14,28 @@ must stay the same.
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ulamstab
 import ulamstab.cli  # noqa: F401  (the tracer patches cli names too)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(stem):
+    """A module of ``perfbench/`` by file name, outside the package path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def test_tracer_installs_and_restores():
@@ -79,3 +88,22 @@ def test_tracing_leaves_the_certificate_unchanged(space):
     assert all(cert["hypothesis_defect_ok"] for cert in plain)
     assert tracer.stats["cubic_stability.f_eval"][0] > 0
     assert traced == plain
+
+
+@pytest.mark.parametrize("kind", ["connected", "two-block"])
+def test_chain_metric_passes_the_bench_oracle_on_interleaved_blocks(kind, monkeypatch):
+    oracles = _load("oracles")
+    monkeypatch.setitem(sys.modules, "oracles", oracles)  # workloads imports it by name
+    workloads = _load("workloads")
+    n = 60
+    rng = np.random.default_rng(7)
+    if kind == "connected":
+        D, blocks = workloads.kappa2_matrix(rng, n), np.zeros(n, dtype=int)
+    else:
+        D, blocks = workloads.two_block_matrix(rng, n)
+    perm = rng.permutation(n)
+    D, blocks = D[np.ix_(perm, perm)], blocks[perm]
+    assert kind == "connected" or np.count_nonzero(np.diff(blocks)) > 2
+    cm = ulamstab.chain_metric(ulamstab.GeneralizedBMetricSpace(D=D, kappa=2.0))
+    sources = rng.choice(n, size=6, replace=False)
+    assert oracles.check_chain_metric(cm.delta, D, blocks, cm.p, sources) is None

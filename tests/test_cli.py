@@ -99,6 +99,49 @@ def test_metrize_reports_unreachable_pairs(tmp_path, capsys):
     assert doc["report"]["unreachable_pairs"] == 1
 
 
+def _interleaved_components(rng, n=12):
+    """A kappa = 2 b-metric whose even and odd points form two components
+    at mutual distance +inf."""
+    D = np.full((n, n), np.inf)
+    for part in (slice(0, None, 2), slice(1, None, 2)):
+        P = rng.normal(size=(len(range(n)[part]), 3))
+        E = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
+        F = np.triu(rng.uniform(1.0, 2.0, size=E.shape), 1)
+        D[part, part] = E * (F + F.T)
+    return D
+
+
+def test_metrize_interleaved_components(tmp_path, capsys):
+    D = _interleaved_components(np.random.default_rng(3))
+    src, dst = tmp_path / "d.json", tmp_path / "delta.csv"
+    save_distance_json(src, D, kappa=2.0)
+    code, doc, _ = run_cli(["metrize", "--in", str(src), "--out", str(dst)], capsys)
+    assert code == 0
+    assert doc["report"]["unreachable_pairs"] == 6 * 6
+    W = np.sqrt(D)
+    for k in range(len(W)):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    assert load_distance_csv(dst).tobytes() == W.tobytes()
+    assert doc["report"]["delta"] == W.tolist()
+
+
+def test_metrize_reports_the_least_row_across_components(tmp_path, capsys):
+    # Broken triangles in both components: the even one first fails in
+    # row 4, the odd one in row 1.  The first witness in (i, j, k) order
+    # comes from the odd component although the even one starts at 0.
+    D = _interleaved_components(np.random.default_rng(3))
+    D[4, 10] = D[10, 4] = 100.0
+    D[1, 11] = D[11, 1] = 100.0
+    src = tmp_path / "d.json"
+    save_distance_json(src, D, kappa=2.0)
+    code, doc, _ = run_cli(["metrize", "--in", str(src)], capsys)
+    assert code == 1
+    validation = doc["report"]["validation"]
+    assert validation["axiom"] == "relaxed_triangle"
+    first_k = next(k for k in range(12) if D[1, 11] > 2.0 * (D[1, k] + D[k, 11]) + 1e-12)
+    assert validation["witness"] == [1, 11, first_k]
+
+
 # ---------------------------------------------------------------------------
 # fixpoint
 # ---------------------------------------------------------------------------
@@ -270,6 +313,7 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
     ({"space": {"kind": "lhalf", "quadrature_n": "q"}}, 2,
      "field 'space.quadrature_n' must be int"),
     ({"m": 1e80}, 1, "m**4 overflows"),
+    ({"grid": {"levels": 400}}, 1, "f overflowed on the grid"),
 ])
 def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, message):
     # A malformed field is an input error and overflow a certified failure:

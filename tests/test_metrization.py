@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TILES,
     chain_oracle,
+    component_b_metrics,
     integer_metric,
     random_b_metric,
     random_generalized_b_metric,
+    tile_elements,
 )
 from ulamstab import (
     GeneralizedBMetricSpace,
@@ -148,6 +151,30 @@ def test_infinite_blocks_stay_disconnected():
     assert np.isinf(cm.delta[1, 3])
     assert cm.delta[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert cm.delta[2, 3] == pytest.approx(3.0, abs=1e-12)
+
+
+def reference_floyd_warshall(D, p) -> np.ndarray:
+    """Plain Floyd-Warshall over D**p on the whole matrix, k-major."""
+    d = D.copy() if p == 1.0 else np.power(D, p)
+    for k in range(len(d)):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+@given(component_b_metrics(), TILES)
+@settings(max_examples=150, deadline=None)
+def test_chain_metric_is_bitwise_the_plain_floyd_warshall(case, tile):
+    D, kappa = case
+    space = GeneralizedBMetricSpace(D=D, kappa=kappa)
+    report = validate_b_metric(D, kappa)
+    if not report.passed:
+        with tile_elements(tile), pytest.raises(InvalidBMetricError) as err:
+            chain_metric(space)
+        assert err.value.report == report
+        return
+    with tile_elements(tile):
+        cm = chain_metric(space)
+    assert cm.delta.tobytes() == reference_floyd_warshall(space.D, cm.p).tobytes()
 
 
 def test_determinism_bitwise():
