@@ -34,6 +34,7 @@ from .core_spaces import (
     euclidean_norm,
     load_distance_csv,
     load_distance_json,
+    real_line,
     save_distance_csv,
 )
 from .cubic_stability import (
@@ -268,15 +269,14 @@ def _build_phi(doc, m, norm):
 def _build_space(doc):
     kind = _field(doc, "space.kind", str) if "space" in doc else "reals"
     if kind == "reals":
-        return None, None  # codomain defaults to the real line
+        return real_line()
     if kind == "lhalf":
         qn = _field(doc, "space.quadrature_n", int) if "quadrature_n" in doc["space"] else 1024
-        lh = LHalfSpace(qn)
-        return lh, lh.space()
+        return LHalfSpace(qn).space()
     raise InputError(f"config: unknown space.kind {kind!r}")
 
 
-def _build_grid(doc, m, lhalf):
+def _build_grid(doc, m, space):
     spec = doc.get("grid", {})
     if not isinstance(spec, dict):
         raise InputError("config: field 'grid' must be an object")
@@ -291,13 +291,13 @@ def _build_grid(doc, m, lhalf):
         return pts, {"points": pts.tolist()}
     levels = _field(doc, "grid.levels", int) if "levels" in spec else 2
     symmetric = _field(doc, "grid.symmetric", bool) if "symmetric" in spec else True
-    if lhalf is not None:
-        seed = _field(doc, "grid.seed", int) if "seed" in spec else 7
-        base = example_corpus(lhalf.quadrature_n, seed=seed)
-        echo = {"corpus": True, "seed": seed, "levels": levels, "symmetric": symmetric}
-    else:
+    if space.dim == 1:  # numbers
         base = _numbers(doc, "grid.base") if "base" in spec else [1.0]
         echo = {"base": base, "levels": levels, "symmetric": symmetric}
+    else:  # sampled signals: the seeded corpus on the space's quadrature grid
+        seed = _field(doc, "grid.seed", int) if "seed" in spec else 7
+        base = example_corpus(space.dim, seed=seed)
+        echo = {"corpus": True, "seed": seed, "levels": levels, "symmetric": symmetric}
     return m_closed_grid(base, m, levels=levels, symmetric=symmetric), echo
 
 
@@ -330,14 +330,12 @@ def _cmd_verify(args, timings):
     doc = _load_config(args.config)
     tol = _field(doc, "tol", float) if "tol" in doc else _default_tol()
     m = _field(doc, "m", float)
-    lhalf, codomain = _build_space(doc)
-    norm = lhalf.norm if lhalf is not None else euclidean_norm
+    codomain = _build_space(doc)
     f, f_echo = _build_f(doc)
-    phi = _build_phi(doc, m, norm)
+    phi = _build_phi(doc, m, codomain.norm_eval)
     L = _field(doc, "L", float) if "L" in doc else phi.lipschitz(m)
-    p = codomain.p if codomain is not None else 1.0
-    config = StabilityConfig(m=m, L=L, p=p, tol=tol, codomain=codomain)
-    grid, grid_echo = _build_grid(doc, m, lhalf)
+    config = StabilityConfig(m=m, L=L, p=codomain.p, tol=tol, codomain=codomain)
+    grid, grid_echo = _build_grid(doc, m, codomain)
 
     cert = verify_stability(f, phi, config, grid)
     if args.csv:

@@ -576,15 +576,16 @@ class SampledMap:
         return found
 
     def index_rows(self, points) -> np.ndarray:
-        """The grid index of each row of a 2-D block; -1 marks a point off the grid."""
+        """The grid index of each point of a block, flattened to rows; -1 if off the grid."""
         P = np.asarray(points, dtype=float)
-        if P.ndim != 2 or P.shape[1:] != self._rows.shape[1:]:
+        P = P.reshape(len(P), math.prod(P.shape[1:]))
+        if P.shape[1] != self._rows.shape[1]:
             return np.full(len(P), -1)
         return self._match(P)
 
     def try_index(self, point) -> int | None:
         """Index of ``point`` on the grid, or None if it is not a grid point."""
-        idx = int(self.index_rows(np.atleast_1d(np.asarray(point, dtype=float))[None])[0])
+        idx = int(self.index_rows(_block(point))[0])
         return None if idx < 0 else idx
 
     def index_of(self, point) -> int:

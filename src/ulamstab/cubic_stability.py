@@ -39,6 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .core_spaces import (
+    _MATCH_ATOL,
+    _MATCH_RTOL,
     AXIOM_SLACK,
     QuasiNormedSpace,
     SampledMap,
@@ -52,6 +54,7 @@ from .core_spaces import (
     real_line,
 )
 from .errors import HypothesisViolation, InputError, OverflowGuardError
+from .fixed_point import bound_factors
 
 __all__ = [
     "DEFAULT_TOL",
@@ -89,25 +92,28 @@ def _zero_like(x):
     return 0.0 if a.ndim == 0 else np.zeros_like(a)
 
 
-def _as_rows(grid):
-    """A grid as (array, one 2-D row per point, real-line flag).
-
-    A 1-d grid holds points of the real line.  Its points are unwrapped
-    to floats only where f is called and where a witness is reported.
-    """
+def _as_block(grid) -> np.ndarray:
+    """A grid as a block of points, one per leading index: a 1-d block
+    holds numbers (the real line), a 2-d block one vector per row."""
     g = np.asarray(grid, dtype=float)
     if not np.isfinite(g).all():
         raise InputError("grid must be finite")
-    return g, g.reshape(len(g), -1), g.ndim == 1
+    return g
 
 
-def _point(row, scalar):
-    return float(row[0]) if scalar else row
+def _nonzero(P) -> np.ndarray:
+    """Whether each point of a block has a nonzero coordinate."""
+    return np.any(P != 0.0, axis=tuple(range(1, P.ndim)))
 
 
-def _f_rows(f, P, scalar) -> np.ndarray:
-    """f at each row of P, stacked: one call per point, never on a batch."""
-    return np.array([f(p) for p in (P[:, 0].tolist() if scalar else P)], dtype=float)
+def _points(P):
+    """A block's points one by one: Python floats from a 1-d block, else rows."""
+    return P.tolist() if P.ndim == 1 else P
+
+
+def _f_rows(f, P) -> np.ndarray:
+    """f at each point of P, stacked: one call per point, never on a batch."""
+    return np.array([f(p) for p in _points(P)], dtype=float)
 
 
 def _ratios(num, denom) -> np.ndarray:
@@ -247,27 +253,31 @@ def phi_at_zero(phi, x) -> float:
     return phi(x, _zero_like(x))
 
 
-def _phi_rows(phi, X, Y, scalar) -> np.ndarray:
-    """phi over matching rows of X and Y; a phi with no row form is called pair by pair.
-
-    A row form sees real-line points as a 1-d block of numbers, so that
-    a norm it has no block form for is called on numbers, not rows.
-    """
+def _phi_rows(phi, X, Y) -> np.ndarray:
+    """phi over matching points of two blocks; a phi with no block form is
+    called pair by pair, on numbers when the blocks hold numbers."""
     if not hasattr(phi, "rows"):
-        return np.array([phi(_point(x, scalar), _point(y, scalar))
-                         for x, y in zip(*np.broadcast_arrays(X, Y))], dtype=float)
-    return phi.rows(X[:, 0], Y[:, 0]) if scalar else phi.rows(X, Y)
+        X, Y = np.broadcast_arrays(X, Y)
+        return np.array([phi(x, y) for x, y in zip(_points(X), _points(Y))], dtype=float)
+    return phi.rows(X, Y)
 
 
-def _phi_at_zero_rows(phi, X, scalar) -> np.ndarray:
+def _phi_at_zero_rows(phi, X) -> np.ndarray:
     if not hasattr(phi, "at_zero_rows"):
-        return np.array([phi_at_zero(phi, _point(x, scalar)) for x in X], dtype=float)
-    return phi.at_zero_rows(X[:, 0] if scalar else X)
+        return np.array([phi_at_zero(phi, x) for x in _points(X)], dtype=float)
+    return phi.at_zero_rows(X)
 
 
 # =========================================================================
 # Equation defects
 # =========================================================================
+
+def _check_m(m):
+    """Reject m unless |m| > 1, where the forward rescaling contracts."""
+    if not abs(m) > 1.0:
+        raise InputError(f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
+                         f"rescaling diverges for 0 < |m| <= 1), got {m!r}")
+
 
 def _m4(m):
     """m**4, the largest coefficient of the equation; its overflow is a
@@ -302,22 +312,20 @@ def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     return norm(el_residual(f, m, x, y))
 
 
-def _el_residual_rows(f, m, X, Y, FY, scalar) -> np.ndarray:
-    """el_residual over matching rows of X and Y, with f at Y given."""
-    return _el_combine(m, _f_rows(f, X + m * Y, scalar), _f_rows(f, m * X - Y, scalar),
-                       _f_rows(f, X + Y, scalar), _f_rows(f, X - Y, scalar), FY)
+def _el_residual_rows(f, m, X, Y, FY) -> np.ndarray:
+    """el_residual over matching points of the blocks X and Y, with f at Y given."""
+    return _el_combine(m, _f_rows(f, X + m * Y), _f_rows(f, m * X - Y),
+                       _f_rows(f, X + Y), _f_rows(f, X - Y), FY)
 
 
 def _el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
     """``el_defect`` at each pair of matching points of two grids, bit for bit.
 
-    ``xs`` and ``ys`` are grids (1-d on the real line, else one row per
-    point); either may hold a single point, which pairs with every point
-    of the other.  f is still called once per point.
+    ``xs`` and ``ys`` are blocks; either may hold a single point, which
+    pairs with every point of the other.  f is still called once per point.
     """
-    _, X, scalar = _as_rows(xs)
-    _, Y, _ = _as_rows(ys)
-    return _row_norm(norm)(_el_residual_rows(f, m, X, Y, _f_rows(f, Y, scalar), scalar))
+    X, Y = _as_block(xs), _as_block(ys)
+    return _row_norm(norm)(_el_residual_rows(f, m, X, Y, _f_rows(f, Y)))
 
 
 def junkim_residual(f, x, y):
@@ -358,15 +366,15 @@ class _Pairs:
     """Ordered pairs (x, y) of points, walked by the checks in blocks.
 
     ``_Pairs.grid`` holds every pair of a grid in lexicographic order; the
-    pairs are never stored, and a block is one x-row against every y.
+    pairs are never stored, and a block is one x-point against every y.
     ``_Pairs.of`` holds a sequence of pairs, walked in consecutive blocks
     of ``BLOCK``.  ``len()`` counts the pairs.
     """
 
     BLOCK = 64
 
-    def __init__(self, xs, ys, scalar, zero, values=None, f0=None, samples=None):
-        self.xs, self.ys, self.scalar, self.zero = xs, ys, scalar, zero
+    def __init__(self, xs, ys, zero, values=None, f0=None, samples=None):
+        self.xs, self.ys, self.zero = xs, ys, zero
         self.values, self.f0, self.samples = values, f0, samples
 
     @classmethod
@@ -374,65 +382,70 @@ class _Pairs:
         """Every pair of a grid.  ``exclude_zero`` leaves out the pairs with a
         zero argument.  ``values``, f at the grid points in grid order,
         spares the defect check from calling f there, f(0) included."""
-        _, rows, scalar = _as_rows(grid)
-        nonzero = np.any(rows != 0.0, axis=1)
+        g = _as_block(grid)
+        nonzero = _nonzero(g)
         values = None if values is None else np.asarray(values, dtype=float)
-        f0 = None if values is None or nonzero.all() else values[int(np.argmin(nonzero))]
+        z = np.flatnonzero(~nonzero)[:1]  # the grid's own zero point, if any
+        zero = _points(g[z] if len(z) else np.zeros((1,) + g.shape[1:]))[0]
+        f0 = values[z[0]] if len(z) and values is not None else None
         if exclude_zero:
-            rows = rows[nonzero]
+            g = g[nonzero]
             values = None if values is None else values[nonzero]
-        return cls(rows, rows, scalar, _point(np.zeros(rows.shape[1]), scalar), values, f0)
+        return cls(g, g, zero, values, f0)
 
     @classmethod
     def of(cls, samples):
         """A sequence of (x, y) pairs; pairs already walkable are returned as they are."""
         if isinstance(samples, cls):
             return samples
-        both = (np.asarray(samples, dtype=float).reshape(len(samples), 2, -1)
-                if len(samples) else np.empty((0, 2, 1)))
+        both = np.asarray(samples, dtype=float) if len(samples) else np.empty((0, 2))
         x0 = samples[0][0] if len(samples) else 0.0
-        return cls(both[:, 0], both[:, 1], np.ndim(x0) == 0, _zero_like(x0), samples=samples)
+        return cls(both[:, 0], both[:, 1], _zero_like(x0), samples=samples)
 
     def __len__(self) -> int:
         return len(self.xs) * len(self.ys) if self.samples is None else len(self.samples)
 
     def blocks(self, f=None):
-        """(index of the first pair, x rows, y rows, f at the y rows if f is given).
+        """(index of the first pair, x block, y block, f at the y block if f is given).
 
         A grid calls f on its points once, unless their values came with
         it; a sequence calls f block by block, so that a check stopping
         early calls f on no later pair.
         """
         if self.samples is None:
-            fy = self.values if self.values is not None or f is None else _f_rows(
-                f, self.ys, self.scalar)
+            fy = self.values if self.values is not None or f is None else _f_rows(f, self.ys)
             for i in range(len(self.xs)):
                 yield i * len(self.ys), self.xs[i:i + 1], self.ys, fy
             return
         for start in range(0, len(self.xs), self.BLOCK):
             X, Y = self.xs[start:start + self.BLOCK], self.ys[start:start + self.BLOCK]
-            yield start, X, Y, None if f is None else _f_rows(f, Y, self.scalar)
+            yield start, X, Y, None if f is None else _f_rows(f, Y)
 
     def pair(self, k) -> tuple:
         if self.samples is not None:
             return tuple(self.samples[k])
         i, j = divmod(k, len(self.ys))
-        return _point(self.xs[i], self.scalar), _point(self.ys[j], self.scalar)
+        return _points(self.xs[i:i + 1])[0], _points(self.ys[j:j + 1])[0]
+
+
+def _exceeds(lhs, rhs, tol) -> np.ndarray:
+    """lhs > rhs + tol * max(1, rhs): the slack rule of every sampled check."""
+    with np.errstate(invalid="ignore"):
+        return lhs > rhs + tol * np.maximum(1.0, rhs)
 
 
 def _scan(pairs, sides, tol, exceeds, holds, f=None) -> CheckReport:
     """Check lhs <= rhs + tol * max(1, rhs) block by block.
 
     ``sides(X, Y, FY)`` gives both sides for one block, FY being f at the
-    y rows when f is given.  The first violating pair fails the check;
+    y block when f is given.  The first violating pair fails the check;
     otherwise the witness is the first pair of largest lhs/rhs.
     """
     worst, witness = 0.0, None
     for start, X, Y, FY in pairs.blocks(f):
         lhs, rhs = sides(X, Y, FY)
         ratio = _ratios(lhs, rhs)
-        with np.errstate(invalid="ignore"):
-            bad = lhs > rhs + tol * np.maximum(1.0, rhs)
+        bad = _exceeds(lhs, rhs, tol)
         if bad.any():
             k = int(np.argmax(bad))
             return CheckReport(False, float(ratio[k]), pairs.pair(start + k), len(pairs),
@@ -459,8 +472,7 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     scale = L * abs(m) ** 3
 
     def sides(X, Y, FY):
-        return (_phi_rows(phi, m * X, m * Y, pairs.scalar),
-                scale * _phi_rows(phi, X, Y, pairs.scalar))
+        return _phi_rows(phi, m * X, m * Y), scale * _phi_rows(phi, X, Y)
 
     return _scan(pairs, sides, tol,
                  lambda lhs, rhs: f"phi(m x, m y) = {lhs!r} exceeds L |m|^3 phi(x, y) = {rhs!r}",
@@ -484,8 +496,8 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     norm_rows = _row_norm(norm)
 
     def sides(X, Y, FY):
-        R = _el_residual_rows(f, m, X, Y, FY, pairs.scalar)
-        return norm_rows(R), _phi_rows(phi, X, Y, pairs.scalar)
+        R = _el_residual_rows(f, m, X, Y, FY)
+        return norm_rows(R), _phi_rows(phi, X, Y)
 
     return _scan(pairs, sides, tol,
                  lambda defect, bound: f"defect {defect!r} exceeds phi {bound!r}",
@@ -506,14 +518,11 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
     Requires |m| > 1; an orbit or denominator leaving the safe floating
     range raises ``OverflowGuardError`` carrying the last safe stage.
     """
-    if not abs(m) > 1.0:
-        raise InputError(
-            f"|m| must exceed 1 for the forward rescaling to contract, got m = {m!r}")
+    _check_m(m)
     if math.isnan(tol) or tol < 0.0:
         raise InputError(f"tol must be nonnegative, got {tol!r}")
-    g, points, scalar = _as_rows(grid)
-    return _approximant(f, m, g, _f_rows(f, points, scalar), n_max, tol,
-                        codomain or real_line())[0]
+    g = _as_block(grid)
+    return _approximant(f, m, g, _f_rows(f, g), n_max, tol, codomain or real_line())[0]
 
 
 def _approximant(f, m, g, vals, n_max, tol, codomain):
@@ -524,7 +533,7 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max!r}")
-    _, points, scalar = _as_rows(g)
+    points = g
     denom = 1.0
     n_used = 0
     change = math.inf
@@ -537,7 +546,7 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
                 last_safe=SampledMap(g, vals, codomain,
                                      meta={"iterations": n - 1, "final_change": change}),
                 iterations=n - 1)
-        new_vals = _f_rows(f, points, scalar) / denom
+        new_vals = _f_rows(f, points) / denom
         if not np.isfinite(new_vals).all():
             raise OverflowGuardError(
                 f"f overflowed along the orbit at stage {n}",
@@ -562,10 +571,8 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
 
 def _bounds(config: StabilityConfig, weights):
     """The certified bounds from the weights phi(x, 0) of a block of points."""
-    Lp = config.L ** config.p
-    if not Lp < 1.0:
-        raise InputError(f"L**p must stay below 1, got {Lp!r}")
-    return (4.0 / (1.0 - Lp)) ** (1.0 / config.p) * weights / (2.0 * abs(config.m) ** 3)
+    factor = bound_factors(config.L, config.p)["from_L_pow_p"]
+    return factor * weights / (2.0 * abs(config.m) ** 3)
 
 
 def stability_bound(config: StabilityConfig, phi, x) -> float:
@@ -596,9 +603,8 @@ def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
     """
     if not np.array_equal(g.domain_grid, h.domain_grid):
         raise InputError("sampled maps live on different grids")
-    _, rows, scalar = _as_rows(g.domain_grid)
     num = g.codomain.norm_rows(g.values - h.values)
-    return _max_ratio(num, _phi_at_zero_rows(phi, rows, scalar))
+    return _max_ratio(num, _phi_at_zero_rows(phi, g.domain_grid))
 
 
 def cubic_rescale(g: SampledMap, m) -> SampledMap:
@@ -607,8 +613,7 @@ def cubic_rescale(g: SampledMap, m) -> SampledMap:
     Defined on the sub-grid of points whose m-multiple is still on g's
     grid; empty sub-grids are an input error.
     """
-    _, rows, _ = _as_rows(g.domain_grid)
-    j = g.index_rows(m * rows)
+    j = g.index_rows(m * g.domain_grid)
     keep = np.flatnonzero(j >= 0)
     if not len(keep):
         raise InputError("no grid point has its m-multiple on the grid")
@@ -623,11 +628,10 @@ def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.nd
     origin and including the zero point (listed first).  Duplicates are
     dropped, keeping the first occurrence.
     """
-    if not abs(m) > 1.0:
-        raise InputError(f"|m| must exceed 1, got {m!r}")
+    _check_m(m)
     if levels < 0:
         raise InputError(f"levels must be >= 0, got {levels!r}")
-    items = [np.atleast_1d(np.asarray(b, dtype=float)) for b in base]
+    items = [np.asarray(b, dtype=float) for b in base]
     if not items:
         raise InputError("base must contain at least one point")
     d = items[0].shape
@@ -645,14 +649,12 @@ def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.nd
             cur = cur * m
     R = np.array(rows)
     flat = R.reshape(len(R), -1)
-    kept = np.empty_like(flat)
     keep = []
     for i, r in enumerate(flat):
-        if not np.all(np.abs(r - kept[:len(keep)]) <= 1e-12 + 1e-9 * np.abs(r), axis=1).any():
-            kept[len(keep)] = r
+        near = np.abs(r - flat[keep]) <= _MATCH_ATOL + _MATCH_RTOL * np.abs(r)
+        if not near.all(axis=1).any():
             keep.append(i)
-    grid = R[keep]
-    return grid[:, 0] if len(d) == 1 and d[0] == 1 and np.asarray(base[0]).ndim == 0 else grid
+    return R[keep]
 
 
 # =========================================================================
@@ -677,10 +679,7 @@ class StabilityConfig:
     codomain: QuasiNormedSpace | None = None
 
     def __post_init__(self):
-        if math.isnan(self.m) or not abs(self.m) > 1.0:
-            raise InputError(
-                f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
-                f"rescaling diverges for 0 < |m| <= 1), got {self.m!r}")
+        _check_m(self.m)
         _check_L(self.L)
         _check_p(self.p)
         if math.isnan(self.tol) or self.tol <= 0.0:
@@ -787,39 +786,36 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     The n**2 grid pairs are processed one x-row at a time.  The one-step
     estimate reads f at m x from stage 1 of the approximant.
     """
-    g, rows, scalar = _as_rows(grid)
-    n_pts = len(rows)
+    g = _as_block(grid)
+    n_pts = len(g)
     codomain = config.codomain
-    nonzero = np.any(rows != 0.0, axis=1)
+    nonzero = _nonzero(g)
     if nonzero.all():
         raise InputError("grid must contain the zero point")
     zero_idx = int(np.argmin(nonzero))
     _m4(config.m)  # an overflowing m**4 is reported before an overflowing f
-    F = _f_rows(f, rows, scalar)
+    F = _f_rows(f, g)
     finite = np.isfinite(F.reshape(n_pts, -1)).all(axis=1)
     if not finite.all():
         raise OverflowGuardError(
             f"f overflowed on the grid: f is not finite at grid point {int(np.argmin(finite))}")
 
-    # f(0) = 0 is the ground everything else stands on.
-    f0 = codomain.norm(F[zero_idx])
-    if f0 > config.tol:
-        return _failing_certificate(
-            config, n_pts, f"f(0) has norm {f0!r}, expected 0", (_point(rows[zero_idx], scalar),))
-
     # The power-law hypotheses are stated away from the origin only.
-    excludes_zero = getattr(phi, "excludes_zero", False)
+    try:
+        defect_report = hypothesis_defect_check(
+            f, phi, config.m, _Pairs.grid(g, getattr(phi, "excludes_zero", False), values=F),
+            norm=codomain.norm, tol=config.tol)
+    except HypothesisViolation as exc:
+        # f(0) = 0 is the ground everything else stands on.
+        return _failing_certificate(config, n_pts, str(exc), exc.witness)
     phi_report = phi_contractivity_check(phi, config.m, config.L, _Pairs.grid(g))
-    defect_report = hypothesis_defect_check(f, phi, config.m,
-                                            _Pairs.grid(g, excludes_zero, values=F),
-                                            norm=codomain.norm, tol=config.tol)
     q, step = _approximant(f, config.m, g, F, n_max, config.tol, codomain)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
-    weights = _phi_at_zero_rows(phi, rows, scalar)
+    weights = _phi_at_zero_rows(phi, g)
     rhs = weights / (2.0 * abs(config.m) ** 3)
     one_step_worst = _max_ratio(step, rhs)
-    one_step_ok = not (step > rhs + config.tol * np.maximum(1.0, rhs)).any()
+    one_step_ok = not _exceeds(step, rhs, config.tol).any()
     scale = max(1.0, float(np.max(codomain.norm_rows(q.values))))
 
     bounds = _bounds(config, weights)
@@ -827,7 +823,7 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     ratios = _ratios(errors, bounds)
     max_error_ratio = float(ratios[_first_max(ratios)])
 
-    image = q.index_rows(config.m * rows)
+    image = q.index_rows(config.m * g)
     on_grid = np.flatnonzero(image >= 0)
     homo_points = len(on_grid)
     homo_defect = float(np.max(codomain.norm_rows(q.values[image[on_grid]]
@@ -875,7 +871,7 @@ def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
     looked up and evaluated one block at a time: an x-row against every
     y, or the origin against every point.
     """
-    rows = q.domain_grid.reshape(n_pts, -1)
+    rows = q.domain_grid
     V = q.values
     norm_rows = _row_norm(norm)
     at = q.index_rows

@@ -85,9 +85,12 @@ def bound_factors(L: float, p: float) -> dict:
     """
     _check_p(p)
     _check_L(L)
+    Lp = L**p
+    if not Lp < 1.0:
+        raise InputError(f"L**p must stay below 1, got {Lp!r}")
     factors = {
         "from_L": (4.0 / (1.0 - L)) ** (1.0 / p),
-        "from_L_pow_p": (4.0 / (1.0 - L**p)) ** (1.0 / p),
+        "from_L_pow_p": (4.0 / (1.0 - Lp)) ** (1.0 / p),
     }
     if p == 1.0:
         factors["metric"] = 1.0 / (1.0 - L)
