@@ -106,10 +106,12 @@ def p_exponent(kappa) -> float:
 
 
 def _check_kappa(kappa) -> float:
-    """kappa as a float, if it is a modulus: kappa >= 1."""
+    """kappa as a float, if it is a modulus: 1 <= kappa < +inf."""
     k = float(kappa)
     if math.isnan(k) or k < 1.0:
         raise InputError(f"kappa must be >= 1, got {kappa!r}")
+    if math.isinf(k):
+        raise InputError(f"kappa must be finite, got {kappa!r}")
     return k
 
 
@@ -160,11 +162,19 @@ def _block(x) -> np.ndarray:
 
 def _euclidean_norm_rows(X) -> np.ndarray:
     """The Euclidean norm of each point of a block: one dot product per
-    row, as ``np.linalg.norm`` takes it, with the same bits."""
+    row, as ``np.linalg.norm`` takes it, with the same bits.  A row of
+    finite entries whose sum of squares overflows is divided by its
+    largest entry first, so its norm is finite whenever it fits."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(len(X), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # as quiet as the BLAS dot
-        return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+        v = np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+        if not math.isfinite(v.sum()):  # one test per block; norms are never negative
+            big = np.isinf(v) & np.isfinite(X).all(axis=1)
+            top = np.max(np.abs(X[big]), axis=1, initial=0.0)
+            Y = X[big] / top[:, None]
+            v[big] = top * np.sqrt(np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0])
+    return v
 
 
 def _scalar_pow(values, e) -> np.ndarray:

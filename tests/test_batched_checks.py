@@ -15,6 +15,7 @@ against a scan of every row.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -352,6 +353,25 @@ def test_norms_without_a_block_form_are_called_on_numbers(norm):
     assert all(isinstance(b, float) for c in certs for b in c["bound_per_point"])
 
 
+@pytest.mark.parametrize("base, norm", [([1.0, 3.0], abs),
+                                        ([[0.5, 1.0], [1.0, -0.25]], euclidean_norm),
+                                        ([[0.5, 1.0], [1.0, -0.25]], l1_norm)])
+def test_a_phi_without_a_block_form_certifies_the_same(base, norm):
+    # A plain callable is called pair by pair and point by point, on
+    # numbers on the real line and on rows otherwise; ShiftNorm goes
+    # through its block form.  The certificates must agree bit for bit.
+    grid = m_closed_grid(base, 2.0, levels=2)
+    dim = 1 if grid.ndim == 1 else grid.shape[1]
+    config = StabilityConfig(m=2.0, L=0.25,
+                             codomain=QuasiNormedSpace(dim=dim, norm_eval=norm, kappa=1.0))
+    docs = []
+    for phi in (lambda x, y: 12 * norm(x + 2 * y), ShiftNorm(c=12.0, m=2.0, norm=norm)):
+        cert = verify_stability(cubic_plus_linear, phi, config, grid)
+        docs.append(json.dumps(cert.to_dict(), sort_keys=True).encode() + cert.q.values.tobytes())
+    assert cert.passed and cert.hypothesis_phi_ok
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize("phi", [ShiftNorm(c=12.0, m=2.0), PowerLaw(lam=24.0, s=1.0),
                                  ConstantBound(value=1e3)])
 def test_verify_stability_calls_f_once_per_evaluation_point(phi):
@@ -470,6 +490,9 @@ def test_indexed_lookup_matches_the_linear_scan(seed, n, dim):
     got = [g.try_index(q.item() if dim == 0 else q) for q in queries]
     assert got == want
     assert g.index_rows(block).tolist() == [-1 if w is None else w for w in want]
+    # The same block with the grid's own point shape: numbers on a 1-d grid.
+    assert g.index_rows(block.reshape((len(block),) + grid.shape[1:])).tolist() == \
+        g.index_rows(block).tolist()
 
 
 def reference_duplicate(grid):

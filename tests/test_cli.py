@@ -70,6 +70,12 @@ def test_metrize_json_carries_kappa(tmp_path, capsys):
     code, _, err = run_cli(["metrize", "--in", str(src), "--kappa", "2"], capsys)
     assert code == 2
     assert "contradicts" in err
+    # So is a modulus that overflows to +inf: it would give p = 0.
+    src.write_text('{"kappa": 1e400, "D": [[0, 1, Infinity], [1, 0, Infinity], '
+                   '[Infinity, Infinity, 0]]}')
+    code, doc, err = run_cli(["metrize", "--in", str(src)], capsys)
+    assert (code, doc) == (2, None)
+    assert err == "input error: kappa must be finite, got inf\n"
 
 
 def test_metrize_invalid_space_is_certified_failure(tmp_path, capsys):
@@ -325,6 +331,14 @@ def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, 
     assert "Traceback" not in err
     assert err.startswith("input error: " if code == 2 else "certified failure: ")
     assert message in err
+
+
+def test_verify_scale_is_finite_past_the_squared_overflow(tmp_path, capsys):
+    # f reaches 8e156 on this grid; its square overflows, its norm does not.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, "grid": {"base": [1e52], "levels": 1}})
+    _, doc, _ = run_cli(["verify", "--config", cfg], capsys)
+    report = doc["report"]
+    assert report["scale"] == max(abs(v) for v in report["q"]["values"]) == 8e156
 
 
 def test_verify_output_is_bitwise_reproducible(tmp_path, capsys):

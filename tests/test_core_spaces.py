@@ -111,9 +111,43 @@ def test_p_exponent_rejects_kappa_below_one():
         p_exponent(0.5)
 
 
+def test_kappa_must_be_finite():
+    # kappa = +inf would give p = 0, a metric D**0 of all ones.
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for make in (p_exponent, lambda k: GeneralizedBMetricSpace(D=D, kappa=k),
+                 lambda k: validate_b_metric(D, k)):
+        with pytest.raises(InputError, match=r"^kappa must be finite, got inf$"):
+            make(math.inf)
+        for k in (math.nan, 0.5):
+            with pytest.raises(InputError, match=r"^kappa must be >= 1, got"):
+                make(k)
+
+
 def test_quasi_normed_space_derives_p():
     space = QuasiNormedSpace(dim=3, norm_eval=euclidean_norm, kappa=2.0)
     assert space.p == pytest.approx(0.5, abs=1e-15)
+
+
+def test_euclidean_norm_rescales_rows_whose_squares_overflow():
+    assert euclidean_norm(1e160) == 1e160
+    assert real_line().norm(-1e160) == 1e160
+    assert euclidean_norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+    assert euclidean_norm([1e308, 1e308]) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+    # Too large to fit, an infinite entry, a NaN entry: as before.
+    assert euclidean_norm([1.5e308, 1.5e308]) == math.inf
+    assert euclidean_norm([math.inf, 1.0]) == math.inf
+    assert math.isnan(euclidean_norm([math.nan, 1e200]))
+    # Rows below the overflow keep the bits of np.linalg.norm, also in a
+    # block where other rows are rescaled.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(40, 3)) * rng.choice([1.0, 1e150, 1e153, 1e160],
+                                                          size=(40, 1))
+    got = QuasiNormedSpace(dim=3, norm_eval=euclidean_norm, kappa=1.0).norm_rows(X)
+    small = np.abs(X).max(axis=1) < 1e154
+    assert small.any() and not small.all()
+    assert got[small].tobytes() == np.array([np.linalg.norm(x) for x in X[small]]).tobytes()
+    want = [math.fsum((v / 1e160) ** 2 for v in x) ** 0.5 * 1e160 for x in X[~small].tolist()]
+    assert got[~small] == pytest.approx(want, rel=1e-15)
 
 
 def test_real_line_is_a_normed_space():

@@ -400,6 +400,20 @@ def test_m_closed_grid_validation():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, -1.0, math.nan])
+def test_every_entry_point_rejects_m_with_one_message(m):
+    messages = []
+    for call in (lambda: StabilityConfig(m=m, L=0.25),
+                 lambda: cubic_approximant(cubic_plus_linear, m, np.array([0.0, 1.0])),
+                 lambda: m_closed_grid([1.0], m)):
+        with pytest.raises(InputError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0] == (f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
+                           f"rescaling diverges for 0 < |m| <= 1), got {m!r}")
+
+
 def test_stability_config_validation():
     with pytest.raises(InputError):
         StabilityConfig(m=1.0, L=0.25)

@@ -12,14 +12,17 @@ from ulamstab import (
     FixedPointResult,
     HypothesisViolation,
     InputError,
+    LHalfSpace,
     Outcome,
     ShiftNorm,
+    StabilityConfig,
     bound_factors,
     cubic_rescale,
     estimate_lipschitz,
     iterate,
     m_closed_grid,
     real_line,
+    stability_bound,
     sup_weighted_distance,
     SampledMap,
 )
@@ -57,6 +60,22 @@ def test_bound_factors_rejects_bad_arguments():
         bound_factors(L=0.5, p=0.0)
     with pytest.raises(InputError):
         bound_factors(L=0.5, p=2.0)
+
+
+def test_L_pow_p_rounding_to_one_is_an_input_error():
+    # L < 1, but L**p rounds to 1: the factor 4 / (1 - L**p) has no value.
+    L = 0.9999999999999999
+    assert L < 1.0 and L**0.5 == 1.0
+    message = r"^L\*\*p must stay below 1, got 1\.0$"
+    with pytest.raises(InputError, match=message):
+        bound_factors(L, 0.5)
+    with pytest.raises(InputError, match=message):
+        iterate(ContractionMap(apply=lambda x: x / 2.0, L=L), 1.0, _abs_distance,
+                p=0.5, tol=1e-9, max_iter=10)
+    config = StabilityConfig(m=2.0, L=L, p=0.5, codomain=LHalfSpace(4).space())
+    with pytest.raises(InputError, match=message):
+        stability_bound(config, ShiftNorm(c=12.0, m=2.0), np.ones(4))
+    assert bound_factors(L, 1.0)["from_L_pow_p"] == 4.0 / (1.0 - L)
 
 
 def test_contraction_map_validates_L():
