@@ -20,6 +20,7 @@ tolerance (1e-9) wherever a command or config does not set one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,7 +32,6 @@ import numpy as np
 from . import __version__
 from .core_spaces import (
     GeneralizedBMetricSpace,
-    euclidean_norm,
     load_distance_csv,
     load_distance_json,
     real_line,
@@ -315,8 +315,7 @@ def _per_point_csv(path, f, phi, config, cert):
                          "defect_y0", "phi_x0", "error", "bound"])
         for i in range(len(q)):
             x = q.point_at(i)
-            xcol = repr(float(x)) if scalar else repr(phi.norm(x) if hasattr(phi, "norm")
-                                                      else euclidean_norm(x))
+            xcol = repr(float(x)) if scalar else repr(config.codomain.norm(x))
             writer.writerow([
                 i, xcol,
                 repr(float(defects[i])),
@@ -431,6 +430,7 @@ def _cmd_example_lhalf(args, timings):
 # entry point
 # =========================================================================
 
+@functools.cache  # built once per process; parsing never mutates it
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", default=None,

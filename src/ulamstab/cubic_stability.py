@@ -53,6 +53,7 @@ import numpy as np
 from .core_spaces import (
     _MATCH_ATOL,
     _MATCH_RTOL,
+    _TILE_ELEMENTS,
     AXIOM_SLACK,
     QuasiNormedSpace,
     SampledMap,
@@ -765,10 +766,12 @@ class StabilityCertificate:
 # The verification pipeline
 # =========================================================================
 
-# Full defect-pair enumeration is quadratic with grid lookups; above this
-# grid size only pairs through the origin are enumerated.  Those are only
-# part of the in-range pairs, even on geometric grids: 481 of 545 to 617 on
-# 257-point dyadic grids with m = 2.
+# Above this grid size the solution defects enumerate only the pairs
+# through the origin.  Those are only part of the in-range pairs, even on
+# geometric grids: 481 of 545 to 617 on 257-point dyadic grids with m = 2.
+# The staged lookup in ``_solution_defects`` can take every pair; the cliff
+# stays only so that certificates keep their answers until the candidate
+# set changes (ROADMAP item 2).
 _FULL_PAIR_LIMIT = 48
 
 
@@ -881,28 +884,43 @@ def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
     A pair is in range when every point the equations touch lands on the
     grid.  Grids above ``_FULL_PAIR_LIMIT`` points enumerate only the pairs
     through the origin, so the defects there cover only part of the
-    in-range pairs.  Pairs are looked up and evaluated one block at a time:
-    an x-point against every y, or the origin against every point.
+    in-range pairs.  The candidate pairs are walked in tiles: a run of
+    x-points against a set of y, about ``_TILE_ELEMENTS`` coordinates of
+    pairs and at least one x-point.  Each tile is looked up in stages: x + y
+    for every pair, x - y where x + y landed, then x + m y, m x - y, 2x + y
+    and 2x - y where both did.  A grid of up to ``_FULL_PAIR_LIMIT`` numbers
+    is one tile.
     """
     rows = q.domain_grid
     V = q.values
     norm_rows = _row_norm(norm)
     at = q.index_rows
     own = at(rows)
-    origin = slice(zero_idx, zero_idx + 1)
+    everything = np.arange(n_pts)
     if n_pts <= _FULL_PAIR_LIMIT:
-        blocks = [(slice(i, i + 1), slice(None)) for i in range(n_pts)]
-    else:
-        blocks = [(origin, slice(None)), (np.flatnonzero(np.arange(n_pts) != zero_idx), origin)]
+        blocks = [(everything, everything)]
+    else:  # the origin against every point, every other point against the origin
+        origin = np.array([zero_idx])
+        blocks = [(origin, everything), (everything[everything != zero_idx], origin)]
+    tiles = []
+    for xs, ys in blocks:
+        step = max(1, _TILE_ELEMENTS // (len(ys) * rows[0].size))  # x-points per tile
+        tiles += [(xs[start:start + step], ys) for start in range(0, len(xs), step)]
     el_worst = 0.0
     jk_worst = 0.0
     checked = 0
-    for i, j in blocks:
+    for xs, ys in tiles:
+        # One broadcast sum per tile: gathering each pair's x and y first
+        # costs more than the lookup itself on vector grids.
+        sum_ = at((rows[xs, None] + rows[None, ys]).reshape(len(xs) * len(ys), -1))
+        live = sum_ >= 0
+        i, j, sum_ = np.repeat(xs, len(ys))[live], np.tile(ys, len(xs))[live], sum_[live]
+        diff = at(rows[i] - rows[j])
+        live = diff >= 0
+        i, j, sum_, diff = i[live], j[live], sum_[live], diff[live]
         X, Y = rows[i], rows[j]
-        ix, iy = np.broadcast_arrays(own[i], own[j])
-        sum_, diff = at(X + Y), at(X - Y)
-        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, iy])
-        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, ix])
+        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, own[j]])
+        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, own[i]])
         el_ok = (el >= 0).all(axis=0)
         jk_ok = (jk >= 0).all(axis=0)
         checked += int(np.count_nonzero(el_ok | jk_ok))

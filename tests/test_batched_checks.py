@@ -10,11 +10,13 @@ exactly: verdict, worst ratio bit for bit, witness and sample count.  The
 per-point forms of the control functions and the norms, which are
 one-point calls of the block forms, are checked against the same reference
 formulas.  The grid index behind ``SampledMap.try_index`` is checked
-against a scan of every row.
+against a scan of every row, and the solution defects of a sampled q
+against a per-pair loop that finds each point by that scan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -40,7 +42,9 @@ from ulamstab import (
     real_line,
     verify_stability,
 )
-from ulamstab.cubic_stability import DEFAULT_TOL, _Pairs
+from conftest import TILES, tile_elements
+from ulamstab.core_spaces import _TILE_ELEMENTS
+from ulamstab.cubic_stability import DEFAULT_TOL, _FULL_PAIR_LIMIT, _Pairs, _solution_defects
 
 DIM = 8
 
@@ -521,3 +525,136 @@ def test_duplicate_check_matches_the_pairwise_scan(seed, n):
         return
     with pytest.raises(InputError, match=rf"indices {want[0]} and {want[1]}$"):
         SampledMap(domain_grid=grid, values=np.zeros(len(grid)), codomain=real_line())
+
+
+# ---------------------------------------------------------------------------
+# the solution defects against a per-pair scan
+# ---------------------------------------------------------------------------
+
+
+def reference_solution_defects(grid, values, m, norm, zero_idx):
+    """(el_worst, jk_worst, checked, x + y hits, x + y and x - y hits) of
+    the Euler-Lagrange and Jun-Kim residuals of the sampled map, one
+    candidate pair at a time: every ordered pair of a grid of at most
+    _FULL_PAIR_LIMIT points, else the pairs through the origin."""
+    n = len(grid)
+    if n <= _FULL_PAIR_LIMIT:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [(zero_idx, j) for j in range(n)] + [(i, zero_idx) for i in range(n)
+                                                     if i != zero_idx]
+
+    def find(point):
+        return reference_try_index(grid, point)
+
+    el_worst = jk_worst = 0.0
+    checked = sum_hits = both_hits = 0
+    for i, j in pairs:
+        x, y = grid[i], grid[j]
+        s, d = find(x + y), find(x - y)
+        sum_hits += s is not None
+        both_hits += s is not None and d is not None
+        el = [find(x + m * y), find(m * x - y), s, d, find(y)]
+        jk = [find(2.0 * x + y), find(2.0 * x - y), s, d, find(x)]
+        checked += None not in el or None not in jk
+        if None not in el:
+            a, b, c, dd, e = (values[k] for k in el)
+            r = 2.0 * m * a + 2.0 * b - (m**3 + m) * (c + dd) - 2.0 * (m**4 - 1.0) * e
+            el_worst = max(el_worst, norm(r))
+        if None not in jk:
+            a, b, c, dd, e = (values[k] for k in jk)
+            jk_worst = max(jk_worst, norm(a + b - 2.0 * c - 2.0 * dd - 12.0 * e))
+    return el_worst, jk_worst, checked, sum_hits, both_hits
+
+
+@contextlib.contextmanager
+def counting_lookups():
+    """Count the calls of SampledMap.index_rows and the points they look up."""
+    seen = {"calls": 0, "points": 0}
+    lookup = SampledMap.index_rows
+
+    def counted(self, points):
+        seen["calls"] += 1
+        seen["points"] += len(points)
+        return lookup(self, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SampledMap, "index_rows", counted)
+        yield seen
+
+
+# (library norm, reference norm) of the codomain, on numbers and on 3-vectors.
+SOLUTION_NORMS = {False: [(euclidean_norm, ref_euclidean), (abs, abs)],
+                  True: [(euclidean_norm, ref_euclidean), (LHalfSpace(3).norm, ref_lhalf),
+                         (l1_norm, l1_norm)]}
+
+solutions = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "bases": st.sampled_from([1, 2, 3, 4, 8, 9]),  # 7 to 25, or 49 and 55 points
+    "vector": st.booleans(),
+    "dyadic": st.booleans(),
+    "m": st.sampled_from([2.0, 3.0, -2.0]),
+    "norm": st.integers(0, 5),
+    "tile": TILES,
+})
+
+
+@given(solutions)
+@settings(max_examples=60, deadline=None)
+def test_solution_defects_match_the_per_pair_scan(case):
+    # Shuffled m-closed grids, below and above the full-enumeration limit,
+    # with a perturbed cubic for q, so that no residual vanishes.
+    rng = np.random.default_rng(case["seed"])
+    vector, m = case["vector"], case["m"]
+    shape = (case["bases"], 3) if vector else (case["bases"],)
+    base = (rng.integers(1, 129, size=shape) / 64.0 if case["dyadic"]
+            else rng.uniform(0.1, 2.0, size=shape))
+    grid = m_closed_grid(base, m, levels=2)
+    grid = grid[rng.permutation(len(grid))]
+    zero_idx = int(np.argmin(np.any(grid.reshape(len(grid), -1) != 0.0, axis=1)))
+    values = grid**3 + rng.normal(scale=1e-3, size=grid.shape)
+    values[zero_idx] = 0.0
+    norm, ref_norm = SOLUTION_NORMS[vector][case["norm"] % len(SOLUTION_NORMS[vector])]
+    codomain = QuasiNormedSpace(dim=3, norm_eval=norm, kappa=2.0) if vector else real_line()
+    q = SampledMap(domain_grid=grid, values=values, codomain=codomain)
+    n = len(grid)
+    with tile_elements(case["tile"]), counting_lookups() as seen:
+        got = _solution_defects(q, m, codomain.norm, n, zero_idx)
+    el_worst, jk_worst, checked, sum_hits, both_hits = reference_solution_defects(
+        grid, values, m, ref_norm, zero_idx)
+    assert _same_float(got[0], el_worst), (got[0], el_worst)
+    assert _same_float(got[1], jk_worst), (got[1], jk_worst)
+    assert got[2] == checked > 0
+    # The lookups are staged: x + y for every candidate pair, x - y where
+    # it landed, the other four where both did; a few calls per tile.  A
+    # tile is a run of x-points against every y of a block, with pairs of
+    # about tile-size coordinates: one block below the limit, two above.
+    candidates = n * n if n <= _FULL_PAIR_LIMIT else 2 * n - 1
+    assert seen["points"] == n + candidates + sum_hits + 4 * both_hits
+    size = (case["tile"] or _TILE_ELEMENTS) // (3 if vector else 1)
+    blocks = [(n, n)] if n <= _FULL_PAIR_LIMIT else [(1, n), (n - 1, 1)]
+    tiles = sum(-(-nx // max(1, size // ny)) for nx, ny in blocks)
+    assert seen["calls"] <= 1 + 7 * tiles
+
+
+@pytest.mark.parametrize("base, levels, n", [([1.0, 3.0], 3, 17), ([0.5, 0.75, 1.25], 2, 19),
+                                             ([1.0, 1.25, 1.5, 1.75], 5, 48)])
+def test_solution_defects_of_a_scalar_grid_take_one_tile(base, levels, n):
+    # Up to the full-enumeration limit a grid of numbers is one tile: at
+    # most 1 + 7 index_rows calls, where a lookup per grid row needs 7 n + 1.
+    grid = m_closed_grid(base, 2.0, levels=levels)
+    grid = grid[:n]
+    q = SampledMap(domain_grid=grid, values=grid**3, codomain=real_line())
+    with counting_lookups() as seen:
+        _solution_defects(q, 2.0, q.codomain.norm, len(grid), 0)
+    assert len(grid) == n
+    assert seen["calls"] <= 8
+
+
+@pytest.mark.parametrize("grid", [np.array([0.0, 1.0, -1.0]),
+                                  np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])])
+def test_index_rows_of_an_empty_block_is_empty(grid):
+    g = SampledMap(domain_grid=grid, values=np.zeros(len(grid)), codomain=real_line())
+    for empty in (np.empty((0,)), np.empty((0,) + grid.shape[1:])):
+        got = g.index_rows(empty)
+        assert got.shape == (0,) and got.dtype.kind == "i"

@@ -107,3 +107,23 @@ def test_chain_metric_passes_the_bench_oracle_on_interleaved_blocks(kind, monkey
     cm = ulamstab.chain_metric(ulamstab.GeneralizedBMetricSpace(D=D, kappa=2.0))
     sources = rng.choice(n, size=6, replace=False)
     assert oracles.check_chain_metric(cm.delta, D, blocks, cm.p, sources) is None
+
+
+def test_traced_solution_pairs_match_the_certificate():
+    # The tracer reads the pair count from the result of _solution_defects
+    # and the candidate count from its fourth argument, the grid size.
+    tracing = _load_tracer()
+    cs = ulamstab.cubic_stability
+    grid = cs.m_closed_grid([1.0, 3.0], 2.0, levels=3)
+    phi = cs.ShiftNorm(c=12.0, m=2.0)
+    config = cs.StabilityConfig(m=2.0, L=phi.lipschitz(2.0))
+    f = ulamstab.cli._BUILTIN_F["cubic_plus_linear"]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, ulamstab)
+        cert = tracer.call_root(lambda: cs.verify_stability(f, phi, config, grid))
+    finally:
+        tracer.restore()
+    assert len(grid) == 17 and cert.defect_pairs_checked > 0
+    assert tracer.counts["cubic_stability.solution_pairs.checked"] == cert.defect_pairs_checked
+    assert tracer.counts["cubic_stability.solution_pairs.candidates"] == 17 ** 2

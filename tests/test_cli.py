@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ulamstab import chain_metric, GeneralizedBMetricSpace, load_distance_csv, save_distance_csv, save_distance_json
+from ulamstab import LHalfSpace, example_corpus, m_closed_grid
 from ulamstab.cli import main
 
 
@@ -281,6 +282,48 @@ def test_verify_writes_csv_and_report(tmp_path, capsys):
     assert len(lines) == 1 + doc["report"]["grid_size"]
     on_disk = json.loads(report_path.read_text())
     assert on_disk == doc
+
+
+def _csv_column(path, name):
+    lines = path.read_text().strip().splitlines()
+    col = lines[0].split(",").index(name)
+    return [line.split(",")[col] for line in lines[1:]]
+
+
+def test_csv_x_norm_is_the_space_norm_for_every_phi_kind(tmp_path, capsys):
+    # The x_norm column measures each grid point in the codomain's norm,
+    # whatever control function the certificate was run with.
+    space = {"kind": "lhalf", "quadrature_n": 8}
+    phis = [{"kind": "shift_norm", "c": 12.0},
+            {"kind": "power_law", "lambda": 24.0, "s": 1.3},
+            {"kind": "constant", "value": 1.0}]
+    columns = []
+    for k, phi in enumerate(phis):
+        cfg = _write_config(tmp_path, {"m": 2.0, "f": {"name": "cubic_plus_linear"},
+                                       "phi": phi, "space": space,
+                                       "grid": {"levels": 1, "seed": 3}}, f"c{k}.json")
+        csv_path = tmp_path / f"p{k}.csv"
+        run_cli(["verify", "--config", cfg, "--csv", str(csv_path)], capsys)
+        columns.append(_csv_column(csv_path, "x_norm"))
+    assert columns[0] == columns[1] == columns[2]
+    grid = m_closed_grid(example_corpus(8, seed=3), 2.0, levels=1)
+    assert columns[0] == [repr(LHalfSpace(8).norm(x)) for x in grid]
+
+
+def test_one_process_serves_many_calls_with_the_same_output(tmp_path, capsys):
+    # The parser is built once per process; a malformed argv in between
+    # and another subcommand leave the next report byte for byte the same.
+    cfg = _write_config(tmp_path, PASSING_CONFIG)
+    assert main(["verify", "--config", cfg]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["fixpoint", "--scenario", "halving"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_verify_malformed_json_names_the_position(tmp_path, capsys):
