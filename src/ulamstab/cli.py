@@ -184,11 +184,27 @@ def _cmd_fixpoint(args, timings):
 # verify
 # =========================================================================
 
+class _BlockF:
+    """An f written with + and * only: called on one point, or on a whole
+    block of points through ``rows``, with the same bits per point."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __call__(self, u):
+        return self._fn(u)
+
+    def rows(self, P):
+        # Python floats overflow to inf silently; so does the block form.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._fn(P)
+
+
 # Products, not u**3: the array power costs about 50 times more per
 # 1024-sample vector and is not bitwise equal to the product.
 _BUILTIN_F = {
-    "cubic": lambda u: u * u * u,
-    "cubic_plus_linear": lambda u: u * u * u + u,
+    "cubic": _BlockF(lambda u: u * u * u),
+    "cubic_plus_linear": _BlockF(lambda u: u * u * u + u),
 }
 
 
@@ -240,13 +256,13 @@ def _build_f(doc):
             raise InputError("config: f.coefficients supports degree <= 3")
         cs = _numbers(doc, "f.coefficients")
 
-        def f(u):
+        def horner(u):
             acc = 0.0
             for c in reversed(cs):
                 acc = acc * u + c
             return acc
 
-        return f, {"name": name, "coefficients": cs}
+        return _BlockF(horner), {"name": name, "coefficients": cs}
     if name in _BUILTIN_F:
         return _BUILTIN_F[name], {"name": name}
     raise InputError(

@@ -625,7 +625,7 @@ def load_distance_csv(path) -> np.ndarray:
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                rows.append([float(c) for c in row])
+                rows.append(list(map(float, row)))
             except ValueError as exc:
                 raise InputError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
@@ -638,10 +638,10 @@ def load_distance_csv(path) -> np.ndarray:
 
 def save_distance_csv(path, D) -> None:
     A = as_extended_matrix(D)
+    # The bytes of csv.writer: entries are never negative, repr(inf) is
+    # 'inf', and no float repr needs quoting.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in A:
-            writer.writerow(["inf" if math.isinf(v) else repr(float(v)) for v in row])
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in A.tolist())
 
 
 def load_distance_json(path) -> tuple[np.ndarray, float]:

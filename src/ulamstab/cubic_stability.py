@@ -32,8 +32,8 @@ which cubic maps also satisfy identically.
 Points travel as blocks: arrays with one point per leading index, 1-d
 for numbers (the real line) and 2-d for vectors, so a grid is a block.
 The checks, the control functions and the norms work on whole blocks.
-Single points are handed out in three places only: to f, to a control
-function or norm without a block form, and in reported witnesses; they
+Single points are handed out in three places only: to an f, a control
+function or a norm without a block form, and in reported witnesses; they
 are Python floats when the block holds numbers, rows otherwise.
 
 Each rule of the pipeline has one owner: |m| > 1 is ``_check_m``, f(0) = 0
@@ -111,6 +111,8 @@ def _as_block(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if not np.isfinite(g).all():
         raise InputError("grid must be finite")
+    if g.ndim == 2 and g.shape[1] == 0:
+        raise InputError("grid points must have at least one coordinate")
     return g
 
 
@@ -125,7 +127,10 @@ def _points(P):
 
 
 def _f_rows(f, P) -> np.ndarray:
-    """f at each point of P, stacked: one call per point, never on a batch."""
+    """f at each point of P, stacked: ``f.rows(P)`` when f has a block form,
+    else one call per point."""
+    if hasattr(f, "rows"):
+        return np.asarray(f.rows(P), dtype=float)
     return np.array([f(p) for p in _points(P)], dtype=float)
 
 
@@ -335,7 +340,8 @@ def _el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
     """``el_defect`` at each pair of matching points of two grids, bit for bit.
 
     ``xs`` and ``ys`` are blocks; either may hold a single point, which
-    pairs with every point of the other.  f is still called once per point.
+    pairs with every point of the other.  f is evaluated on blocks when
+    it has a block form, else once per point.
     """
     X, Y = _as_block(xs), _as_block(ys)
     return _row_norm(norm)(_el_residual_rows(f, m, X, Y, _f_rows(f, Y)))
@@ -379,9 +385,11 @@ class _Pairs:
     """Ordered pairs (x, y) of points, walked by the checks in blocks.
 
     ``_Pairs.grid`` holds every pair of a grid in lexicographic order; the
-    pairs are never stored, and a block is one x-point against every y.
-    ``_Pairs.of`` holds a sequence of pairs, walked in consecutive blocks
-    of ``BLOCK``.  ``len()`` counts the pairs.
+    pairs are never stored, and a block is a tile: a run of x-points, each
+    against every y, with about ``_TILE_ELEMENTS // 16`` coordinates of
+    pairs and at least one x-point.  ``_Pairs.of`` holds a sequence of
+    pairs, walked in consecutive blocks of ``BLOCK``.  ``len()`` counts the
+    pairs.
     """
 
     BLOCK = 64
@@ -427,8 +435,18 @@ class _Pairs:
         """
         if self.samples is None:
             fy = self.values if self.values is not None or f is None else _f_rows(f, self.ys)
-            for i in range(len(self.xs)):
-                yield i * len(self.ys), self.xs[i:i + 1], self.ys, fy
+            n = len(self.ys)
+            # A check keeps about 16 float temporaries per pair coordinate
+            # alive (X, Y, FY, four evaluation points, their f values, the
+            # residual and its norm), so a tile of _TILE_ELEMENTS // 16
+            # coordinates keeps the 512 KiB of one _TILE_ELEMENTS tile, which
+            # fits a 2 MiB cache.  One x-point of a 21-point grid of
+            # 1024-sample signals fills a tile alone.
+            rows = max(1, (_TILE_ELEMENTS // 16) // max(1, self.ys.size))
+            for i0 in range(0, len(self.xs), rows):
+                X = self.xs[i0:i0 + rows]
+                yield (i0 * n, _repeat_rows(X, n), _tile_rows(self.ys, len(X)),
+                       None if fy is None else _tile_rows(fy, len(X)))
             return
         for start in range(0, len(self.xs), self.BLOCK):
             X, Y = self.xs[start:start + self.BLOCK], self.ys[start:start + self.BLOCK]
@@ -439,6 +457,17 @@ class _Pairs:
             return tuple(self.samples[k])
         i, j = divmod(k, len(self.ys))
         return _points(self.xs[i:i + 1])[0], _points(self.ys[j:j + 1])[0]
+
+
+def _repeat_rows(A, n) -> np.ndarray:
+    """Each point of the block A n times in a row; a one-point block is a
+    view, not a copy."""
+    return np.broadcast_to(A[:, None], (len(A), n) + A.shape[1:]).reshape((-1,) + A.shape[1:])
+
+
+def _tile_rows(A, k) -> np.ndarray:
+    """The block A k times over; k = 1 is a view, not a copy."""
+    return np.broadcast_to(A, (k,) + A.shape).reshape((-1,) + A.shape[1:])
 
 
 def _exceeds(lhs, rhs, tol) -> np.ndarray:
@@ -796,11 +825,14 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     Hypothesis violations produce a failing certificate with witnesses;
     only malformed inputs and numerical overflow raise.
 
-    f is called once per evaluation point, never on a batch: f at the
-    grid points is computed once and serves the f(y) term of the defect
-    check, the one-step check, the errors and stage 0 of the approximant.
-    The n**2 grid pairs are processed one x-row at a time.  The one-step
-    estimate reads f at m x from stage 1 of the approximant.
+    An f with a block form ``f.rows(P)``, giving f at each point of the
+    block P with the bits of one call per point, is evaluated on blocks;
+    any other f is called once per evaluation point.  f at the grid points
+    is computed once and serves the f(y) term of the defect check, the
+    one-step check, the errors and stage 0 of the approximant.  The n**2
+    grid pairs are processed in tiles of x-points against every y; a
+    failing check stops after the tile holding the first violating pair.
+    The one-step estimate reads f at m x from stage 1 of the approximant.
     """
     g = _as_block(grid)
     n_pts = len(g)

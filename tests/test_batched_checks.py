@@ -1,12 +1,14 @@
 """The block kernels against per-pair and per-point reference loops.
 
-The hypothesis checks walk the grid pairs one x-row at a time against all
-y.  The reference loops below are the plain per-pair definitions, written
-out here rather than taken from the library: the Euler-Lagrange residual,
-the control functions and the norms are evaluated one pair at a time
-with scalar arithmetic, a running maximum of lhs/rhs is kept, and the
-loop stops at the first violating pair.  The kernels must agree with them
-exactly: verdict, worst ratio bit for bit, witness and sample count.  The
+The hypothesis checks walk the grid pairs in tiles, runs of x-points each
+against every y.  The reference loops below are the plain per-pair
+definitions, written out here rather than taken from the library: the
+Euler-Lagrange residual, the control functions and the norms are evaluated
+one pair at a time with scalar arithmetic, a running maximum of lhs/rhs is
+kept, and the loop stops at the first violating pair.  The kernels must
+agree with them exactly: verdict, worst ratio bit for bit, witness and
+sample count, at every tile size.  The CLI's f, which has a block form,
+must certify like the same f written as a plain per-point function.  The
 per-point forms of the control functions and the norms, which are
 one-point calls of the block forms, are checked against the same reference
 formulas.  The grid index behind ``SampledMap.try_index`` is checked
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 
 from ulamstab import (
     AXIOM_SLACK,
+    CheckReport,
     ConstantBound,
     InputError,
     LHalfSpace,
@@ -36,6 +40,7 @@ from ulamstab import (
     ShiftNorm,
     StabilityConfig,
     euclidean_norm,
+    example_corpus,
     hypothesis_defect_check,
     m_closed_grid,
     phi_contractivity_check,
@@ -43,6 +48,7 @@ from ulamstab import (
     verify_stability,
 )
 from conftest import TILES, tile_elements
+from ulamstab import cli
 from ulamstab.core_spaces import _TILE_ELEMENTS
 from ulamstab.cubic_stability import DEFAULT_TOL, _FULL_PAIR_LIMIT, _Pairs, _solution_defects
 
@@ -167,6 +173,27 @@ def assert_same_report(report, reference):
     assert report.n_samples == n
 
 
+# Tile sizes for the two checks.  A check tile holds tile // 16 pair
+# coordinates: 1, 7 and 64 put one x-point in each tile of the small grids
+# below, 256 and 1024 several, often with a partial last run.
+CHECK_TILES = [None, 1, 7, 64, 256, 1024]
+
+
+def tiled_report(check) -> CheckReport:
+    """check() at every CHECK_TILES size, which must all give one report:
+    verdict, ratio bits, witness, sample count and detail."""
+    reports = []
+    for tile in CHECK_TILES:
+        with tile_elements(tile):
+            reports.append(check())
+    first = reports[0]
+    for report in reports[1:]:
+        assert_same_report(report, (first.passed, first.worst_ratio, first.witness,
+                                    first.n_samples))
+        assert report.detail == first.detail
+    return first
+
+
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
@@ -246,7 +273,8 @@ def test_contractivity_check_matches_the_per_pair_loop(case):
     pts = _points(grid)
     pairs = [(x, y) for x in pts for y in pts]
     reference = reference_contractivity(ref_phi(phi, ref_norm), m, L, pairs)
-    assert_same_report(phi_contractivity_check(phi, m, L, _Pairs.grid(grid)), reference)
+    assert_same_report(tiled_report(lambda: phi_contractivity_check(phi, m, L, _Pairs.grid(grid))),
+                       reference)
     assert_same_report(phi_contractivity_check(phi, m, L, pairs), reference)
 
 
@@ -260,9 +288,8 @@ def test_defect_check_matches_the_per_pair_loop(case):
     pairs = [(x, y) for x in pts for y in pts
              if not excl or (_nonzero(x) and _nonzero(y))]
     reference = reference_defect(cubic_plus_linear, ref_phi(phi, ref_norm), m, pairs, ref_norm)
-    assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m,
-                                               _Pairs.grid(grid, excl), norm=norm),
-                       reference)
+    assert_same_report(tiled_report(lambda: hypothesis_defect_check(
+        cubic_plus_linear, phi, m, _Pairs.grid(grid, excl), norm=norm)), reference)
     assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m, pairs, norm=norm),
                        reference)
 
@@ -282,11 +309,13 @@ def test_non_finite_sides_follow_the_running_maximum(grid, phi):
     pairs = [(x, y) for x in pts for y in pts]
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_report(
-            hypothesis_defect_check(cube, phi, 2.0, _Pairs.grid(np.array(grid))),
+            tiled_report(lambda: hypothesis_defect_check(cube, phi, 2.0,
+                                                         _Pairs.grid(np.array(grid)))),
             reference_defect(cube, ref_phi(phi, ref_euclidean), 2.0, pairs, ref_euclidean))
-        assert_same_report(phi_contractivity_check(phi, 2.0, 0.25, _Pairs.grid(np.array(grid))),
-                           reference_contractivity(ref_phi(phi, ref_euclidean), 2.0, 0.25,
-                                                   pairs))
+        assert_same_report(
+            tiled_report(lambda: phi_contractivity_check(phi, 2.0, 0.25,
+                                                         _Pairs.grid(np.array(grid)))),
+            reference_contractivity(ref_phi(phi, ref_euclidean), 2.0, 0.25, pairs))
 
 
 def test_both_outcomes_are_exercised():
@@ -394,6 +423,128 @@ def test_verify_stability_calls_f_once_per_evaluation_point(phi):
     pairs = (n - 1) ** 2 if phi.excludes_zero else n ** 2
     assert cert.hypothesis_defect_ok and cert.approximant_iterations > 1
     assert len(calls) == n + 4 * pairs + n * cert.approximant_iterations
+
+
+@contextlib.contextmanager
+def counting_blocks():
+    """The number of blocks each walk of _Pairs.blocks yields, and the
+    pairs they hold."""
+    walks = []
+    blocks = _Pairs.blocks
+
+    def counted(self, f=None):
+        walks.append([0, 0])
+        for block in blocks(self, f):
+            walks[-1][0] += 1
+            walks[-1][1] += len(block[1])
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Pairs, "blocks", counted)
+        yield walks
+
+
+def test_a_real_line_grid_takes_one_or_two_tiles_per_check():
+    # 65 points, the reals-g65 shape: 65 x-points of 65 pairs per check,
+    # 63 x-points to a tile.  Every pair is in some tile.
+    grid = m_closed_grid([1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875], 2.0, levels=3)
+    phi = ShiftNorm(c=12.0, m=2.0)
+    with counting_blocks() as walks:
+        cert = verify_stability(cubic_plus_linear, phi, StabilityConfig(m=2.0, L=0.25), grid)
+    assert len(grid) == 65 and cert.passed
+    assert len(walks) == 2
+    assert all(count <= 2 and pairs == 65 ** 2 for count, pairs in walks)
+
+
+def test_a_signal_grid_takes_one_x_point_per_tile():
+    # 21 points of 1024 samples: one x-point against every y fills a tile.
+    space = LHalfSpace(1024)
+    grid = m_closed_grid(example_corpus(1024, seed=3)[:5], 2.0, levels=1)
+    phi = ShiftNorm(c=12.0, m=2.0, norm=space.norm)
+    config = StabilityConfig(m=2.0, L=0.25, p=0.5, codomain=space.space())
+    with counting_blocks() as walks:
+        verify_stability(cli._BUILTIN_F["cubic_plus_linear"], phi, config, grid)
+    assert len(grid) == 21
+    assert walks == [[21, 21 ** 2], [21, 21 ** 2]]
+
+
+def plain_f(doc):
+    """The CLI's f of a config's ``f`` field, as a plain per-point function."""
+    if doc["name"] == "cubic":
+        return lambda u: u * u * u
+    if doc["name"] == "cubic_plus_linear":
+        return lambda u: u * u * u + u
+    cs = doc["coefficients"]
+
+    def horner(u):
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * u + c
+        return acc
+
+    return horner
+
+
+cli_fs = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "f": st.sampled_from(["cubic", "cubic_plus_linear", "poly"]),
+    "grid": st.sampled_from(["dyadic", "uniform", "lhalf"]),
+    "m": st.sampled_from([2.0, 3.0, -2.0]),
+})
+
+
+@given(cli_fs)
+@settings(max_examples=40, deadline=None)
+def test_cli_f_on_blocks_certifies_like_a_plain_function(case):
+    # The block form and a point-by-point call of the same f give one
+    # certificate, q bytes included; the builtins multiply and poly runs
+    # Horner from 0.0, which differ in the last bits.
+    rng = np.random.default_rng(case["seed"])
+    m = case["m"]
+    doc = {"name": case["f"]}
+    if case["f"] == "poly":
+        # Signed coefficients; f(0) = 0 mostly, so that q gets extracted.
+        cs = rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 5)))
+        cs[0] = cs[0] if rng.random() < 0.2 else 0.0
+        doc["coefficients"] = cs.tolist()
+    f, _ = cli._build_f({"f": doc})
+    assert hasattr(f, "rows")
+    if case["grid"] == "lhalf":
+        space = LHalfSpace(32)
+        codomain, norm = space.space(), space.norm
+        base = [example_corpus(32, seed=int(rng.integers(0, 100)))[i]
+                for i in rng.choice(20, size=3, replace=False)]
+        grid = m_closed_grid(base, m, levels=1)
+    else:
+        codomain, norm = real_line(), euclidean_norm
+        base = (rng.integers(1, 129, size=3) / 64.0 if case["grid"] == "dyadic"
+                else rng.uniform(0.1, 2.0, size=3))
+        grid = m_closed_grid(base, m, levels=2)
+    phi = ShiftNorm(c=abs(2.0 * m * (1.0 - m**2)) * float(rng.choice([0.5, 1.0, 2.0])), m=m,
+                    norm=norm)
+    config = StabilityConfig(m=m, L=phi.lipschitz(m), p=codomain.p, codomain=codomain)
+    docs = []
+    for g in (f, plain_f(doc)):
+        cert = verify_stability(g, phi, config, grid)
+        docs.append(json.dumps(cert.to_dict(), sort_keys=True).encode()
+                    + (b"" if cert.q is None else cert.q.values.tobytes()))
+    assert docs[0] == docs[1]
+
+
+def test_cli_f_overflow_on_blocks_is_a_certified_failure_without_warnings(tmp_path, capsys):
+    # f(u) = u**3 + u overflows on a 2**400 grid point.  Python floats go to
+    # inf silently, and so must the block form: a warning turned into an
+    # error would escape as a traceback.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"m": 2.0, "f": {"name": "cubic_plus_linear"},
+                                "phi": {"kind": "shift_norm", "c": 12.0},
+                                "grid": {"levels": 400}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("certified failure: f overflowed on the grid")
 
 
 # ---------------------------------------------------------------------------

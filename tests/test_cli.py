@@ -363,6 +363,7 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
      "field 'space.quadrature_n' must be int"),
     ({"m": 1e80}, 1, "m**4 overflows"),
     ({"grid": {"levels": 400}}, 1, "f overflowed on the grid"),
+    ({"grid": {"points": [[]]}}, 2, "grid points must have at least one coordinate"),
 ])
 def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, message):
     # A malformed field is an input error and overflow a certified failure:

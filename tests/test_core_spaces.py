@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -364,6 +365,36 @@ def test_csv_round_trip_preserves_inf(tmp_path):
     back = load_distance_csv(path)
     assert np.array_equal(back, D)
     assert "inf" in path.read_text()
+
+
+def reference_save_csv(path, D):
+    """The distance CSV as the csv module writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in np.asarray(D, dtype=float):
+            writer.writerow(["inf" if math.isinf(v) else repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 1), (2, 2), (3, 7), (4, 40)])
+def test_csv_writer_matches_the_csv_module_byte_for_byte(tmp_path, seed, n):
+    # +inf, subnormal, huge, integral and zero entries among random ones.
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.0, 10.0, size=(n, n))
+    special = [np.inf, 5e-324, 2.5e-310, 1e300, 1.7976931348623157e308, 3.0, 1e16, 0.0, -0.0]
+    mask = rng.random((n, n)) < 0.5
+    D[mask] = rng.choice(special, size=int(mask.sum()))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_distance_csv(got, D)
+    reference_save_csv(want, D)
+    assert got.read_bytes() == want.read_bytes()
+    assert load_distance_csv(got).tobytes() == np.asarray(D, dtype=float).tobytes()
+
+
+def test_csv_loader_names_the_line_of_a_bad_entry(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0.0,1.0\n1.0,x\n")
+    with pytest.raises(InputError, match="line 2: could not convert string to float: 'x'$"):
+        load_distance_csv(path)
 
 
 def test_json_round_trip_carries_kappa(tmp_path):

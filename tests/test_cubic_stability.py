@@ -395,6 +395,16 @@ def test_m_closed_grid_validation():
         m_closed_grid([1.0], 2.0, levels=-1)
 
 
+@pytest.mark.parametrize("grid", [np.zeros((1, 0)), np.zeros((3, 0))])
+def test_points_without_coordinates_are_an_input_error(grid):
+    config = StabilityConfig(m=2.0, L=0.25)
+    for call in (lambda: verify_stability(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0), config,
+                                          grid),
+                 lambda: cubic_approximant(cubic_plus_linear, 2.0, grid)):
+        with pytest.raises(InputError, match="at least one coordinate"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
