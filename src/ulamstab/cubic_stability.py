@@ -623,16 +623,14 @@ def stability_bound(config: StabilityConfig, phi, x) -> float:
 
 
 def power_law_bound(phi: PowerLaw, m, p, x) -> float:
-    """Closed-form bound for the power-law family:
+    """Closed-form bound for the power-law family, L = |m|**(s-3):
 
-    (4 / (1 - |m|**(s-3)))**(1/p) * lam * |x|**s / (2 |m|**3).
+    (4 / (1 - L**p))**(1/p) * lam * |x|**s / (2 |m|**3).
 
-    Coincides with ``stability_bound`` at L = |m|**(s-3) when p = 1.
+    The factor is ``bound_factors(L, p)["from_L_pow_p"]``, so the bound
+    coincides with ``stability_bound`` at that L for every p.
     """
-    L = phi.lipschitz(m)
-    if not L < 1.0:
-        raise InputError(f"|m|**(s-3) must stay below 1, got {L!r}")
-    factor = (4.0 / (1.0 - L)) ** (1.0 / p)
+    factor = bound_factors(phi.lipschitz(m), p)["from_L_pow_p"]
     return factor * phi.at_zero(x) / (2.0 * abs(m) ** 3)
 
 
@@ -795,15 +793,6 @@ class StabilityCertificate:
 # The verification pipeline
 # =========================================================================
 
-# Above this grid size the solution defects enumerate only the pairs
-# through the origin.  Those are only part of the in-range pairs, even on
-# geometric grids: 481 of 545 to 617 on 257-point dyadic grids with m = 2.
-# The staged lookup in ``_solution_defects`` can take every pair; the cliff
-# stays only so that certificates keep their answers until the candidate
-# set changes (ROADMAP item 2).
-_FULL_PAIR_LIMIT = 48
-
-
 def _failing_certificate(config, grid_size, detail, witness):
     return StabilityCertificate(
         m=config.m, L=config.L, p=config.p, tol=config.tol, grid_size=grid_size,
@@ -833,14 +822,15 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
     grid pairs are processed in tiles of x-points against every y; a
     failing check stops after the tile holding the first violating pair.
     The one-step estimate reads f at m x from stage 1 of the approximant.
+    The equation defects of q are taken over every ordered grid pair whose
+    equation points all lie on the grid, at every grid size;
+    ``defect_pairs_checked`` counts those pairs.
     """
     g = _as_block(grid)
     n_pts = len(g)
     codomain = config.codomain
-    nonzero = _nonzero(g)
-    if nonzero.all():
+    if _nonzero(g).all():
         raise InputError("grid must contain the zero point")
-    zero_idx = int(np.argmin(nonzero))
     _m4(config.m)  # an overflowing m**4 is reported before an overflowing f
     F = _f_rows(f, g)
     finite = np.isfinite(F.reshape(n_pts, -1)).all(axis=1)
@@ -878,7 +868,7 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
                                                   - config.m**3 * q.values[on_grid]),
                                initial=0.0))
 
-    el_q, jk_q, n_checked = _solution_defects(q, config.m, codomain.norm, n_pts, zero_idx)
+    el_q, jk_q, n_checked = _solution_defects(q, config.m, codomain.norm, n_pts)
 
     notes = []
     if not defect_report.passed:
@@ -910,38 +900,31 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
         notes=tuple(notes))
 
 
-def _solution_defects(q: SampledMap, m, norm, n_pts, zero_idx):
+def _solution_defects(q: SampledMap, m, norm, n_pts):
     """Equation defects of the recovered q over the in-range grid pairs.
 
     A pair is in range when every point the equations touch lands on the
-    grid.  Grids above ``_FULL_PAIR_LIMIT`` points enumerate only the pairs
-    through the origin, so the defects there cover only part of the
-    in-range pairs.  The candidate pairs are walked in tiles: a run of
-    x-points against a set of y, about ``_TILE_ELEMENTS`` coordinates of
-    pairs and at least one x-point.  Each tile is looked up in stages: x + y
-    for every pair, x - y where x + y landed, then x + m y, m x - y, 2x + y
-    and 2x - y where both did.  A grid of up to ``_FULL_PAIR_LIMIT`` numbers
-    is one tile.
+    grid.  Every ordered pair of the ``n_pts`` grid points is a candidate.
+    The pairs are walked in tiles: a run of x-points against every y, about
+    ``_TILE_ELEMENTS`` coordinates of pairs and at least one x-point.  Each
+    tile is looked up in stages: x + y for every pair, x - y where x + y
+    landed, then x + m y, m x - y, 2x + y and 2x - y where both did.  A
+    grid of up to 256 numbers is one tile.  Returns the worst
+    Euler-Lagrange and Jun-Kim defects and the number of pairs in range
+    for either equation.
     """
     rows = q.domain_grid
     V = q.values
     norm_rows = _row_norm(norm)
     at = q.index_rows
     own = at(rows)
-    everything = np.arange(n_pts)
-    if n_pts <= _FULL_PAIR_LIMIT:
-        blocks = [(everything, everything)]
-    else:  # the origin against every point, every other point against the origin
-        origin = np.array([zero_idx])
-        blocks = [(origin, everything), (everything[everything != zero_idx], origin)]
-    tiles = []
-    for xs, ys in blocks:
-        step = max(1, _TILE_ELEMENTS // (len(ys) * rows[0].size))  # x-points per tile
-        tiles += [(xs[start:start + step], ys) for start in range(0, len(xs), step)]
+    ys = np.arange(n_pts)
+    step = max(1, _TILE_ELEMENTS // (n_pts * rows[0].size))  # x-points per tile
     el_worst = 0.0
     jk_worst = 0.0
     checked = 0
-    for xs, ys in tiles:
+    for start in range(0, n_pts, step):
+        xs = np.arange(start, min(start + step, n_pts))
         # One broadcast sum per tile: gathering each pair's x and y first
         # costs more than the lookup itself on vector grids.
         sum_ = at((rows[xs, None] + rows[None, ys]).reshape(len(xs) * len(ys), -1))

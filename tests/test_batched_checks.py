@@ -50,7 +50,7 @@ from ulamstab import (
 from conftest import TILES, tile_elements
 from ulamstab import cli
 from ulamstab.core_spaces import _TILE_ELEMENTS
-from ulamstab.cubic_stability import DEFAULT_TOL, _FULL_PAIR_LIMIT, _Pairs, _solution_defects
+from ulamstab.cubic_stability import DEFAULT_TOL, _Pairs, _solution_defects
 
 DIM = 8
 
@@ -683,17 +683,13 @@ def test_duplicate_check_matches_the_pairwise_scan(seed, n):
 # ---------------------------------------------------------------------------
 
 
-def reference_solution_defects(grid, values, m, norm, zero_idx):
+def reference_solution_defects(grid, values, m, norm):
     """(el_worst, jk_worst, checked, x + y hits, x + y and x - y hits) of
     the Euler-Lagrange and Jun-Kim residuals of the sampled map, one
-    candidate pair at a time: every ordered pair of a grid of at most
-    _FULL_PAIR_LIMIT points, else the pairs through the origin."""
+    ordered pair of grid points at a time.  Both equations touch x + y
+    and x - y, so a pair where either misses the grid is out of range."""
     n = len(grid)
-    if n <= _FULL_PAIR_LIMIT:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        pairs = [(zero_idx, j) for j in range(n)] + [(i, zero_idx) for i in range(n)
-                                                     if i != zero_idx]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
 
     def find(point):
         return reference_try_index(grid, point)
@@ -702,9 +698,14 @@ def reference_solution_defects(grid, values, m, norm, zero_idx):
     checked = sum_hits = both_hits = 0
     for i, j in pairs:
         x, y = grid[i], grid[j]
-        s, d = find(x + y), find(x - y)
-        sum_hits += s is not None
-        both_hits += s is not None and d is not None
+        s = find(x + y)
+        if s is None:
+            continue
+        sum_hits += 1
+        d = find(x - y)
+        if d is None:
+            continue
+        both_hits += 1
         el = [find(x + m * y), find(m * x - y), s, d, find(y)]
         jk = [find(2.0 * x + y), find(2.0 * x - y), s, d, find(x)]
         checked += None not in el or None not in jk
@@ -753,8 +754,8 @@ solutions = st.fixed_dictionaries({
 @given(solutions)
 @settings(max_examples=60, deadline=None)
 def test_solution_defects_match_the_per_pair_scan(case):
-    # Shuffled m-closed grids, below and above the full-enumeration limit,
-    # with a perturbed cubic for q, so that no residual vanishes.
+    # Shuffled m-closed grids of 7 to 55 points, with a perturbed cubic for
+    # q, so that no residual vanishes.
     rng = np.random.default_rng(case["seed"])
     vector, m = case["vector"], case["m"]
     shape = (case["bases"], 3) if vector else (case["bases"],)
@@ -762,42 +763,41 @@ def test_solution_defects_match_the_per_pair_scan(case):
             else rng.uniform(0.1, 2.0, size=shape))
     grid = m_closed_grid(base, m, levels=2)
     grid = grid[rng.permutation(len(grid))]
-    zero_idx = int(np.argmin(np.any(grid.reshape(len(grid), -1) != 0.0, axis=1)))
+    origin = int(np.argmin(np.any(grid.reshape(len(grid), -1) != 0.0, axis=1)))
     values = grid**3 + rng.normal(scale=1e-3, size=grid.shape)
-    values[zero_idx] = 0.0
+    values[origin] = 0.0
     norm, ref_norm = SOLUTION_NORMS[vector][case["norm"] % len(SOLUTION_NORMS[vector])]
     codomain = QuasiNormedSpace(dim=3, norm_eval=norm, kappa=2.0) if vector else real_line()
     q = SampledMap(domain_grid=grid, values=values, codomain=codomain)
     n = len(grid)
     with tile_elements(case["tile"]), counting_lookups() as seen:
-        got = _solution_defects(q, m, codomain.norm, n, zero_idx)
+        got = _solution_defects(q, m, codomain.norm, n)
     el_worst, jk_worst, checked, sum_hits, both_hits = reference_solution_defects(
-        grid, values, m, ref_norm, zero_idx)
+        grid, values, m, ref_norm)
     assert _same_float(got[0], el_worst), (got[0], el_worst)
     assert _same_float(got[1], jk_worst), (got[1], jk_worst)
     assert got[2] == checked > 0
-    # The lookups are staged: x + y for every candidate pair, x - y where
-    # it landed, the other four where both did; a few calls per tile.  A
-    # tile is a run of x-points against every y of a block, with pairs of
-    # about tile-size coordinates: one block below the limit, two above.
-    candidates = n * n if n <= _FULL_PAIR_LIMIT else 2 * n - 1
-    assert seen["points"] == n + candidates + sum_hits + 4 * both_hits
+    # The lookups are staged: x + y for every ordered pair, x - y where it
+    # landed, the other four where both did; a few calls per tile.  A tile
+    # is a run of x-points against every y, with pairs of about tile-size
+    # coordinates.
+    assert seen["points"] == n + n * n + sum_hits + 4 * both_hits
     size = (case["tile"] or _TILE_ELEMENTS) // (3 if vector else 1)
-    blocks = [(n, n)] if n <= _FULL_PAIR_LIMIT else [(1, n), (n - 1, 1)]
-    tiles = sum(-(-nx // max(1, size // ny)) for nx, ny in blocks)
+    tiles = -(-n // max(1, size // n))
     assert seen["calls"] <= 1 + 7 * tiles
 
 
 @pytest.mark.parametrize("base, levels, n", [([1.0, 3.0], 3, 17), ([0.5, 0.75, 1.25], 2, 19),
-                                             ([1.0, 1.25, 1.5, 1.75], 5, 48)])
+                                             ([1.0, 1.25, 1.5, 1.75], 5, 48),
+                                             ([1.0, 1.25, 1.5, 1.75], 7, 65)])
 def test_solution_defects_of_a_scalar_grid_take_one_tile(base, levels, n):
-    # Up to the full-enumeration limit a grid of numbers is one tile: at
-    # most 1 + 7 index_rows calls, where a lookup per grid row needs 7 n + 1.
+    # A grid of up to 256 numbers is one tile: at most 1 + 7 index_rows
+    # calls, where a lookup per grid row needs 7 n + 1.
     grid = m_closed_grid(base, 2.0, levels=levels)
     grid = grid[:n]
     q = SampledMap(domain_grid=grid, values=grid**3, codomain=real_line())
     with counting_lookups() as seen:
-        _solution_defects(q, 2.0, q.codomain.norm, len(grid), 0)
+        _solution_defects(q, 2.0, q.codomain.norm, len(grid))
     assert len(grid) == n
     assert seen["calls"] <= 8
 

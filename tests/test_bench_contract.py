@@ -8,7 +8,8 @@ benchmark's matrices with their blocks interleaved, which the benchmark
 itself (contiguous blocks) never sees.  Under the tracer a norm bound as a default argument
 (``norm=euclidean_norm``) is no longer the module's ``euclidean_norm``, so
 it takes the per-point path instead of the block form; the certificate
-must stay the same.
+must stay the same.  Each workload, run in process at full size on a few
+seeds, passes the benchmark's own oracles and repeats its answer bytes.
 """
 
 from __future__ import annotations
@@ -127,3 +128,26 @@ def test_traced_solution_pairs_match_the_certificate():
     assert len(grid) == 17 and cert.defect_pairs_checked > 0
     assert tracer.counts["cubic_stability.solution_pairs.checked"] == cert.defect_pairs_checked
     assert tracer.counts["cubic_stability.solution_pairs.candidates"] == 17 ** 2
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+@pytest.mark.parametrize("workload", ["LHalf", "Reals", "Metrize", "CliMix"])
+def test_bench_workloads_pass_their_own_oracles(workload, seed, monkeypatch, tmp_path):
+    # The benchmark's workloads at full size, in process: no op's answer is
+    # wrong by the benchmark's oracle, and a second run encodes the same
+    # bytes.  The CLI workload writes its files under the working directory.
+    monkeypatch.setitem(sys.modules, "oracles", _load("oracles"))  # workloads imports it
+    monkeypatch.delenv("ULAMSTAB_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    wl = getattr(_load("workloads"), workload)(ulamstab, seed, smoke=False)
+    try:
+        wl.setup()
+        first = [op.fn() for op in wl.ops]
+        second = [op.fn() for op in wl.ops]
+        statuses = [wl.check(op, r) for op, r in zip(wl.ops, first)]
+        assert [(op.label, why) for op, (status, why) in zip(wl.ops, statuses)
+                if status == "wrong"] == []
+        assert ([wl.encode(op, r) for op, r in zip(wl.ops, first)]
+                == [wl.encode(op, r) for op, r in zip(wl.ops, second)])
+    finally:
+        wl.cleanup()

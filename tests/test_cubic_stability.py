@@ -336,6 +336,17 @@ def test_power_law_bound_matches_generic_bound_at_p_one():
             0.5 * x**2, rel=1e-12)
 
 
+def test_power_law_bound_matches_generic_bound_at_p_one_half():
+    # Both bounds take the factor (4 / (1 - L**p))**(1/p): 64 at L = 1/4.
+    lhalf = LHalfSpace(4)
+    phi = PowerLaw(lam=1.0, s=1.0, norm=lhalf.norm)
+    config = StabilityConfig(m=2.0, L=phi.lipschitz(2.0), p=0.5, codomain=lhalf.space())
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    assert power_law_bound(phi, 2.0, 0.5, x) == stability_bound(config, phi, x)
+    assert power_law_bound(phi, 2.0, 0.5, x) == pytest.approx(
+        64.0 * lhalf.norm(x) / 16.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # weighted sup distance
 # ---------------------------------------------------------------------------
@@ -510,7 +521,7 @@ def test_verify_stability_power_law_exact_solution():
     phi = PowerLaw(lam=1.0, s=2.0)
     config = StabilityConfig(m=2.0, L=phi.lipschitz(2.0))
     grid = m_closed_grid(np.linspace(1.0, 1.4, 5), 2.0, levels=4)
-    assert len(grid) == 51  # exercises the pairs-through-origin path
+    assert len(grid) == 51
     cert = verify_stability(pure_cubic, phi, config, grid)
     assert cert.passed
     assert cert.max_error_ratio <= 1e-12
@@ -519,6 +530,16 @@ def test_verify_stability_power_law_exact_solution():
     assert cert.junkim_defect_of_q <= 1e-10
     assert cert.phi_worst_ratio == pytest.approx(1.0, rel=1e-12)
     assert cert.defect_pairs_checked > 0
+
+
+def test_verify_stability_checks_every_pair_of_a_257_point_grid():
+    # The pairs through the origin are 481 of these 5 815 in-range pairs.
+    grid = m_closed_grid([1.0 + k / 16.0 for k in range(16)], 2.0, levels=7)
+    phi = ShiftNorm(c=12.0, m=2.0)
+    cert = verify_stability(cubic_plus_linear, phi, StabilityConfig(m=2.0, L=0.25), grid)
+    assert len(grid) == 257 and cert.passed
+    assert cert.defect_pairs_checked == 5815
+    assert cert.el_defect_of_q == 3.725290298461914e-09
 
 
 def test_verify_stability_scaling_equivariance_is_bitwise():
