@@ -303,8 +303,12 @@ def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
     found by rescanning that one pair.  A triple that leaves a component
     of the graph of finite entries has an infinite right-hand side and
     cannot violate, so each component is checked on its own and the
-    least violating row wins.  The report is the one a scan of every
-    triple in (i, j, k) order gives, down to the value in ``detail``.
+    least violating row wins.  When D is bitwise symmetric only the pairs
+    i <= j are checked: float addition commutes, so the least sums of
+    (i, j) and (j, i) are the same float and the first violation (never on
+    the diagonal, where D <= tol) has i < j.  The report is the one a scan
+    of every triple in (i, j, k) order gives, down to the value in
+    ``detail``.
     """
     A = as_extended_matrix(D)
     k = _check_kappa(kappa)
@@ -386,25 +390,29 @@ def _first_triangle_violation(A, k, tol):
 
     Tiles of rows i and columns j take the least sum over kk for each
     (i, j); the first failing (i, j) is rescanned with the full expression
-    for its first kk and the right-hand side there.
+    for its first kk and the right-hand side there.  A bitwise symmetric A
+    is scanned on columns j >= i0 of each row tile only (see
+    ``validate_b_metric``); any other A on every column.
     """
     n = len(A)
-    AT = np.ascontiguousarray(A.T)
+    symmetric = np.array_equal(A, A.T)
+    AT = A if symmetric else np.ascontiguousarray(A.T)
     cols = min(n, max(1, _TILE_ELEMENTS // n))
     rows = max(1, _TILE_ELEMENTS // (cols * n))
     sums = np.empty((rows, cols, n))
     least = np.empty((rows, n))
     for i0 in range(0, n, rows):
         block = A[i0:i0 + rows]
-        for j0 in range(0, n, cols):
+        lo = i0 if symmetric else 0
+        for j0 in range(lo, n, cols):
             part = AT[j0:j0 + cols]
             tile = sums[:len(block), :len(part)]
             np.add(block[:, None, :], part[None], out=tile)
             tile.min(axis=2, out=least[:len(block), j0:j0 + len(part)])
-        bad = block > k * least[:len(block)] + tol
+        bad = block[:, lo:] > k * least[:len(block), lo:] + tol
         if bad.any():
             r, j = map(int, np.argwhere(bad)[0])
-            i = i0 + r
+            i, j = i0 + r, lo + j
             rhs = k * (A[i] + AT[j])
             kk = int(np.argmax(A[i, j] > rhs + tol))
             return i, j, kk, rhs[kk]

@@ -34,10 +34,15 @@ __all__ = [
 ]
 
 
-def ell_r_quasi_norm(x, r) -> float:
-    """(sum |x_i|**r)**(1/r); requires r > 0."""
+def _check_r(r):
+    """Reject r unless it is an ell^r exponent: r > 0."""
     if math.isnan(r) or r <= 0:
         raise InputError(f"r must be positive, got {r!r}")
+
+
+def ell_r_quasi_norm(x, r) -> float:
+    """(sum |x_i|**r)**(1/r); requires r > 0."""
+    _check_r(r)
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if np.isnan(v).any():
         raise InputError("vector contains NaN")
@@ -46,8 +51,7 @@ def ell_r_quasi_norm(x, r) -> float:
 
 def ell_r_kappa(r) -> float:
     """The tight relaxed-triangle modulus of ell^r: 2**(1/r - 1) for r < 1, else 1."""
-    if math.isnan(r) or r <= 0:
-        raise InputError(f"r must be positive, got {r!r}")
+    _check_r(r)
     return 2.0 ** (1.0 / r - 1.0) if r < 1.0 else 1.0
 
 

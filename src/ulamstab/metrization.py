@@ -48,9 +48,11 @@ __all__ = ["ChainMetric", "chain_metric", "p_exponent", "aoki_rolewicz_estimate"
 class ChainMetric:
     """The metrized distances of a b-metric space.
 
-    ``delta`` is symmetric with zero diagonal, satisfies the plain
-    triangle inequality, and obeys (1/4) D**p <= delta <= D**p entrywise.
-    Unreachable pairs (no finite chain) keep delta = +inf.
+    ``delta`` has zero diagonal, satisfies the plain triangle inequality,
+    and obeys (1/4) D**p <= delta <= D**p entrywise.  It is symmetric when
+    D is bitwise symmetric; a D that is symmetric only within the
+    validation slack keeps that asymmetry, since symmetrizing would move
+    bits.  Unreachable pairs (no finite chain) keep delta = +inf.
     """
 
     delta: np.ndarray
@@ -81,7 +83,10 @@ def _floyd_warshall(d: np.ndarray) -> None:
     """Relax d in place through k = 0, 1, ..., n - 1, in blocks of rows.
 
     Row k and column k do not change at step k (d >= 0), so a block may
-    read row k after an earlier block of the same step was relaxed.
+    read row k after an earlier block of the same step was relaxed.  The
+    sums are built as a copy of row k plus column k in place, which numpy
+    does faster than a broadcast outer add and, addition being
+    commutative, to the same floats.
     """
     n = len(d)
     rows = min(n, max(1, _TILE_ELEMENTS // n))
@@ -89,7 +94,8 @@ def _floyd_warshall(d: np.ndarray) -> None:
     blocks = [(d[i0:i0 + rows], via[:min(rows, n - i0)]) for i0 in range(0, n, rows)]
     for k in range(n):
         for block, sums in blocks:
-            np.add(block[:, k, None], d[None, k, :], out=sums)
+            sums[...] = d[k]
+            sums += block[:, k, None]
             np.minimum(block, sums, out=block)
 
 

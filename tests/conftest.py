@@ -15,7 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 import ulamstab
-from ulamstab import AXIOM_SLACK
+from ulamstab import AXIOM_SLACK, BMetricReport
 
 
 def integer_metric(rng, n, lo=1, hi=16) -> np.ndarray:
@@ -106,6 +106,37 @@ def triple_oracle_b_metric(D, kappa, tol=1e-12):
     return True, None
 
 
+def reference_b_metric_report(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
+    """The b-metric axioms spelled out one pair or triple at a time, in
+    lexicographic order, with the report and detail of the first failure."""
+    A = np.array(D, dtype=float)
+    n = len(A)
+    rows = A.tolist()
+    for i in range(n):
+        if rows[i][i] > tol:
+            return BMetricReport(False, "identity", (i, i), f"D({i},{i}) = {A[i, i]!r} != 0")
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] <= tol:
+                return BMetricReport(False, "separation", (i, j),
+                                     f"D({i},{j}) = {A[i, j]!r} vanishes for distinct points")
+    for i in range(n):
+        for j in range(n):
+            if not (rows[i][j] == rows[j][i] or abs(rows[i][j] - rows[j][i]) <= tol):
+                return BMetricReport(False, "symmetry", (i, j),
+                                     f"D({i},{j}) = {A[i, j]!r} but D({j},{i}) = {A[j, i]!r}")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                rhs = kappa * (rows[i][k] + rows[k][j])
+                if rows[i][j] > rhs + tol:
+                    return BMetricReport(
+                        False, "relaxed_triangle", (i, j, k),
+                        f"D({i},{j}) = {A[i, j]!r} > kappa*(D({i},{k}) + D({k},{j})) "
+                        f"= {np.float64(rhs)!r}")
+    return BMetricReport(True, detail=f"all axioms hold for n={n}, kappa={float(kappa)!r}")
+
+
 @st.composite
 def component_b_metrics(draw, max_n=40):
     """(D, kappa) for a generalized b-metric on at most ``max_n`` points
@@ -148,6 +179,21 @@ def component_b_metrics(draw, max_n=40):
     for a, b, _ in pairs(draw(st.sampled_from([0, 0, 0, 1]))):
         D[a, b] = D[a, b] + AXIOM_SLACK * draw(st.sampled_from([0.5, 1.0, 2.0]))
     np.fill_diagonal(D, draw(st.sampled_from([0.0, 0.0, 0.0, AXIOM_SLACK])))
+    return D, kappa
+
+
+@st.composite
+def nudged_b_metrics(draw):
+    """``component_b_metrics()`` with one side of a few finite symmetric
+    pairs moved by at most AXIOM_SLACK: matrices that are symmetric within
+    the slack, but not bit for bit."""
+    D, kappa = draw(component_b_metrics())
+    pairs = np.argwhere(np.triu(np.isfinite(D) & (D == D.T), 1))
+    picks = st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=3, unique=True)
+    for a, b in pairs[draw(picks)] if len(pairs) else []:
+        if draw(st.booleans()):
+            a, b = b, a
+        D[a, b] = D[a, b] + AXIOM_SLACK * draw(st.sampled_from([-1.0, -0.5, -0.25, 0.25, 0.5]))
     return D, kappa
 
 

@@ -15,12 +15,12 @@ from conftest import (
     TILES,
     component_b_metrics,
     random_generalized_b_metric,
+    reference_b_metric_report,
     tile_elements,
     triple_oracle_b_metric,
 )
 from ulamstab import (
     AXIOM_SLACK,
-    BMetricReport,
     EvaluationError,
     GeneralizedBMetricSpace,
     InputError,
@@ -260,35 +260,17 @@ def test_first_triangle_violation_is_lexicographic():
     assert report.witness == (0, 2, 1)
 
 
-def reference_b_metric_report(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
-    """The b-metric axioms spelled out one pair or triple at a time, in
-    lexicographic order, with the report and detail of the first failure."""
-    A = np.array(D, dtype=float)
-    n = len(A)
-    rows = A.tolist()
-    for i in range(n):
-        if rows[i][i] > tol:
-            return BMetricReport(False, "identity", (i, i), f"D({i},{i}) = {A[i, i]!r} != 0")
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] <= tol:
-                return BMetricReport(False, "separation", (i, j),
-                                     f"D({i},{j}) = {A[i, j]!r} vanishes for distinct points")
-    for i in range(n):
-        for j in range(n):
-            if not (rows[i][j] == rows[j][i] or abs(rows[i][j] - rows[j][i]) <= tol):
-                return BMetricReport(False, "symmetry", (i, j),
-                                     f"D({i},{j}) = {A[i, j]!r} but D({j},{i}) = {A[j, i]!r}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rhs = kappa * (rows[i][k] + rows[k][j])
-                if rows[i][j] > rhs + tol:
-                    return BMetricReport(
-                        False, "relaxed_triangle", (i, j, k),
-                        f"D({i},{j}) = {A[i, j]!r} > kappa*(D({i},{k}) + D({k},{j})) "
-                        f"= {np.float64(rhs)!r}")
-    return BMetricReport(True, detail=f"all axioms hold for n={n}, kappa={float(kappa)!r}")
+def test_a_violation_below_the_diagonal_of_a_nearly_symmetric_matrix():
+    # D(0,2) and D(2,0) differ by less than AXIOM_SLACK, so the symmetry check
+    # passes, but only the larger, D(2,0), exceeds D(2,1) + D(1,0) + tol.  A
+    # scan of the upper triangle alone would pass this matrix.
+    edge = (1.0 + 1.0) + AXIOM_SLACK
+    D = np.array([[0.0, 1.0, edge], [1.0, 0.0, 1.0], [edge + 0.5 * AXIOM_SLACK, 1.0, 0.0]])
+    for tile in (None, 1, 7):
+        with tile_elements(tile):
+            report = validate_b_metric(D, kappa=1.0)
+        assert report == reference_b_metric_report(D, 1.0)
+        assert report.witness == (2, 0, 1)
 
 
 @given(component_b_metrics(), TILES)

@@ -12,8 +12,10 @@ from conftest import (
     chain_oracle,
     component_b_metrics,
     integer_metric,
+    nudged_b_metrics,
     random_b_metric,
     random_generalized_b_metric,
+    reference_b_metric_report,
     tile_elements,
 )
 from ulamstab import (
@@ -175,6 +177,33 @@ def test_chain_metric_is_bitwise_the_plain_floyd_warshall(case, tile):
     with tile_elements(tile):
         cm = chain_metric(space)
     assert cm.delta.tobytes() == reference_floyd_warshall(space.D, cm.p).tobytes()
+
+
+@given(nudged_b_metrics(), TILES)
+@settings(max_examples=150, deadline=None)
+def test_nearly_symmetric_matrices_match_the_references(case, tile):
+    # A matrix that is not bitwise symmetric takes the triangle check's full scan.
+    D, kappa = case
+    with tile_elements(tile):
+        report = validate_b_metric(D, kappa)
+    assert report == reference_b_metric_report(D, kappa)
+    if not report.passed:
+        return
+    space = GeneralizedBMetricSpace(D=D, kappa=kappa)
+    with tile_elements(tile):
+        cm = chain_metric(space)
+    assert cm.delta.tobytes() == reference_floyd_warshall(space.D, cm.p).tobytes()
+
+
+def test_delta_keeps_an_asymmetry_within_the_slack():
+    # Validation accepts D(0,2) != D(2,0) within AXIOM_SLACK, and delta is not
+    # symmetrized: each side is its own D**p, 1.8e-13 apart.
+    D = np.array([[0.0, 1.0, 1.9], [1.0, 0.0, 1.0], [1.9, 1.0, 0.0]])
+    D[0, 2] += 5e-13
+    cm = chain_metric(GeneralizedBMetricSpace(D=D, kappa=2.0))
+    assert cm.delta[0, 2] == np.power(D[0, 2], cm.p)
+    assert cm.delta[2, 0] == np.power(D[2, 0], cm.p)
+    assert cm.delta[0, 2] - cm.delta[2, 0] == pytest.approx(1.8e-13, rel=0.01)
 
 
 def test_determinism_bitwise():
