@@ -1,101 +1,22 @@
 """ulamstab: metrize b-metric spaces, certify contraction fixed points,
 and verify stability of the Euler-Lagrange cubic functional equation on
-quasi-normed spaces."""
+quasi-normed spaces.
+
+The public names of the package are those of its modules: each module's
+``__all__`` is the one list of them.
+"""
 
 __version__ = "0.1.0"
 
-from .core_spaces import (
-    AXIOM_SLACK,
-    BMetricReport,
-    GeneralizedBMetricSpace,
-    QuasiNormReport,
-    QuasiNormedSpace,
-    SampledMap,
-    as_extended,
-    as_extended_matrix,
-    euclidean_norm,
-    ext_pow,
-    load_distance_csv,
-    load_distance_json,
-    p_exponent,
-    real_line,
-    save_distance_csv,
-    save_distance_json,
-    validate_b_metric,
-    validate_quasi_norm,
-)
-from .cubic_stability import (
-    CheckReport,
-    ConstantBound,
-    PowerLaw,
-    ShiftNorm,
-    StabilityCertificate,
-    StabilityConfig,
-    cubic_approximant,
-    cubic_rescale,
-    el_defect,
-    el_residual,
-    hypothesis_defect_check,
-    junkim_defect,
-    junkim_residual,
-    m_closed_grid,
-    phi_at_zero,
-    phi_contractivity_check,
-    power_law_bound,
-    stability_bound,
-    sup_weighted_distance,
-    verify_stability,
-)
-from .errors import (
-    EvaluationError,
-    HypothesisViolation,
-    InputError,
-    InvalidBMetricError,
-    OverflowGuardError,
-    UlamstabError,
-)
-from .fixed_point import (
-    ContractionMap,
-    FixedPointResult,
-    Outcome,
-    bound_factors,
-    estimate_lipschitz,
-    iterate,
-)
-from .function_spaces import (
-    LHalfSpace,
-    ell_r_kappa,
-    ell_r_quasi_norm,
-    ell_r_space,
-    example_corpus,
-    lhalf_norm,
-)
-from .metrization import ChainMetric, aoki_rolewicz_estimate, chain_metric
+from . import core_spaces, cubic_stability, errors, fixed_point, function_spaces, metrization
+from .core_spaces import *  # noqa: F403
+from .cubic_stability import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fixed_point import *  # noqa: F403
+from .function_spaces import *  # noqa: F403
+from .metrization import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "UlamstabError", "InputError", "InvalidBMetricError", "EvaluationError",
-    "HypothesisViolation", "OverflowGuardError",
-    # core spaces
-    "AXIOM_SLACK", "as_extended", "as_extended_matrix", "ext_pow", "p_exponent",
-    "euclidean_norm", "QuasiNormedSpace", "real_line", "GeneralizedBMetricSpace",
-    "SampledMap", "BMetricReport", "QuasiNormReport", "validate_b_metric",
-    "validate_quasi_norm", "load_distance_csv", "save_distance_csv",
-    "load_distance_json", "save_distance_json",
-    # metrization
-    "ChainMetric", "chain_metric", "aoki_rolewicz_estimate",
-    # fixed points
-    "Outcome", "ContractionMap", "FixedPointResult", "bound_factors",
-    "iterate", "estimate_lipschitz",
-    # cubic stability
-    "PowerLaw", "ShiftNorm", "ConstantBound", "phi_at_zero", "el_residual",
-    "el_defect", "junkim_residual", "junkim_defect", "CheckReport",
-    "phi_contractivity_check", "hypothesis_defect_check", "cubic_approximant",
-    "stability_bound", "power_law_bound", "sup_weighted_distance",
-    "cubic_rescale", "m_closed_grid", "StabilityConfig", "StabilityCertificate",
-    "verify_stability",
-    # function spaces
-    "lhalf_norm", "LHalfSpace", "ell_r_quasi_norm", "ell_r_kappa",
-    "ell_r_space", "example_corpus",
-]
+__all__ = ["__version__", *dict.fromkeys(
+    name for module in (errors, core_spaces, metrization, fixed_point, cubic_stability,
+                        function_spaces)
+    for name in module.__all__)]

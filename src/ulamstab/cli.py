@@ -9,9 +9,11 @@ Four subcommands:
 
 Every run prints one JSON report to stdout.  Reports are bitwise
 reproducible for identical config and seed: timing data is therefore
-excluded unless ``--timings`` is passed.  Exit codes: 0 when the verdict
-is pass, 1 on a certified failure (violated hypothesis, failed bound,
-divergence), 2 on an input error (malformed file, bad flag, bad config).
+excluded unless ``--timings`` is passed.  Each command returns its report
+envelope; ``main`` alone turns the outcome into the exit code: 0 when the
+verdict is pass, 1 on a failing verdict or a certified failure (violated
+hypothesis, overflow), 2 on an input error (malformed file, bad flag, bad
+config, a NaN or infinite number).
 
 The environment variable ``ULAMSTAB_TOL`` overrides the default
 tolerance (1e-9) wherever a command or config does not set one.
@@ -32,12 +34,14 @@ import numpy as np
 from . import __version__
 from .core_spaces import (
     GeneralizedBMetricSpace,
+    _check_tol,
     load_distance_csv,
     load_distance_json,
     real_line,
     save_distance_csv,
 )
 from .cubic_stability import (
+    DEFAULT_TOL,
     ConstantBound,
     PowerLaw,
     ShiftNorm,
@@ -65,14 +69,12 @@ TOL_ENV_VAR = "ULAMSTAB_TOL"
 def _default_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError as exc:
         raise InputError(f"{TOL_ENV_VAR}={raw!r} is not a number") from exc
-    if math.isnan(tol) or tol <= 0:
-        raise InputError(f"{TOL_ENV_VAR} must be positive, got {raw!r}")
-    return tol
+    return _check_tol(tol, positive=True, name=TOL_ENV_VAR)
 
 
 def _emit(doc, out_path=None) -> None:
@@ -83,13 +85,13 @@ def _emit(doc, out_path=None) -> None:
             fh.write(text + "\n")
 
 
-def _envelope(command, config, verdict, report, seed=None, timings=None) -> dict:
+def _envelope(command, config, verdict, report, seed=None) -> dict:
     return {
         "command": command,
         "config": config,
         "versions": {"ulamstab": __version__, "numpy": np.__version__},
         "seed": seed,
-        "timings": timings,
+        "timings": None,
         "verdict": verdict,
         "report": report,
     }
@@ -99,7 +101,7 @@ def _envelope(command, config, verdict, report, seed=None, timings=None) -> dict
 # metrize
 # =========================================================================
 
-def _cmd_metrize(args, timings):
+def _cmd_metrize(args):
     path = args.infile
     if path.endswith(".json"):
         D, kappa = load_distance_json(path)
@@ -118,7 +120,7 @@ def _cmd_metrize(args, timings):
         cm = chain_metric(space, p=args.p)
     except InvalidBMetricError as exc:
         report = {"validation": exc.report.to_dict(), "n": space.n}
-        return _envelope("metrize", config, "fail", report), 1
+        return _envelope("metrize", config, "fail", report)
 
     if args.out:
         save_distance_csv(args.out, cm.delta)
@@ -135,7 +137,7 @@ def _cmd_metrize(args, timings):
     }
     if space.n <= 16:
         report["delta"] = [list(map(float, row)) for row in cm.delta]
-    return _envelope("metrize", config, "pass", report), 0
+    return _envelope("metrize", config, "pass", report)
 
 
 # =========================================================================
@@ -157,7 +159,7 @@ _SCENARIOS = {
 }
 
 
-def _cmd_fixpoint(args, timings):
+def _cmd_fixpoint(args):
     if args.scenario not in _SCENARIOS:
         raise InputError(
             f"unknown scenario {args.scenario!r}; choose from {sorted(_SCENARIOS)}")
@@ -174,10 +176,9 @@ def _cmd_fixpoint(args, timings):
         report = {"hypothesis_violation": str(exc),
                   "witness": [float(w) for w in (exc.witness or ())],
                   "observed": exc.observed, "allowed": exc.allowed}
-        return _envelope("fixpoint", config, "fail", report), 1
+        return _envelope("fixpoint", config, "fail", report)
     verdict = "pass" if result.outcome is Outcome.CONVERGED else "fail"
-    return (_envelope("fixpoint", config, verdict, result.to_dict()),
-            0 if verdict == "pass" else 1)
+    return _envelope("fixpoint", config, verdict, result.to_dict())
 
 
 # =========================================================================
@@ -341,7 +342,7 @@ def _per_point_csv(path, f, phi, config, cert):
             ])
 
 
-def _cmd_verify(args, timings):
+def _cmd_verify(args):
     doc = _load_config(args.config)
     tol = _field(doc, "tol", float) if "tol" in doc else _default_tol()
     m = _field(doc, "m", float)
@@ -362,9 +363,7 @@ def _cmd_verify(args, timings):
             "space": doc.get("space", {"kind": "reals"}), "grid": grid_echo,
             "tol": tol, "csv": args.csv}
     verdict = "pass" if cert.passed else "fail"
-    return (_envelope("verify", echo, verdict, cert.to_dict(),
-                      seed=doc.get("seed")),
-            0 if cert.passed else 1)
+    return _envelope("verify", echo, verdict, cert.to_dict(), seed=doc.get("seed"))
 
 
 # =========================================================================
@@ -377,7 +376,12 @@ def cubic_linear_defect_constant(m: float) -> float:
     return abs(2.0 * m * (1.0 - m**2))
 
 
-def run_example_lhalf(quadrature_n=1024, ms=(2.0, 3.0), tol=None, levels=1, seed=7) -> dict:
+# The two equation scalars and the grid levels of the frozen reproduction.
+_EXAMPLE_MS = (2.0, 3.0)
+_EXAMPLE_LEVELS = 1
+
+
+def run_example_lhalf(quadrature_n=1024, tol=None, seed=7) -> dict:
     """Frozen reproduction: f(u) = u**3 + u on L^{1/2}[0,1].
 
     For each m the equation defect of f is measured over the fixed signal
@@ -394,7 +398,7 @@ def run_example_lhalf(quadrature_n=1024, ms=(2.0, 3.0), tol=None, levels=1, seed
 
     runs = []
     all_pass = True
-    for m in ms:
+    for m in _EXAMPLE_MS:
         c_exact = cubic_linear_defect_constant(m)
         c_quoted = abs(2.0 * m * (1.0 - m))
         worst_rel = 0.0
@@ -410,7 +414,7 @@ def run_example_lhalf(quadrature_n=1024, ms=(2.0, 3.0), tol=None, levels=1, seed
         phi = ShiftNorm(c=c_exact, m=m, norm=space.norm)
         config = StabilityConfig(m=m, L=phi.lipschitz(m), p=qspace.p, tol=tol,
                                  codomain=qspace)
-        grid = m_closed_grid(corpus, m, levels=levels, symmetric=True)
+        grid = m_closed_grid(corpus, m, levels=_EXAMPLE_LEVELS, symmetric=True)
         cert = verify_stability(f, phi, config, grid)
         all_pass = all_pass and cert.passed and worst_rel <= 1e-6
         runs.append({
@@ -429,17 +433,16 @@ def run_example_lhalf(quadrature_n=1024, ms=(2.0, 3.0), tol=None, levels=1, seed
             "certificate": cert.to_dict(),
         })
     return {"quadrature_n": quadrature_n, "tol": tol, "seed": seed,
-            "levels": levels, "runs": runs, "all_pass": all_pass}
+            "levels": _EXAMPLE_LEVELS, "runs": runs, "all_pass": all_pass}
 
 
-def _cmd_example_lhalf(args, timings):
+def _cmd_example_lhalf(args):
     report = run_example_lhalf(quadrature_n=args.quadrature_n,
                                tol=args.tol, seed=args.seed)
     config = {"quadrature_n": args.quadrature_n, "tol": report["tol"],
               "seed": args.seed}
     verdict = "pass" if report["all_pass"] else "fail"
-    return (_envelope("example-lhalf", config, verdict, report, seed=args.seed),
-            0 if report["all_pass"] else 1)
+    return _envelope("example-lhalf", config, verdict, report, seed=args.seed)
 
 
 # =========================================================================
@@ -503,23 +506,22 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where outcomes become exit codes."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    timings = {} if args.timings else None
     try:
-        doc, code = _DISPATCH[args.command](args, timings)
+        doc = _DISPATCH[args.command](args)
     except (InvalidBMetricError, HypothesisViolation, OverflowGuardError) as exc:
         print(f"certified failure: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if timings is not None:
-        timings["wall_s"] = time.perf_counter() - started
-        doc["timings"] = timings
+    if args.timings:
+        doc["timings"] = {"wall_s": time.perf_counter() - started}
     _emit(doc, args.report)
-    return code
+    return 0 if doc["verdict"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -122,6 +122,14 @@ def _check_p(p):
     return p
 
 
+def _check_tol(tol, positive=False, name="tol"):
+    """tol, if it is a tolerance: finite and >= 0, or > 0 when ``positive``."""
+    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+        raise InputError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, "
+                         f"got {tol!r}")
+    return tol
+
+
 def _check_L(L, name="L"):
     """Reject L unless it is a contraction constant: L in [0, 1)."""
     if math.isnan(L) or not 0.0 <= L < 1.0:
@@ -312,6 +320,7 @@ def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
     """
     A = as_extended_matrix(D)
     k = _check_kappa(kappa)
+    _check_tol(tol)
     n = A.shape[0]
 
     diag = np.diagonal(A)
@@ -453,6 +462,7 @@ def validate_quasi_norm(space: QuasiNormedSpace, samples: Sequence,
     tol * max(1, |r| * |x|); the relaxed triangle uses the same absolute
     slack as the b-metric checks.
     """
+    _check_tol(tol)
     if not len(samples):
         raise InputError("need at least one sample vector")
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in samples]
@@ -505,6 +515,68 @@ _MATCH_ATOL = 1e-12
 _MATCH_RTOL = 1e-9
 
 
+class _RowIndex:
+    """The one grid-point matcher: rows sorted by their first coordinate.
+
+    Row k matches a query q when |row_k - q| <= _MATCH_ATOL + _MATCH_RTOL |q|
+    in every coordinate.  A query searches the window of first coordinates
+    that can match and applies the full tolerance to the rows in it, so it
+    finds the same (lowest) index a scan of every row would find.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.order = np.argsort(rows[:, 0], kind="stable")
+        self.keys = rows[self.order, 0]
+
+    def match(self, P, allow=None) -> np.ndarray:
+        """Lowest index of a row matching each row of P, or -1.  With
+        ``allow(i, k)``, only the rows k it accepts for query i count."""
+        n = len(self.rows)
+        p0 = P[:, 0]
+        reach = 2.0 * (_MATCH_ATOL + _MATCH_RTOL * np.abs(p0))
+        # A gap that overflows is no match.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = np.searchsorted(self.keys, p0 - reach, side="left")
+            hi = np.searchsorted(self.keys, p0 + reach, side="right")
+            wild = ~np.isfinite(p0)  # no window: scan every row
+            lo[wild] = 0
+            hi[wild] = n
+            found = np.full(len(P), n)
+            width = hi - lo
+            for t in range(int(width.max(initial=0))):
+                live = np.flatnonzero(width > t)
+                cand = self.order[lo[live] + t]
+                q = P if len(live) == len(P) else P[live]
+                # |row - q| <= atol + rtol |q|, computed in place.
+                gap = self.rows[cand]
+                gap -= q
+                np.abs(gap, out=gap)
+                tol = np.abs(q)
+                tol *= _MATCH_RTOL
+                tol += _MATCH_ATOL
+                hit = np.all(gap <= tol, axis=1)
+                if allow is not None:
+                    hit &= allow(live, cand)
+                found[live[hit]] = np.minimum(found[live[hit]], cand[hit])
+        found[found == n] = -1
+        return found
+
+
+def _distinct(rows) -> np.ndarray:
+    """Whether each row is kept when the rows are taken in order and a row
+    matching an earlier kept row is dropped."""
+    index = _RowIndex(rows)
+    keep = np.ones(len(rows), dtype=bool)
+    while True:
+        # The answer is the one fixed point of this round; from "keep all",
+        # the rounds reach it after the longest chain of matching rows.
+        new = index.match(rows, lambda i, k: (k < i) & keep[k]) < 0
+        if np.array_equal(new, keep):
+            return keep
+        keep = new
+
+
 @dataclass(frozen=True)
 class SampledMap:
     """A map known only on a finite grid of domain points.
@@ -512,14 +584,9 @@ class SampledMap:
     ``domain_grid`` has one row per point (scalars allowed, stored 1-d);
     ``values`` holds the image of each row in the codomain quasi-normed
     space.  Lookup is by exact grid membership within a tight float
-    tolerance; there is no interpolation.  If the zero vector is on the
-    grid its image is part of ``values`` like any other point.
-
-    Lookups go through an index built once: the rows sorted by their
-    first coordinate.  A query searches the window of first coordinates
-    that can match and applies the full per-coordinate tolerance to the
-    rows in it, so it finds the same (lowest) index a scan of every row
-    would find.
+    tolerance, through a ``_RowIndex`` built once; there is no
+    interpolation.  If the zero vector is on the grid its image is part of
+    ``values`` like any other point.
     """
 
     domain_grid: np.ndarray
@@ -544,13 +611,10 @@ class SampledMap:
         v.setflags(write=False)
         object.__setattr__(self, "domain_grid", g)
         object.__setattr__(self, "values", v)
-        rows = g.reshape(len(g), -1)
-        order = np.argsort(rows[:, 0], kind="stable")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_keys", rows[order, 0])
+        index = _RowIndex(g.reshape(len(g), -1))
+        object.__setattr__(self, "_index", index)
         # A later row within the tolerance of an earlier one is a duplicate.
-        dup = self._match(rows, after=np.arange(len(rows)))
+        dup = index.match(index.rows, lambda i, k: k > i)
         if (dup >= 0).any():
             i = int(np.argmax(dup >= 0))
             raise InputError(f"duplicate domain points at indices {i} and {int(dup[i])}")
@@ -558,48 +622,13 @@ class SampledMap:
     def __len__(self) -> int:
         return len(self.domain_grid)
 
-    def _match(self, P, after=None) -> np.ndarray:
-        """Lowest index of a grid row within tolerance of each row of P, or -1.
-
-        The tolerance is relative to the query point.  With ``after``, only
-        indices above ``after[i]`` count for query i.
-        """
-        n = len(self._rows)
-        p0 = P[:, 0]
-        reach = 2.0 * (_MATCH_ATOL + _MATCH_RTOL * np.abs(p0))
-        with np.errstate(invalid="ignore"):
-            lo = np.searchsorted(self._keys, p0 - reach, side="left")
-            hi = np.searchsorted(self._keys, p0 + reach, side="right")
-        wild = ~np.isfinite(p0)  # no window: scan every row
-        lo[wild] = 0
-        hi[wild] = n
-        found = np.full(len(P), n)
-        width = hi - lo
-        for t in range(int(width.max(initial=0))):
-            live = np.flatnonzero(width > t)
-            cand = self._order[lo[live] + t]
-            q = P if len(live) == len(P) else P[live]
-            # |row - q| <= atol + rtol |q|, computed in place.
-            gap = self._rows[cand]
-            gap -= q
-            np.abs(gap, out=gap)
-            tol = np.abs(q)
-            tol *= _MATCH_RTOL
-            tol += _MATCH_ATOL
-            hit = np.all(gap <= tol, axis=1)
-            if after is not None:
-                hit &= cand > after[live]
-            found[live[hit]] = np.minimum(found[live[hit]], cand[hit])
-        found[found == n] = -1
-        return found
-
     def index_rows(self, points) -> np.ndarray:
         """The grid index of each point of a block, flattened to rows; -1 if off the grid."""
         P = np.asarray(points, dtype=float)
         P = P.reshape(len(P), math.prod(P.shape[1:]))
-        if P.shape[1] != self._rows.shape[1]:
+        if P.shape[1] != self._index.rows.shape[1]:
             return np.full(len(P), -1)
-        return self._match(P)
+        return self._index.match(P)
 
     def try_index(self, point) -> int | None:
         """Index of ``point`` on the grid, or None if it is not a grid point."""

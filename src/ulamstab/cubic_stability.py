@@ -38,8 +38,12 @@ are Python floats when the block holds numbers, rows otherwise.
 
 Each rule of the pipeline has one owner: |m| > 1 is ``_check_m``, f(0) = 0
 is tested by ``hypothesis_defect_check`` alone, the slack
-lhs <= rhs + tol * max(1, rhs) of every sampled check is ``_exceeds``, and
-the bound factor (4 / (1 - L**p))**(1/p) is ``fixed_point.bound_factors``.
+lhs <= rhs + tol * max(1, rhs) of every sampled check is ``_exceeds``, the
+bound factor (4 / (1 - L**p))**(1/p) and the rules on L and p are
+``fixed_point.bound_factors``, the ranges of the control-function
+parameters are ``_check_parameters``, a tolerance is checked by
+``core_spaces._check_tol`` and grid points match through
+``core_spaces._RowIndex``.
 """
 
 from __future__ import annotations
@@ -51,15 +55,13 @@ from typing import Callable
 import numpy as np
 
 from .core_spaces import (
-    _MATCH_ATOL,
-    _MATCH_RTOL,
     _TILE_ELEMENTS,
     AXIOM_SLACK,
     QuasiNormedSpace,
     SampledMap,
     _block,
-    _check_L,
-    _check_p,
+    _check_tol,
+    _distinct,
     _fields_dict,
     _row_norm,
     _scalar_pow,
@@ -98,6 +100,9 @@ DEFAULT_TOL = 1e-9
 # Forward orbits are cut off well inside the representable range so that
 # f(m**n x) stays finite even for cubic growth.
 _ORBIT_LIMIT = 1e100
+
+# The stages of the approximant that ``verify_stability`` runs at most.
+_MAX_STAGES = 80
 
 
 def _zero_like(x):
@@ -159,6 +164,16 @@ def _first_max(r) -> int:
 # Control functions (perturbation bounds)
 # =========================================================================
 
+def _check_parameters(phi, **ranges):
+    """Reject a control function unless each named parameter is a finite
+    number in its range [low, high)."""
+    for name, (low, high) in ranges.items():
+        v = getattr(phi, name)
+        if not (math.isfinite(v) and low <= v < high):
+            raise InputError(f"{type(phi).__name__}.{name} must be finite and in "
+                             f"[{low!r}, {high!r}), got {v!r}")
+
+
 @dataclass(frozen=True)
 class PowerLaw:
     """phi(x, y) = lam * (|x|**s + |y|**s) away from zero arguments.
@@ -175,10 +190,7 @@ class PowerLaw:
     excludes_zero = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InputError(f"lam must be nonnegative, got {self.lam!r}")
-        if not self.s < 3:
-            raise InputError(f"power-law exponent must satisfy s < 3, got {self.s!r}")
+        _check_parameters(self, lam=(0.0, math.inf), s=(-math.inf, 3.0))
 
     def __call__(self, x, y) -> float:
         return float(self.rows(_block(x), _block(y))[0])
@@ -217,8 +229,7 @@ class ShiftNorm:
     excludes_zero = False
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InputError(f"c must be nonnegative, got {self.c!r}")
+        _check_parameters(self, c=(0.0, math.inf), m=(-math.inf, math.inf))
 
     def __call__(self, x, y) -> float:
         return float(self.rows(_block(x), _block(y))[0])
@@ -245,8 +256,7 @@ class ConstantBound:
     excludes_zero = False
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InputError(f"value must be nonnegative, got {self.value!r}")
+        _check_parameters(self, value=(0.0, math.inf))
 
     def __call__(self, x, y) -> float:
         return float(self.rows(_block(x), _block(y))[0])
@@ -291,10 +301,12 @@ def _phi_at_zero_rows(phi, X) -> np.ndarray:
 # =========================================================================
 
 def _check_m(m):
-    """Reject m unless |m| > 1, where the forward rescaling contracts."""
+    """Reject m unless it is finite with |m| > 1, where the forward rescaling contracts."""
     if not abs(m) > 1.0:
         raise InputError(f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
                          f"rescaling diverges for 0 < |m| <= 1), got {m!r}")
+    if math.isinf(m):
+        raise InputError(f"m must be finite, got {m!r}")
 
 
 def _m4(m):
@@ -510,6 +522,7 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     """
     if math.isnan(L) or L < 0:
         raise InputError(f"L must be nonnegative, got {L!r}")
+    _check_tol(tol)
     pairs = _Pairs.of(samples)
     scale = L * abs(m) ** 3
 
@@ -530,6 +543,7 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     its failure invalidates the whole construction and raises
     ``HypothesisViolation``.
     """
+    _check_tol(tol)
     pairs = _Pairs.of(samples)
     f0 = norm(np.asarray(f(pairs.zero) if pairs.f0 is None else pairs.f0, dtype=float))
     if f0 > tol:
@@ -550,7 +564,7 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
 # Cubic approximant extraction
 # =========================================================================
 
-def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
+def cubic_approximant(f, m, grid, n_max=_MAX_STAGES, tol=DEFAULT_TOL,
                       codomain: QuasiNormedSpace | None = None) -> SampledMap:
     """Extract q(x) = lim f(m**n x) / m**(3 n) on a finite grid.
 
@@ -561,8 +575,9 @@ def cubic_approximant(f, m, grid, n_max=80, tol=DEFAULT_TOL,
     range raises ``OverflowGuardError`` carrying the last safe stage.
     """
     _check_m(m)
-    if math.isnan(tol) or tol < 0.0:
-        raise InputError(f"tol must be nonnegative, got {tol!r}")
+    _check_tol(tol)
+    if n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max!r}")
     g = _as_block(grid)
     return _approximant(f, m, g, _f_rows(f, g), n_max, tol, codomain or real_line())[0]
 
@@ -573,8 +588,6 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
     Also returns the per-point change from stage 0 to stage 1, the norm of
     f(m x)/m**3 - f(x).
     """
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max!r}")
     points = g
     denom = 1.0
     n_used = 0
@@ -582,16 +595,12 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
     for n in range(1, n_max + 1):
         points = points * m
         denom = denom * m**3
-        if np.max(np.abs(points)) > _ORBIT_LIMIT or abs(denom) > _ORBIT_LIMIT:
+        escaped = np.max(np.abs(points)) > _ORBIT_LIMIT or abs(denom) > _ORBIT_LIMIT
+        new_vals = None if escaped else _f_rows(f, points) / denom
+        if escaped or not np.isfinite(new_vals).all():
             raise OverflowGuardError(
-                f"forward orbit left the safe range at stage {n} (|m| = {abs(m)!r})",
-                last_safe=SampledMap(g, vals, codomain,
-                                     meta={"iterations": n - 1, "final_change": change}),
-                iterations=n - 1)
-        new_vals = _f_rows(f, points) / denom
-        if not np.isfinite(new_vals).all():
-            raise OverflowGuardError(
-                f"f overflowed along the orbit at stage {n}",
+                f"forward orbit left the safe range at stage {n} (|m| = {abs(m)!r})" if escaped
+                else f"f overflowed along the orbit at stage {n}",
                 last_safe=SampledMap(g, vals, codomain,
                                      meta={"iterations": n - 1, "final_change": change}),
                 iterations=n - 1)
@@ -664,9 +673,12 @@ def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.nd
     """Build the grid {m**k * b : b in base, 0 <= k <= levels}.
 
     Scaling is by successive multiplication so that later lookups of
-    m * x match grid rows bit for bit.  Optionally mirrored through the
-    origin and including the zero point (listed first).  Duplicates are
-    dropped, keeping the first occurrence.
+    m * x match grid rows bit for bit.  The points come base point by base
+    point, each level by level and, when ``symmetric``, followed by its
+    mirror image through the origin; the zero point, if included, is
+    listed first.  A point within the match tolerance of an earlier kept
+    point is dropped, so the first occurrence stays.  A level that is not
+    finite (m**k * b overflows) is an input error.
     """
     _check_m(m)
     if levels < 0:
@@ -675,26 +687,22 @@ def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.nd
     if not items:
         raise InputError("base must contain at least one point")
     d = items[0].shape
-    rows = []
+    if any(b.shape != d for b in items) or not items[0].size:
+        raise InputError("base points must share one shape with at least one coordinate")
+    scaled = [np.array(items)]
+    for k in range(levels + 1):
+        if k:
+            with np.errstate(over="ignore"):
+                scaled.append(scaled[-1] * m)
+        if not np.isfinite(scaled[-1]).all():
+            raise InputError(f"grid level {k} (m**{k} times the base) is not finite")
+    R = np.stack(scaled, axis=1)  # (base point, level) + point shape
+    if symmetric:
+        R = np.stack([R, -R], axis=2)
+    R = R.reshape((-1,) + d)
     if include_zero:
-        rows.append(np.zeros(d))
-    for b in items:
-        if b.shape != d:
-            raise InputError("base points must share one shape")
-        cur = b.copy()
-        for _ in range(levels + 1):
-            rows.append(cur)
-            if symmetric:
-                rows.append(-cur)
-            cur = cur * m
-    R = np.array(rows)
-    flat = R.reshape(len(R), -1)
-    keep = []
-    for i, r in enumerate(flat):
-        near = np.abs(r - flat[keep]) <= _MATCH_ATOL + _MATCH_RTOL * np.abs(r)
-        if not near.all(axis=1).any():
-            keep.append(i)
-    return R[keep]
+        R = np.concatenate([np.zeros((1,) + d), R])
+    return R[_distinct(R.reshape(len(R), -1))]
 
 
 # =========================================================================
@@ -720,10 +728,8 @@ class StabilityConfig:
 
     def __post_init__(self):
         _check_m(self.m)
-        _check_L(self.L)
-        _check_p(self.p)
-        if math.isnan(self.tol) or self.tol <= 0.0:
-            raise InputError(f"tol must be positive, got {self.tol!r}")
+        bound_factors(self.L, self.p)  # the owner of the rules on L and p
+        _check_tol(self.tol, positive=True)
         if self.codomain is None:
             object.__setattr__(self, "codomain", real_line())
         if abs(self.codomain.p - self.p) > 1e-9:
@@ -806,7 +812,7 @@ def _failing_certificate(config, grid_size, detail, witness):
         notes=(detail,))
 
 
-def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> StabilityCertificate:
+def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertificate:
     """Run every check and assemble the stability certificate.
 
     ``grid`` must be finite, contain the zero point, and be m-closed
@@ -847,7 +853,7 @@ def verify_stability(f, phi, config: StabilityConfig, grid, n_max=80) -> Stabili
         # f(0) = 0 is the ground everything else stands on.
         return _failing_certificate(config, n_pts, str(exc), exc.witness)
     phi_report = phi_contractivity_check(phi, config.m, config.L, _Pairs.grid(g))
-    q, step = _approximant(f, config.m, g, F, n_max, config.tol, codomain)
+    q, step = _approximant(f, config.m, g, F, _MAX_STAGES, config.tol, codomain)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
     weights = _phi_at_zero_rows(phi, g)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .core_spaces import _check_L, _check_p, _fields_dict, as_extended
+from .core_spaces import _check_L, _check_p, _check_tol, _fields_dict, as_extended
 from .errors import HypothesisViolation, InputError
 
-__all__ = ["Outcome", "ContractionMap", "FixedPointResult", "iterate", "estimate_lipschitz"]
+__all__ = ["Outcome", "ContractionMap", "FixedPointResult", "bound_factors", "iterate",
+           "estimate_lipschitz"]
 
 # Additive slack on the observed contraction inequality.
 CONTRACTION_SLACK = 1e-9
@@ -118,8 +119,7 @@ def iterate(map: ContractionMap, x0, distance, p: float, tol: float,
     consecutive iterates at finite distance contract worse than the
     declared L allows.
     """
-    if math.isnan(tol) or tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol, positive=True)
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter!r}")
     factors = bound_factors(map.L, p)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -296,12 +297,12 @@ def test_defect_check_matches_the_per_pair_loop(case):
 
 @pytest.mark.parametrize("grid", [[3e102, 0.0, 1.0, 2.0], [0.0, 1.0, 3e102, -2.0, 5e102],
                                   [0.0, 3e102, -2e102, 4e102]])
-@pytest.mark.parametrize("phi", [ConstantBound(value=math.inf), ShiftNorm(c=math.inf, m=2.0),
-                                 ShiftNorm(c=1e200, m=2.0)])
+@pytest.mark.parametrize("phi", [ShiftNorm(c=sys.float_info.max, m=2.0),
+                                 PowerLaw(lam=1e300, s=2.0), ShiftNorm(c=1e200, m=2.0)])
 def test_non_finite_sides_follow_the_running_maximum(grid, phi):
-    # f overflows on the large points and phi is huge or infinite: inf/inf
-    # and NaN ratios, which a running maximum skips unless the first pair
-    # has one.
+    # f overflows on the large points and phi is huge or infinite (its
+    # parameters are finite, its values overflow): inf/inf and NaN ratios,
+    # which a running maximum skips unless the first pair has one.
     def cube(u):
         return u * u * u
 

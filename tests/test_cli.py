@@ -8,14 +8,17 @@ subprocess test covers the module entry point wiring.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from ulamstab import chain_metric, GeneralizedBMetricSpace, load_distance_csv, save_distance_csv, save_distance_json
 from ulamstab import LHalfSpace, example_corpus, m_closed_grid
+from ulamstab import cli
 from ulamstab.cli import main
 
 
@@ -377,6 +380,44 @@ def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, 
     assert message in err
 
 
+def _non_finite_changes():
+    """Config changes that put NaN or an infinity into a number; each must
+    exit 2.  On the parent design, c = +inf on these points and s = -inf on
+    the base [0.5, 3] passed, and NaN constants failed with both hypothesis
+    flags true."""
+    changes = [{"tol": math.inf}, {"m": math.inf},
+               {"grid": {"base": [1.0], "levels": 1030}}]
+    for bad in (math.nan, math.inf, -math.inf):
+        changes += [
+            {"phi": {"kind": "shift_norm", "c": bad},
+             "grid": {"points": [1, 2, 4, 0, -1, -2, -4]}},
+            {"phi": {"kind": "power_law", "lambda": bad, "s": 1.0}},
+            {"phi": {"kind": "power_law", "lambda": 24.0, "s": bad}, "grid": {"base": [0.5, 3]}},
+            {"phi": {"kind": "constant", "value": bad}},
+        ]
+    return changes
+
+
+@pytest.mark.parametrize("change", _non_finite_changes(), ids=lambda c: json.dumps(c))
+def test_verify_non_finite_numbers_are_input_errors(tmp_path, capsys, change):
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, **change})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise out of main
+        code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, doc) == (2, None)
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "-1", "0"])
+def test_tol_env_var_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("ULAMSTAB_TOL", raw)
+    cfg = _write_config(tmp_path, PASSING_CONFIG)
+    code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, doc) == (2, None)
+    assert err == f"input error: ULAMSTAB_TOL must be finite and positive, got {float(raw)!r}\n"
+
+
 def test_verify_scale_is_finite_past_the_squared_overflow(tmp_path, capsys):
     # f reaches 8e156 on this grid; its square overflows, its norm does not.
     cfg = _write_config(tmp_path, {**PASSING_CONFIG, "grid": {"base": [1e52], "levels": 1}})
@@ -451,6 +492,53 @@ def test_example_lhalf_reports_the_constant_discrepancy(capsys):
     assert second["quoted"] == 12.0
     for run in runs:
         assert run["certificate"]["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+_ARGV = {
+    "metrize": ["metrize", "--in", "unread.json"],
+    "fixpoint": ["fixpoint", "--scenario", "halving"],
+    "verify": ["verify", "--config", "unread.json"],
+    "example-lhalf": ["example-lhalf"],
+}
+
+
+@pytest.mark.parametrize("verdict, code", [("pass", 0), ("fail", 1), ("undecided", 1)])
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_main_alone_turns_the_verdict_into_the_exit_code(monkeypatch, capsys, command,
+                                                         verdict, code):
+    # A command returns its envelope only; the code comes from the verdict.
+    monkeypatch.setitem(cli._DISPATCH, command,
+                        lambda args: cli._envelope(command, {}, verdict, {}))
+    got, doc, _ = run_cli(_ARGV[command], capsys)
+    assert (got, doc["verdict"]) == (code, verdict)
+
+
+def test_every_command_exits_0_exactly_when_its_verdict_is_pass(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_distance_csv(good, VALID_D)
+    save_distance_csv(bad, VALID_D)
+    runs = [
+        ["metrize", "--in", str(good), "--kappa", "8"],
+        ["metrize", "--in", str(bad), "--kappa", "2"],
+        ["fixpoint", "--scenario", "halving"],
+        ["fixpoint", "--scenario", "two-component"],
+        ["fixpoint", "--scenario", "halving", "--L", "0.2"],
+        ["verify", "--config", _write_config(tmp_path, PASSING_CONFIG, "pass.json")],
+        ["verify", "--config", _write_config(
+            tmp_path, {**PASSING_CONFIG, "phi": {"kind": "shift_norm", "c": 3.0}}, "fail.json")],
+        ["example-lhalf", "--quadrature-n", "16"],
+        ["example-lhalf", "--quadrature-n", "16", "--tol", "1e-12"],
+    ]
+    verdicts = []
+    for argv in runs:
+        code, doc, _ = run_cli(argv, capsys)
+        assert code == (0 if doc["verdict"] == "pass" else 1), argv
+        verdicts.append(doc["verdict"])
+    assert verdicts == ["pass", "fail", "pass", "fail", "fail", "pass", "fail", "pass", "fail"]
 
 
 # ---------------------------------------------------------------------------

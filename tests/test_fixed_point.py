@@ -22,7 +22,6 @@ from ulamstab import (
     iterate,
     m_closed_grid,
     real_line,
-    stability_bound,
     sup_weighted_distance,
     SampledMap,
 )
@@ -72,9 +71,10 @@ def test_L_pow_p_rounding_to_one_is_an_input_error():
     with pytest.raises(InputError, match=message):
         iterate(ContractionMap(apply=lambda x: x / 2.0, L=L), 1.0, _abs_distance,
                 p=0.5, tol=1e-9, max_iter=10)
-    config = StabilityConfig(m=2.0, L=L, p=0.5, codomain=LHalfSpace(4).space())
+    # A configuration is checked through the same owner when it is built,
+    # before any f is evaluated.
     with pytest.raises(InputError, match=message):
-        stability_bound(config, ShiftNorm(c=12.0, m=2.0), np.ones(4))
+        StabilityConfig(m=2.0, L=L, p=0.5, codomain=LHalfSpace(4).space())
     assert bound_factors(L, 1.0)["from_L_pow_p"] == 4.0 / (1.0 - L)
 
 
