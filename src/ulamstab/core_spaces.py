@@ -22,7 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "AXIOM_SLACK",
     "as_extended",
     "as_extended_matrix",
-    "ext_pow",
     "p_exponent",
     "euclidean_norm",
     "QuasiNormedSpace",
@@ -40,9 +39,7 @@ __all__ = [
     "GeneralizedBMetricSpace",
     "SampledMap",
     "BMetricReport",
-    "QuasiNormReport",
     "validate_b_metric",
-    "validate_quasi_norm",
     "load_distance_csv",
     "save_distance_csv",
     "load_distance_json",
@@ -84,16 +81,6 @@ def as_extended_matrix(D) -> np.ndarray:
         raise InputError(f"distance matrix has negative entry {A[i, j]!r} at ({i}, {j})")
     A.setflags(write=False)
     return A
-
-
-def ext_pow(value, p) -> float:
-    """value**p on [0, +inf] for p > 0; (+inf)**p = +inf, 0**p = 0."""
-    v = as_extended(value)
-    if p <= 0:
-        raise InputError(f"exponent must be positive, got {p!r}")
-    if math.isinf(v):
-        return math.inf
-    return v**p
 
 
 def p_exponent(kappa) -> float:
@@ -172,9 +159,13 @@ def _euclidean_norm_rows(X) -> np.ndarray:
     """The Euclidean norm of each point of a block: one dot product per
     row, as ``np.linalg.norm`` takes it, with the same bits.  A row of
     finite entries whose sum of squares overflows is divided by its
-    largest entry first, so its norm is finite whenever it fits."""
+    largest entry first, so its norm is finite whenever it fits.  A number
+    takes its absolute value: sqrt(x * x) rounds to |x| in binary floats
+    unless x * x overflows or underflows, and |x| is exact there too."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(len(X), -1)
+    if X.shape[1] == 1:
+        return np.abs(X[:, 0])
     with np.errstate(over="ignore", invalid="ignore"):  # as quiet as the BLAS dot
         v = np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
         if not math.isfinite(v.sum()):  # one test per block; norms are never negative
@@ -214,7 +205,9 @@ class QuasiNormedSpace:
     """A finite-dimensional real vector space with a quasi-norm.
 
     ``norm_eval`` must be absolutely homogeneous and satisfy the kappa-relaxed
-    triangle inequality; ``validate_quasi_norm`` spot-checks both on samples.
+    triangle inequality; both are assumed, not checked.  The builtin norms
+    (the real line, L^{1/2}, ell^r) are p-normed,
+    |x + y|**p <= |x|**p + |y|**p, which implies that triangle.
     The exponent ``p`` is derived from kappa at construction and satisfies
     (2 kappa)**p = 2 within 1e-12 relative.
     """
@@ -426,84 +419,6 @@ def _first_triangle_violation(A, k, tol):
             kk = int(np.argmax(A[i, j] > rhs + tol))
             return i, j, kk, rhs[kk]
     return None
-
-
-# =========================================================================
-# Quasi-norm validation
-# =========================================================================
-
-_DEFAULT_SCALARS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
-
-
-@dataclass(frozen=True)
-class QuasiNormReport:
-    """Outcome of a quasi-norm spot check on sample vectors.
-
-    ``worst_triangle_ratio`` is max |x+y| / (|x| + |y|) over sampled pairs
-    with a nonzero denominator; it never exceeds kappa on a valid space.
-    """
-
-    passed: bool
-    worst_triangle_ratio: float
-    witness: tuple | None = None
-    detail: str = "ok"
-
-    def to_dict(self) -> dict:
-        return _fields_dict(self)
-
-
-def validate_quasi_norm(space: QuasiNormedSpace, samples: Sequence,
-                        scalars=_DEFAULT_SCALARS, tol=AXIOM_SLACK) -> QuasiNormReport:
-    """Spot-check quasi-norm axioms on sample vectors.
-
-    Checks |0| = 0, positivity on nonzero samples, absolute homogeneity
-    over a fixed scalar set, and the kappa-relaxed triangle inequality on
-    every sampled pair.  Homogeneity defects are compared against
-    tol * max(1, |r| * |x|); the relaxed triangle uses the same absolute
-    slack as the b-metric checks.
-    """
-    _check_tol(tol)
-    if not len(samples):
-        raise InputError("need at least one sample vector")
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in samples]
-    norms = [space.norm(x) for x in xs]
-
-    zero = np.zeros_like(xs[0])
-    nz = space.norm(zero)
-    if nz > tol:
-        return QuasiNormReport(False, math.nan, None, f"norm of 0 is {nz!r}, expected 0")
-    for idx, (x, nx) in enumerate(zip(xs, norms)):
-        if np.any(x != 0.0) and nx <= tol:
-            return QuasiNormReport(False, math.nan, (idx,),
-                                   f"nonzero sample {idx} has norm {nx!r}")
-
-    for idx, (x, nx) in enumerate(zip(xs, norms)):
-        for r in scalars:
-            got = space.norm(r * x)
-            want = abs(r) * nx
-            if abs(got - want) > tol * max(1.0, want):
-                return QuasiNormReport(
-                    False, math.nan, (idx, r),
-                    f"homogeneity fails on sample {idx} with scalar {r!r}: "
-                    f"|r x| = {got!r} vs |r| |x| = {want!r}")
-
-    worst = 0.0
-    worst_pair = None
-    for a in range(len(xs)):
-        for b in range(a, len(xs)):
-            nsum = space.norm(xs[a] + xs[b])
-            denom = norms[a] + norms[b]
-            if nsum > space.kappa * denom + tol:
-                return QuasiNormReport(
-                    False, nsum / denom if denom else math.inf, (a, b),
-                    f"relaxed triangle fails on pair ({a},{b}): "
-                    f"|x+y| = {nsum!r} > kappa*(|x|+|y|) = {space.kappa * denom!r}")
-            if denom > 0 and nsum / denom > worst:
-                worst = nsum / denom
-                worst_pair = (a, b)
-
-    return QuasiNormReport(True, worst, worst_pair,
-                           f"axioms hold on {len(xs)} samples; worst ratio {worst!r}")
 
 
 # =========================================================================

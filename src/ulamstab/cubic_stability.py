@@ -40,10 +40,10 @@ Each rule of the pipeline has one owner: |m| > 1 is ``_check_m``, f(0) = 0
 is tested by ``hypothesis_defect_check`` alone, the slack
 lhs <= rhs + tol * max(1, rhs) of every sampled check is ``_exceeds``, the
 bound factor (4 / (1 - L**p))**(1/p) and the rules on L and p are
-``fixed_point.bound_factors``, the ranges of the control-function
-parameters are ``_check_parameters``, a tolerance is checked by
-``core_spaces._check_tol`` and grid points match through
-``core_spaces._RowIndex``.
+``fixed_point.bound_factors`` (L alone: ``core_spaces._check_L``), the
+ranges of the control-function parameters are ``_check_parameters``, a
+tolerance is checked by ``core_spaces._check_tol`` and grid points match
+through ``core_spaces._RowIndex``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .core_spaces import (
     QuasiNormedSpace,
     SampledMap,
     _block,
+    _check_L,
     _check_tol,
     _distinct,
     _fields_dict,
@@ -86,7 +87,6 @@ __all__ = [
     "hypothesis_defect_check",
     "cubic_approximant",
     "stability_bound",
-    "power_law_bound",
     "sup_weighted_distance",
     "cubic_rescale",
     "m_closed_grid",
@@ -520,8 +520,7 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     families whose ratio is exactly 1 survive float rounding at any
     magnitude.
     """
-    if math.isnan(L) or L < 0:
-        raise InputError(f"L must be nonnegative, got {L!r}")
+    _check_L(L)
     _check_tol(tol)
     pairs = _Pairs.of(samples)
     scale = L * abs(m) ** 3
@@ -541,7 +540,9 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     ``samples`` is a sequence of (x, y) pairs, or every pair of a grid
     as ``verify_stability`` passes them.  ``f(0) = 0`` is verified first;
     its failure invalidates the whole construction and raises
-    ``HypothesisViolation``.
+    ``HypothesisViolation``.  A residual that is not finite (an equation
+    point or f overflows) raises ``OverflowGuardError`` naming its pair,
+    unless a violating pair comes before it.
     """
     _check_tol(tol)
     pairs = _Pairs.of(samples)
@@ -552,8 +553,18 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     norm_rows = _row_norm(norm)
 
     def sides(X, Y, FY):
-        R = _el_residual_rows(f, m, X, Y, FY)
-        return norm_rows(R), _phi_rows(phi, X, Y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = _el_residual_rows(f, m, X, Y, FY)
+        if np.isfinite(R).all():
+            return norm_rows(R), _phi_rows(phi, X, Y)
+        # The first pair whose residual is not finite.
+        k = int(np.argmin(np.isfinite(R.reshape(len(R), -1)).all(axis=1)))
+        if k:  # a violating pair before it decides the check
+            lhs, rhs = norm_rows(R[:k]), _phi_rows(phi, X[:k], Y[:k])
+            if _exceeds(lhs, rhs, tol).any():
+                return lhs, rhs
+        raise OverflowGuardError(f"the equation residual is not finite at the pair "
+                                 f"{(_points(X[k:k + 1])[0], _points(Y[k:k + 1])[0])!r}")
 
     return _scan(pairs, sides, tol,
                  lambda defect, bound: f"defect {defect!r} exceeds phi {bound!r}",
@@ -631,18 +642,6 @@ def stability_bound(config: StabilityConfig, phi, x) -> float:
     return float(_bounds(config, phi_at_zero(phi, x)))
 
 
-def power_law_bound(phi: PowerLaw, m, p, x) -> float:
-    """Closed-form bound for the power-law family, L = |m|**(s-3):
-
-    (4 / (1 - L**p))**(1/p) * lam * |x|**s / (2 |m|**3).
-
-    The factor is ``bound_factors(L, p)["from_L_pow_p"]``, so the bound
-    coincides with ``stability_bound`` at that L for every p.
-    """
-    factor = bound_factors(phi.lipschitz(m), p)["from_L_pow_p"]
-    return factor * phi.at_zero(x) / (2.0 * abs(m) ** 3)
-
-
 def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
     """sup over the grid of |g(x) - h(x)| / phi(x, 0).
 
@@ -669,16 +668,16 @@ def cubic_rescale(g: SampledMap, m) -> SampledMap:
     return SampledMap(g.domain_grid[keep], g.values[j[keep]] / m**3, g.codomain)
 
 
-def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.ndarray:
-    """Build the grid {m**k * b : b in base, 0 <= k <= levels}.
+def m_closed_grid(base, m, levels=2, symmetric=True) -> np.ndarray:
+    """Build the grid {0} and {m**k * b : b in base, 0 <= k <= levels}.
 
     Scaling is by successive multiplication so that later lookups of
-    m * x match grid rows bit for bit.  The points come base point by base
+    m * x match grid rows bit for bit.  The zero point comes first, as
+    ``verify_stability`` requires; then the points come base point by base
     point, each level by level and, when ``symmetric``, followed by its
-    mirror image through the origin; the zero point, if included, is
-    listed first.  A point within the match tolerance of an earlier kept
-    point is dropped, so the first occurrence stays.  A level that is not
-    finite (m**k * b overflows) is an input error.
+    mirror image through the origin.  A point within the match tolerance of
+    an earlier kept point is dropped, so the first occurrence stays.  A
+    level that is not finite (m**k * b overflows) is an input error.
     """
     _check_m(m)
     if levels < 0:
@@ -699,9 +698,7 @@ def m_closed_grid(base, m, levels=2, symmetric=True, include_zero=True) -> np.nd
     R = np.stack(scaled, axis=1)  # (base point, level) + point shape
     if symmetric:
         R = np.stack([R, -R], axis=2)
-    R = R.reshape((-1,) + d)
-    if include_zero:
-        R = np.concatenate([np.zeros((1,) + d), R])
+    R = np.concatenate([np.zeros((1,) + d), R.reshape((-1,) + d)])
     return R[_distinct(R.reshape(len(R), -1))]
 
 

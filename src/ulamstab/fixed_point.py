@@ -29,8 +29,7 @@ from typing import Any, Callable
 from .core_spaces import _check_L, _check_p, _check_tol, _fields_dict, as_extended
 from .errors import HypothesisViolation, InputError
 
-__all__ = ["Outcome", "ContractionMap", "FixedPointResult", "bound_factors", "iterate",
-           "estimate_lipschitz"]
+__all__ = ["Outcome", "ContractionMap", "FixedPointResult", "bound_factors", "iterate"]
 
 # Additive slack on the observed contraction inequality.
 CONTRACTION_SLACK = 1e-9
@@ -154,25 +153,3 @@ def iterate(map: ContractionMap, x0, distance, p: float, tol: float,
             return result(Outcome.DIVERGENT_INFINITE, current, n, residual, history)
 
     return result(Outcome.BUDGET_EXHAUSTED, current, max_iter, residual, history)
-
-
-def estimate_lipschitz(map: ContractionMap, sample_pairs, distance) -> float:
-    """Largest observed ratio distance(Tx, Ty) / distance(x, y).
-
-    Pairs whose distance is zero or +inf carry no information and are
-    skipped; if nothing usable remains that is an input error.  A +inf
-    ratio (finite pair mapped to an infinite-distance pair) is reported
-    as is, signalling that the map is no contraction.
-    """
-    worst = None
-    for x, y in sample_pairs:
-        denom = as_extended(distance(x, y), name="distance")
-        if denom == 0.0 or math.isinf(denom):
-            continue
-        num = as_extended(distance(map.apply(x), map.apply(y)), name="distance")
-        ratio = num / denom
-        if worst is None or ratio > worst:
-            worst = ratio
-    if worst is None:
-        raise InputError("no sample pair with finite nonzero distance")
-    return worst

@@ -30,18 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_spaces import (
-    AXIOM_SLACK,
     GeneralizedBMetricSpace,
-    QuasiNormedSpace,
     _check_p,
     _TILE_ELEMENTS,
     _finite_components,
     p_exponent,
     validate_b_metric,
 )
-from .errors import InputError, InvalidBMetricError
+from .errors import InvalidBMetricError
 
-__all__ = ["ChainMetric", "chain_metric", "p_exponent", "aoki_rolewicz_estimate"]
+__all__ = ["ChainMetric", "chain_metric", "p_exponent"]
 
 
 @dataclass(frozen=True)
@@ -115,38 +113,3 @@ def chain_metric(space: GeneralizedBMetricSpace, p: float | None = None) -> Chai
     # Floyd-Warshall unchanged.
     W = space.D.copy() if p == 1.0 else np.power(space.D, p)
     return ChainMetric(delta=_shortest_paths(W), p=p, source_kappa=space.kappa)
-
-
-def aoki_rolewicz_estimate(space: QuasiNormedSpace, x,
-                           decompositions: list | None = None) -> tuple[float, float]:
-    """Two-sided estimate of the equivalent p-norm of ``x``.
-
-    The renormalization |||x||| = inf over finite decompositions
-    x = sum_i x_i of (sum_i |x_i|**p)**(1/p) satisfies
-    |x| / (2 kappa) <= |||x||| <= |x|.  The lower bound is returned as
-    ``lo``; ``hi`` is the least upper bound witnessed by ``x`` itself and
-    by each supplied decomposition.  More decompositions can only shrink
-    the interval, and lo <= hi always holds.
-
-    Every decomposition must sum to ``x`` within 1e-9 per coordinate;
-    the first offending decomposition index is reported otherwise.
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    norm_x = space.norm(xv)
-    lo = norm_x / (2.0 * space.kappa)
-    hi = norm_x
-    for idx, parts in enumerate(decompositions or []):
-        if not len(parts):
-            raise InputError(f"decomposition {idx} is empty")
-        terms = [np.atleast_1d(np.asarray(t, dtype=float)) for t in parts]
-        resid = np.max(np.abs(sum(terms) - xv))
-        if resid > 1e-9:
-            raise InputError(
-                f"decomposition {idx} sums off target by {resid!r} (tolerance 1e-9)")
-        candidate = sum(space.norm(t) ** space.p for t in terms) ** (1.0 / space.p)
-        hi = min(hi, candidate)
-    if hi < lo - AXIOM_SLACK:
-        raise InputError(
-            f"estimate collapsed: upper bound {hi!r} fell below lower bound {lo!r}; "
-            "a decomposition is inconsistent with the space axioms")
-    return lo, max(hi, lo)

@@ -409,6 +409,21 @@ def test_verify_non_finite_numbers_are_input_errors(tmp_path, capsys, change):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("phi", [{"kind": "constant", "value": 1.0},
+                                 {"kind": "shift_norm", "c": 1.0}])
+def test_verify_a_residual_that_overflows_is_a_certified_failure(tmp_path, capsys, phi):
+    # x + 2 y overflows at the pair (0, 1e308).  This printed RuntimeWarnings
+    # and exited 2 with "norm value is NaN" before the residual was guarded.
+    cfg = _write_config(tmp_path, {"m": 2.0, "f": {"name": "poly", "coefficients": [0, 1]},
+                                   "phi": phi, "grid": {"points": [0, 1e308, -1e308]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise out of main
+        code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, doc) == (1, None)
+    assert err == ("certified failure: the equation residual is not finite at the pair "
+                   "(0.0, 1e+308)\n")
+
+
 @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "-1", "0"])
 def test_tol_env_var_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("ULAMSTAB_TOL", raw)

@@ -29,8 +29,6 @@ from ulamstab import (
     as_extended,
     as_extended_matrix,
     euclidean_norm,
-    ext_pow,
-    lhalf_norm,
     load_distance_csv,
     load_distance_json,
     p_exponent,
@@ -38,7 +36,6 @@ from ulamstab import (
     save_distance_csv,
     save_distance_json,
     validate_b_metric,
-    validate_quasi_norm,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,12 +66,6 @@ def test_as_extended_matrix_rejects_nan():
         as_extended_matrix([[0.0, math.nan], [math.nan, 0.0]])
 
 
-def test_ext_pow_conventions():
-    assert ext_pow(math.inf, 0.5) == math.inf
-    assert ext_pow(0.0, 0.5) == 0.0
-    assert ext_pow(4.0, 0.5) == 2.0
-
-
 @given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300))
 @settings(max_examples=200, deadline=None)
 def test_extended_addition_commutes_and_absorbs(a, b):
@@ -82,12 +73,6 @@ def test_extended_addition_commutes_and_absorbs(a, b):
     assert a + b == b + a
     assert a + math.inf == math.inf
     assert math.inf + b == math.inf
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=0.05, max_value=1.0))
-@settings(max_examples=200, deadline=None)
-def test_ext_pow_monotone(x, p):
-    assert ext_pow(x, p) <= ext_pow(x * 2.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -156,41 +141,6 @@ def test_real_line_is_a_normed_space():
     assert line.kappa == 1.0
     assert line.p == pytest.approx(1.0, abs=1e-15)
     assert line.norm_eval(np.array([-3.0])) == 3.0
-
-
-def test_validate_quasi_norm_accepts_euclidean():
-    space = QuasiNormedSpace(dim=2, norm_eval=euclidean_norm, kappa=1.0)
-    rng = np.random.default_rng(0)
-    samples = [rng.normal(size=2) for _ in range(20)]
-    report = validate_quasi_norm(space, samples)
-    assert report.passed
-    assert report.worst_triangle_ratio <= 1.0 + 1e-12
-
-
-def test_validate_quasi_norm_flags_undersized_kappa():
-    # The l^{1/2} quadrature norm needs kappa = 2; claiming 1 must fail.
-    space = QuasiNormedSpace(dim=8, norm_eval=lambda v: lhalf_norm(v, 8), kappa=1.0)
-    rng = np.random.default_rng(1)
-    samples = [rng.uniform(-1, 1, size=8) for _ in range(40)]
-    report = validate_quasi_norm(space, samples)
-    assert not report.passed
-    assert "triangle" in report.detail
-    assert report.witness is not None
-
-
-def test_validate_quasi_norm_rejects_nonvanishing_at_zero():
-    space = QuasiNormedSpace(dim=1, norm_eval=lambda v: abs(float(v[0])) + 1.0, kappa=1.0)
-    report = validate_quasi_norm(space, [np.array([1.0])])
-    assert not report.passed
-    assert "0" in report.detail
-
-
-def test_validate_quasi_norm_homogeneity_failure():
-    space = QuasiNormedSpace(dim=1, norm_eval=lambda v: float(v[0] ** 2), kappa=1.0)
-    report = validate_quasi_norm(space, [np.array([2.0])])
-    assert not report.passed
-    assert "homogeneity" in report.detail
-    assert report.witness == (0, -2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from ulamstab import (
     m_closed_grid,
     phi_at_zero,
     phi_contractivity_check,
-    power_law_bound,
     real_line,
     stability_bound,
     sup_weighted_distance,
@@ -235,6 +234,17 @@ def test_defect_check_requires_f_vanishing_at_zero():
     assert err.value.observed == pytest.approx(1.0, abs=1e-12)
 
 
+def test_defect_check_stops_at_the_first_violating_or_overflowing_pair():
+    # f(u) = u has the residual -12 (x + 2 y) at m = 2: 36 > 1 at (1, 1), 0 at
+    # (-2, 1), and not finite at (0, 1e308), where x + 2 y overflows.
+    phi = ConstantBound(1.0)
+    report = hypothesis_defect_check(lambda u: u, phi, 2.0, [(1.0, 1.0), (0.0, 1e308)])
+    assert not report.passed
+    assert report.witness == (1.0, 1.0)
+    with pytest.raises(OverflowGuardError, match=r"not finite at the pair \(0\.0, 1e\+308\)$"):
+        hypothesis_defect_check(lambda u: u, phi, 2.0, [(-2.0, 1.0), (0.0, 1e308), (1.0, 1.0)])
+
+
 # ---------------------------------------------------------------------------
 # cubic approximant
 # ---------------------------------------------------------------------------
@@ -324,27 +334,13 @@ def test_stability_bound_reference_quadrature_space():
     phi3 = ShiftNorm(c=48.0, m=3.0, norm=lhalf.norm)
     config3 = StabilityConfig(m=3.0, L=1.0 / 9.0, p=0.5, codomain=lhalf.space())
     assert stability_bound(config3, phi3, one) == pytest.approx(32.0, rel=1e-12)
-
-
-def test_power_law_bound_matches_generic_bound_at_p_one():
-    phi = PowerLaw(lam=1.0, s=2.0)
-    config = StabilityConfig(m=2.0, L=phi.lipschitz(2.0))
-    for x in (0.5, 1.0, 2.0, -3.0):
-        assert power_law_bound(phi, 2.0, 1.0, x) == pytest.approx(
-            stability_bound(config, phi, x), rel=1e-12)
-        assert power_law_bound(phi, 2.0, 1.0, x) == pytest.approx(
-            0.5 * x**2, rel=1e-12)
-
-
-def test_power_law_bound_matches_generic_bound_at_p_one_half():
-    # Both bounds take the factor (4 / (1 - L**p))**(1/p): 64 at L = 1/4.
-    lhalf = LHalfSpace(4)
-    phi = PowerLaw(lam=1.0, s=1.0, norm=lhalf.norm)
-    config = StabilityConfig(m=2.0, L=phi.lipschitz(2.0), p=0.5, codomain=lhalf.space())
+    # PowerLaw(1, 1) at m = 2: L = 1/4, and (4 / (1 - L**p))**(1/p) is 64.
+    small = LHalfSpace(4)
+    phi = PowerLaw(lam=1.0, s=1.0, norm=small.norm)
+    config = StabilityConfig(m=2.0, L=phi.lipschitz(2.0), p=0.5, codomain=small.space())
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert power_law_bound(phi, 2.0, 0.5, x) == stability_bound(config, phi, x)
-    assert power_law_bound(phi, 2.0, 0.5, x) == pytest.approx(
-        64.0 * lhalf.norm(x) / 16.0, rel=1e-12)
+    assert stability_bound(config, phi, x) == pytest.approx(64.0 * small.norm(x) / 16.0,
+                                                            rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ulamstab import (
     ell_r_space,
     example_corpus,
     lhalf_norm,
-    validate_quasi_norm,
+    real_line,
 )
 
 # ---------------------------------------------------------------------------
@@ -86,15 +86,6 @@ def test_lhalf_kappa_two_is_not_improvable():
     assert ratio == pytest.approx(2.0, rel=1e-12)
 
 
-def test_lhalf_space_passes_quasi_norm_validation():
-    lhalf = LHalfSpace(quadrature_n=128)
-    rng = np.random.default_rng(22)
-    samples = [rng.uniform(-2, 2, size=128) for _ in range(25)]
-    report = validate_quasi_norm(lhalf.space(), samples)
-    assert report.passed
-    assert report.worst_triangle_ratio <= 2.0 + 1e-12
-
-
 def test_lhalf_norm_input_validation():
     with pytest.raises(InputError):
         lhalf_norm(np.ones(8), quadrature_n=16)
@@ -141,15 +132,6 @@ def test_ell_r_validation():
         ell_r_kappa(-1.0)
 
 
-def test_ell_r_space_satisfies_its_kappa():
-    rng = np.random.default_rng(23)
-    for r in (0.5, 1.0 / 3.0, 0.8):
-        space = ell_r_space(6, r)
-        samples = [rng.uniform(-2, 2, size=6) for _ in range(20)]
-        report = validate_quasi_norm(space, samples)
-        assert report.passed, (r, report.detail)
-
-
 def test_ell_r_kappa_is_tight():
     # Disjoint unit spikes realize the modulus exactly.
     for r in (0.5, 1.0 / 3.0, 0.25):
@@ -186,3 +168,45 @@ def test_example_corpus_seed_changes_signals():
     a = example_corpus(quadrature_n=64, seed=7)
     b = example_corpus(quadrature_n=64, seed=8)
     assert any(not np.array_equal(u, v) for u, v in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# p-normed builtin codomains
+# ---------------------------------------------------------------------------
+
+# Each builtin codomain with the p of its p-norm inequality.
+P_NORMED = [
+    pytest.param(real_line(), 1.0, id="reals"),
+    pytest.param(LHalfSpace(128).space(), 0.5, id="lhalf-128"),
+    *(pytest.param(ell_r_space(6, r), r, id=f"ell-{r:.3g}") for r in (0.5, 1.0 / 3.0, 0.8)),
+]
+
+
+# Coordinates from 1e-300 and scalars from 1e-3, so that t x and every norm
+# stay normal floats: a subnormal result has too few bits for a relative slack.
+def signed(low, top):
+    """0 or a number of magnitude in [low, top], either sign."""
+    nonzero = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(low, top))
+    return st.one_of(st.just(0.0), nonzero.map(lambda sv: sv[0] * sv[1]))
+
+
+@pytest.mark.parametrize("space, p", P_NORMED)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_builtin_norms_are_p_normed(space, p, data):
+    """|x + y|**p <= |x|**p + |y|**p and |t x| = |t| |x|, with |x| > 0 for x != 0.
+
+    With p = log_{2 kappa} 2 the first inequality gives the kappa-relaxed
+    triangle: |x + y| <= (|x|**p + |y|**p)**(1/p) <= 2**(1/p - 1) (|x| + |y|)
+    = kappa (|x| + |y|), by the power-mean inequality.
+    """
+    assert space.p == pytest.approx(p, rel=1e-12)
+    vector = st.lists(signed(1e-300, 1e6), min_size=space.dim, max_size=space.dim).map(
+        lambda v: v[0] if space.dim == 1 else np.array(v))
+    x, y = data.draw(vector), data.draw(vector)
+    t = data.draw(signed(1e-3, 1e3))
+    nx, ny = space.norm(x), space.norm(y)
+    assert space.norm(x + y) ** p <= (nx**p + ny**p) * (1.0 + 1e-12)
+    assert space.norm(x + y) <= space.kappa * (nx + ny) * (1.0 + 1e-12)
+    assert space.norm(t * x) == pytest.approx(abs(t) * nx, rel=1e-12)
+    assert (nx > 0.0) == bool(np.any(np.asarray(x) != 0.0))

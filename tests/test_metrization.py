@@ -1,4 +1,4 @@
-"""Tests for the chain-infimum metrization and the Aoki-Rolewicz estimate."""
+"""Tests for the chain-infimum metrization."""
 
 from __future__ import annotations
 
@@ -22,11 +22,7 @@ from ulamstab import (
     GeneralizedBMetricSpace,
     InputError,
     InvalidBMetricError,
-    QuasiNormedSpace,
     chain_metric,
-    aoki_rolewicz_estimate,
-    euclidean_norm,
-    lhalf_norm,
     p_exponent,
     validate_b_metric,
 )
@@ -226,56 +222,3 @@ def test_p_exponent_is_decreasing_and_bounded(kappa):
     p = p_exponent(kappa)
     assert 0.0 < p <= 1.0
     assert p_exponent(kappa + 1.0) < p or kappa == kappa + 1.0
-
-
-# ---------------------------------------------------------------------------
-# Aoki-Rolewicz estimate
-# ---------------------------------------------------------------------------
-
-
-def _lhalf_space(n=4):
-    return QuasiNormedSpace(dim=n, norm_eval=lambda v: lhalf_norm(v, n), kappa=2.0)
-
-
-def test_aoki_rolewicz_default_interval():
-    space = QuasiNormedSpace(dim=2, norm_eval=euclidean_norm, kappa=2.0)
-    lo, hi = aoki_rolewicz_estimate(space, np.array([3.0, 4.0]))
-    assert lo == pytest.approx(5.0 / 4.0, abs=1e-12)
-    assert hi == pytest.approx(5.0, abs=1e-12)
-
-
-def test_aoki_rolewicz_decomposition_tightens_upper_bound():
-    space = _lhalf_space(4)
-    x = np.array([1.0, 1.0, 1.0, 1.0])
-    # Split into coordinate spikes: each has norm (1/4)^2 * ... compute via
-    # the space itself so the test stays independent of the formula.
-    parts = [np.eye(4)[i] for i in range(4)]
-    lo, hi = aoki_rolewicz_estimate(space, x, decompositions=[parts])
-    candidate = sum(space.norm(t) ** space.p for t in parts) ** (1.0 / space.p)
-    assert hi <= space.norm(x) + 1e-12
-    assert hi == pytest.approx(min(space.norm(x), candidate), abs=1e-12)
-    assert lo <= hi
-
-
-def test_aoki_rolewicz_rejects_bad_decomposition():
-    space = QuasiNormedSpace(dim=2, norm_eval=euclidean_norm, kappa=2.0)
-    with pytest.raises(InputError) as err:
-        aoki_rolewicz_estimate(
-            space, np.array([1.0, 0.0]),
-            decompositions=[[np.array([0.5, 0.0])]])
-    assert "decomposition 0" in str(err.value)
-
-
-def test_aoki_rolewicz_rejects_empty_decomposition():
-    space = QuasiNormedSpace(dim=2, norm_eval=euclidean_norm, kappa=2.0)
-    with pytest.raises(InputError):
-        aoki_rolewicz_estimate(space, np.array([1.0, 0.0]), decompositions=[[]])
-
-
-@given(st.lists(st.floats(min_value=-10, max_value=10), min_size=4, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_aoki_rolewicz_interval_is_ordered(coords):
-    space = _lhalf_space(4)
-    lo, hi = aoki_rolewicz_estimate(space, np.array(coords))
-    assert lo <= hi
-    assert lo == pytest.approx(space.norm(np.array(coords)) / 4.0, rel=1e-12, abs=1e-15)

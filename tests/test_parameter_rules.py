@@ -4,7 +4,8 @@
   ``core_spaces._check_tol``;
 * a control-function parameter is finite, c, lam and value are >= 0 and
   s < 3: ``cubic_stability._check_parameters``;
-* L and p of a configuration obey ``fixed_point.bound_factors``;
+* L and p of a configuration obey ``fixed_point.bound_factors``, and the
+  L of ``phi_contractivity_check`` its rule on L, ``core_spaces._check_L``;
 * grid points match through ``core_spaces._RowIndex``, and a grid whose
   levels overflow is an input error.
 """
@@ -31,9 +32,7 @@ from ulamstab import (
     iterate,
     m_closed_grid,
     phi_contractivity_check,
-    real_line,
     validate_b_metric,
-    validate_quasi_norm,
 )
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0]
@@ -56,7 +55,6 @@ TOL_ENTRY_POINTS = {
     # D(0, 2) = 100 breaks the triangle at kappa = 1.
     "validate_b_metric": lambda tol: validate_b_metric(
         [[0.0, 1.0, 100.0], [1.0, 0.0, 1.0], [100.0, 1.0, 0.0]], 1.0, tol=tol),
-    "validate_quasi_norm": lambda tol: validate_quasi_norm(real_line(), [1.0, -2.0], tol=tol),
     "cubic_approximant": lambda tol: cubic_approximant(
         cubic_plus_linear, 2.0, np.array([0.0, 1.0, 2.0]), tol=tol),
     "StabilityConfig": lambda tol: StabilityConfig(m=2.0, L=0.25, tol=tol),
@@ -130,7 +128,7 @@ def test_infinite_m_is_rejected_before_any_work(m):
 
 
 # ---------------------------------------------------------------------------
-# L and p through bound_factors
+# L and p through bound_factors, L through _check_L
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("L, p, message", [
@@ -144,15 +142,22 @@ def test_stability_config_checks_L_and_p_through_bound_factors(L, p, message):
         StabilityConfig(m=2.0, L=L, p=p)
 
 
+@pytest.mark.parametrize("L", [math.inf, math.nan, -0.1, 1.0])
+def test_phi_contractivity_check_takes_L_from_its_one_owner(L):
+    # An L of +inf or 1 passed every pair before.
+    with pytest.raises(InputError, match=r"^L must lie in \[0, 1\), got "):
+        phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, L, [(1.0, 1.0), (1.0, 2.0)])
+
+
 # ---------------------------------------------------------------------------
 # grid building
 # ---------------------------------------------------------------------------
 
-def reference_m_closed_grid(base, m, levels, symmetric, include_zero):
+def reference_m_closed_grid(base, m, levels, symmetric):
     """The grid as a per-row loop builds it: each row is compared with every
     row kept before it, within 1e-12 + 1e-9 |row| per coordinate."""
     items = [np.asarray(b, dtype=float) for b in base]
-    rows = [np.zeros(items[0].shape)] if include_zero else []
+    rows = [np.zeros(items[0].shape)]
     for b in items:
         cur = b.copy()
         for _ in range(levels + 1):
@@ -189,12 +194,11 @@ def bases(draw):
     return [p[0] if dim == 0 else p for p in raw]
 
 
-@given(bases(), st.sampled_from([2.0, 3.0, -2.0, -3.0, 1.5]), st.integers(0, 3),
-       st.booleans(), st.booleans())
+@given(bases(), st.sampled_from([2.0, 3.0, -2.0, -3.0, 1.5]), st.integers(0, 3), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_m_closed_grid_matches_the_per_row_loop(base, m, levels, symmetric, include_zero):
-    got = m_closed_grid(base, m, levels=levels, symmetric=symmetric, include_zero=include_zero)
-    want = reference_m_closed_grid(base, m, levels, symmetric, include_zero)
+def test_m_closed_grid_matches_the_per_row_loop(base, m, levels, symmetric):
+    got = m_closed_grid(base, m, levels=levels, symmetric=symmetric)
+    want = reference_m_closed_grid(base, m, levels, symmetric)
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
