@@ -114,6 +114,15 @@ def test_quasi_normed_space_derives_p():
     assert space.p == pytest.approx(0.5, abs=1e-15)
 
 
+# sqrt(x * x) is 0 for the first three and inf for the next two.
+@pytest.mark.parametrize("x", [5e-324, -2.5e-310, 1e-200, -1e200, 1.7976931348623157e308,
+                               -3.0, -0.0])
+def test_euclidean_norm_of_a_number_is_its_absolute_value(x):
+    assert euclidean_norm(x) == abs(x)
+    assert euclidean_norm(np.array([x])) == abs(x)
+    assert real_line().norm(x) == abs(x)
+
+
 def test_euclidean_norm_rescales_rows_whose_squares_overflow():
     assert euclidean_norm(1e160) == 1e160
     assert real_line().norm(-1e160) == 1e160

@@ -27,6 +27,7 @@ from ulamstab import (
     PowerLaw,
     ShiftNorm,
     StabilityConfig,
+    bound_factors,
     cubic_approximant,
     hypothesis_defect_check,
     iterate,
@@ -34,6 +35,7 @@ from ulamstab import (
     phi_contractivity_check,
     validate_b_metric,
 )
+from ulamstab.cli import run_example_lhalf
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0]
 
@@ -60,6 +62,7 @@ TOL_ENTRY_POINTS = {
     "StabilityConfig": lambda tol: StabilityConfig(m=2.0, L=0.25, tol=tol),
     "iterate": lambda tol: iterate(ContractionMap(apply=lambda x: x / 2.0, L=0.5), 1.0,
                                    lambda a, b: abs(a - b), p=1.0, tol=tol, max_iter=10),
+    "run_example_lhalf": lambda tol: run_example_lhalf(quadrature_n=16, tol=tol),
 }
 
 
@@ -142,11 +145,31 @@ def test_stability_config_checks_L_and_p_through_bound_factors(L, p, message):
         StabilityConfig(m=2.0, L=L, p=p)
 
 
-@pytest.mark.parametrize("L", [math.inf, math.nan, -0.1, 1.0])
+BAD_LS = [math.inf, math.nan, -0.1, 1.0]
+
+
+@pytest.mark.parametrize("L", BAD_LS)
 def test_phi_contractivity_check_takes_L_from_its_one_owner(L):
     # An L of +inf or 1 passed every pair before.
     with pytest.raises(InputError, match=r"^L must lie in \[0, 1\), got "):
         phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, L, [(1.0, 1.0), (1.0, 2.0)])
+
+
+# Every other entry point that takes an L, with the name its message gives L.
+L_ENTRY_POINTS = {
+    "ContractionMap": (lambda L: ContractionMap(apply=lambda x: x / 2.0, L=L),
+                       "contraction constant"),
+    "bound_factors": (lambda L: bound_factors(L, 1.0), "L"),
+    "StabilityConfig": (lambda L: StabilityConfig(m=2.0, L=L), "L"),
+}
+
+
+@pytest.mark.parametrize("L", BAD_LS)
+@pytest.mark.parametrize("entry", sorted(L_ENTRY_POINTS))
+def test_every_L_taking_entry_point_rejects_a_malformed_L(entry, L):
+    build, name = L_ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match=rf"^{name} must lie in \[0, 1\), got "):
+        build(L)
 
 
 # ---------------------------------------------------------------------------
