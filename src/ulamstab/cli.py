@@ -47,8 +47,8 @@ from .cubic_stability import (
     ShiftNorm,
     StabilityConfig,
     _el_defect_rows,
+    _phi_at_zero_rows,
     m_closed_grid,
-    phi_at_zero,
     verify_stability,
 )
 from .errors import (
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .fixed_point import ContractionMap, Outcome, iterate
 from .function_spaces import LHalfSpace, example_corpus
-from .metrization import chain_metric, p_exponent
+from .metrization import chain_metric
 
 __all__ = ["main", "run_example_lhalf"]
 
@@ -321,25 +321,19 @@ def _build_grid(doc, m, space):
 def _per_point_csv(path, f, phi, config, cert):
     import csv as _csv
 
-    q = cert.q
-    scalar = q.domain_grid.ndim == 1
+    g = cert.q.domain_grid
+    scalar = g.ndim == 1
+    xs = g if scalar else config.codomain.norm_rows(g)
     # The y = 0 row of the defect kernel: one defect per grid point.
-    defects = _el_defect_rows(f, config.m, q.domain_grid, np.zeros_like(q.domain_grid[:1]),
-                              config.codomain.norm)
+    defects = _el_defect_rows(f, config.m, g, np.zeros_like(g[:1]), config.codomain.norm)
+    columns = zip(xs.tolist(), defects.tolist(), _phi_at_zero_rows(phi, g).tolist(),
+                  cert.error_per_point, cert.bound_per_point)
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["index", "x" if scalar else "x_norm",
                          "defect_y0", "phi_x0", "error", "bound"])
-        for i in range(len(q)):
-            x = q.point_at(i)
-            xcol = repr(float(x)) if scalar else repr(config.codomain.norm(x))
-            writer.writerow([
-                i, xcol,
-                repr(float(defects[i])),
-                repr(phi_at_zero(phi, x)),
-                repr(cert.error_per_point[i]),
-                repr(cert.bound_per_point[i]),
-            ])
+        for i, row in enumerate(columns):
+            writer.writerow([i, *map(repr, row)])
 
 
 def _cmd_verify(args):

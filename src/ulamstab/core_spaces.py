@@ -155,24 +155,35 @@ def _block(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[None]
 
 
+def _squares(X) -> np.ndarray:
+    """One dot product per row, as ``np.linalg.norm`` takes it."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+
+
 def _euclidean_norm_rows(X) -> np.ndarray:
-    """The Euclidean norm of each point of a block: one dot product per
-    row, as ``np.linalg.norm`` takes it, with the same bits.  A row of
-    finite entries whose sum of squares overflows is divided by its
-    largest entry first, so its norm is finite whenever it fits.  A number
-    takes its absolute value: sqrt(x * x) rounds to |x| in binary floats
-    unless x * x overflows or underflows, and |x| is exact there too."""
+    """The Euclidean norm of each point of a block, with the bits of
+    ``np.linalg.norm`` where the sum of squares is a normal float.  A row of
+    finite entries whose sum overflows is divided by its largest entry
+    first; a nonzero row whose sum is subnormal or 0 is scaled, exactly, by
+    the power of two of its largest entry.  A number takes its absolute
+    value: sqrt(x * x) rounds to |x| in binary floats unless x * x
+    overflows or underflows, and |x| is exact there too."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(len(X), -1)
     if X.shape[1] == 1:
         return np.abs(X[:, 0])
     with np.errstate(over="ignore", invalid="ignore"):  # as quiet as the BLAS dot
-        v = np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+        s = _squares(X)
+        v = np.sqrt(s)
         if not math.isfinite(v.sum()):  # one test per block; norms are never negative
             big = np.isinf(v) & np.isfinite(X).all(axis=1)
             top = np.max(np.abs(X[big]), axis=1, initial=0.0)
-            Y = X[big] / top[:, None]
-            v[big] = top * np.sqrt(np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0])
+            v[big] = top * np.sqrt(_squares(X[big] / top[:, None]))
+        small = s < 2.2250738585072014e-308  # the least normal float
+        if small.any():
+            small &= (X != 0.0).any(axis=1)
+            e = np.frexp(np.max(np.abs(X[small]), axis=1, initial=0.0))[1]
+            v[small] = np.ldexp(np.sqrt(_squares(np.ldexp(X[small], -e[:, None]))), e)
     return v
 
 
@@ -355,11 +366,15 @@ def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
     return BMetricReport(True, detail=f"all axioms hold for n={n}, kappa={k!r}")
 
 
-# Broadcast sums per numpy call in the triangle check and in Floyd-Warshall
-# (512 KiB of floats).  Beside a 400-point matrix (1.25 MiB) a tile fits a
-# 2 MiB cache, where all n^2 sums of one row would not; a small matrix still
-# takes many rows per call.
+# Floats per numpy call in every tiled kernel (512 KiB).  Beside a
+# 400-point matrix (1.25 MiB) a tile fits a 2 MiB cache, where all n^2 sums
+# of one row would not; a small matrix still takes many rows per call.
 _TILE_ELEMENTS = 1 << 16
+
+
+def _rows_per_tile(row_elements, share=1) -> int:
+    """Rows of ``row_elements`` floats that fill 1/``share`` of a tile, at least 1."""
+    return max(1, (_TILE_ELEMENTS // share) // max(1, row_elements))
 
 
 def _finite_components(A) -> list[np.ndarray]:
@@ -399,8 +414,8 @@ def _first_triangle_violation(A, k, tol):
     n = len(A)
     symmetric = np.array_equal(A, A.T)
     AT = A if symmetric else np.ascontiguousarray(A.T)
-    cols = min(n, max(1, _TILE_ELEMENTS // n))
-    rows = max(1, _TILE_ELEMENTS // (cols * n))
+    cols = min(n, _rows_per_tile(n))
+    rows = _rows_per_tile(cols * n)
     sums = np.empty((rows, cols, n))
     least = np.empty((rows, n))
     for i0 in range(0, n, rows):
@@ -480,7 +495,7 @@ class _RowIndex:
 
 def _distinct(rows) -> np.ndarray:
     """Whether each row is kept when the rows are taken in order and a row
-    matching an earlier kept row is dropped."""
+    that, as the query, matches an earlier kept row is dropped."""
     index = _RowIndex(rows)
     keep = np.ones(len(rows), dtype=bool)
     while True:
@@ -528,11 +543,11 @@ class SampledMap:
         object.__setattr__(self, "values", v)
         index = _RowIndex(g.reshape(len(g), -1))
         object.__setattr__(self, "_index", index)
-        # A later row within the tolerance of an earlier one is a duplicate.
-        dup = index.match(index.rows, lambda i, k: k > i)
+        # A row that matches an earlier row as the query: ``_distinct``'s rule.
+        dup = index.match(index.rows, lambda i, k: k < i)
         if (dup >= 0).any():
             i = int(np.argmax(dup >= 0))
-            raise InputError(f"duplicate domain points at indices {i} and {int(dup[i])}")
+            raise InputError(f"duplicate domain points at indices {int(dup[i])} and {i}")
 
     def __len__(self) -> int:
         return len(self.domain_grid)
@@ -559,10 +574,6 @@ class SampledMap:
     def __call__(self, point):
         v = self.values[self.index_of(point)]
         return float(v) if v.ndim == 0 else v
-
-    def point_at(self, index: int):
-        pt = self.domain_grid[index]
-        return float(pt) if pt.ndim == 0 else pt
 
 
 # =========================================================================

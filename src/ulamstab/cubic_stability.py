@@ -31,10 +31,12 @@ which cubic maps also satisfy identically.
 
 Points travel as blocks: arrays with one point per leading index, 1-d
 for numbers (the real line) and 2-d for vectors, so a grid is a block.
-The checks, the control functions and the norms work on whole blocks.
-Single points are handed out in three places only: to an f, a control
-function or a norm without a block form, and in reported witnesses; they
-are Python floats when the block holds numbers, rows otherwise.
+The checks, the control functions, the norms and the equation defects
+work on whole blocks, and their one-point forms are calls on one-point
+blocks.  Single points are handed out in three places only: to an f, a
+control function or a norm without a block form, and in reported
+witnesses; they are Python floats when the block holds numbers, rows
+otherwise.
 
 Each rule of the pipeline has one owner: |m| > 1 is ``_check_m``, f(0) = 0
 is tested by ``hypothesis_defect_check`` alone, the slack
@@ -42,8 +44,9 @@ lhs <= rhs + tol * max(1, rhs) of every sampled check is ``_exceeds``, the
 bound factor (4 / (1 - L**p))**(1/p) and the rules on L and p are
 ``fixed_point.bound_factors`` (L alone: ``core_spaces._check_L``), the
 ranges of the control-function parameters are ``_check_parameters``, a
-tolerance is checked by ``core_spaces._check_tol`` and grid points match
-through ``core_spaces._RowIndex``.
+tolerance is checked by ``core_spaces._check_tol``, grid points match
+through ``core_spaces._RowIndex`` and are distinct by the rule of
+``core_spaces._distinct``, and tiles are sized by ``_rows_per_tile``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from typing import Callable
 import numpy as np
 
 from .core_spaces import (
-    _TILE_ELEMENTS,
     AXIOM_SLACK,
     QuasiNormedSpace,
     SampledMap,
@@ -65,6 +67,7 @@ from .core_spaces import (
     _distinct,
     _fields_dict,
     _row_norm,
+    _rows_per_tile,
     _scalar_pow,
     euclidean_norm,
     real_line,
@@ -77,10 +80,7 @@ __all__ = [
     "PowerLaw",
     "ShiftNorm",
     "ConstantBound",
-    "phi_at_zero",
-    "el_residual",
     "el_defect",
-    "junkim_residual",
     "junkim_defect",
     "CheckReport",
     "phi_contractivity_check",
@@ -274,13 +274,6 @@ class ConstantBound:
         return abs(m) ** -3.0
 
 
-def phi_at_zero(phi, x) -> float:
-    """The weight phi(x, 0) used by bounds and the weighted sup distance."""
-    if hasattr(phi, "at_zero"):
-        return phi.at_zero(x)
-    return phi(x, _zero_like(x))
-
-
 def _phi_rows(phi, X, Y) -> np.ndarray:
     """phi over matching points of two blocks; a phi with no block form is
     called pair by pair, on numbers when the blocks hold numbers."""
@@ -291,9 +284,12 @@ def _phi_rows(phi, X, Y) -> np.ndarray:
 
 
 def _phi_at_zero_rows(phi, X) -> np.ndarray:
-    if not hasattr(phi, "at_zero_rows"):
-        return np.array([phi_at_zero(phi, x) for x in _points(X)], dtype=float)
-    return phi.at_zero_rows(X)
+    """The weights phi(x, 0) of a block; without ``at_zero_rows``, phi is
+    called point by point: ``phi.at_zero(x)`` if it has one, else phi(x, 0)."""
+    if hasattr(phi, "at_zero_rows"):
+        return phi.at_zero_rows(X)
+    at_zero = getattr(phi, "at_zero", None) or (lambda x: phi(x, _zero_like(x)))
+    return np.array([at_zero(x) for x in _points(X)], dtype=float)
 
 
 # =========================================================================
@@ -328,49 +324,29 @@ def _junkim_combine(a, b, c, d, e):
     return a + b - 2.0 * c - 2.0 * d - 12.0 * e
 
 
-def el_residual(f, m, x, y):
-    """Pointwise residual of the Euler-Lagrange cubic equation at (x, y)."""
-    return _el_combine(m, np.asarray(f(x + m * y), dtype=float),
-                       np.asarray(f(m * x - y), dtype=float),
-                       np.asarray(f(x + y), dtype=float),
-                       np.asarray(f(x - y), dtype=float),
-                       np.asarray(f(y), dtype=float))
-
-
-def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
-    """Codomain norm of the Euler-Lagrange residual; 0 for exact solutions."""
-    return norm(el_residual(f, m, x, y))
-
-
 def _el_residual_rows(f, m, X, Y, FY) -> np.ndarray:
-    """el_residual over matching points of the blocks X and Y, with f at Y given."""
+    """The Euler-Lagrange residual over matching points of X and Y, with f at Y given."""
     return _el_combine(m, _f_rows(f, X + m * Y), _f_rows(f, m * X - Y),
                        _f_rows(f, X + Y), _f_rows(f, X - Y), FY)
 
 
-def _el_defect_rows(f, m, xs, ys, norm) -> np.ndarray:
-    """``el_defect`` at each pair of matching points of two grids, bit for bit.
-
-    ``xs`` and ``ys`` are blocks; either may hold a single point, which
-    pairs with every point of the other.  f is evaluated on blocks when
-    it has a block form, else once per point.
-    """
-    X, Y = _as_block(xs), _as_block(ys)
+def _el_defect_rows(f, m, X, Y, norm) -> np.ndarray:
+    """The norm of the Euler-Lagrange residual at each pair of matching
+    points of the blocks X and Y; a one-point block pairs with every point
+    of the other.  f is evaluated on blocks when it has a block form."""
     return _row_norm(norm)(_el_residual_rows(f, m, X, Y, _f_rows(f, Y)))
 
 
-def junkim_residual(f, x, y):
-    """Pointwise residual of the Jun-Kim cubic equation at (x, y)."""
-    return _junkim_combine(np.asarray(f(2.0 * x + y), dtype=float),
-                           np.asarray(f(2.0 * x - y), dtype=float),
-                           np.asarray(f(x + y), dtype=float),
-                           np.asarray(f(x - y), dtype=float),
-                           np.asarray(f(x), dtype=float))
+def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
+    """Codomain norm of the Euler-Lagrange residual; 0 for exact solutions."""
+    return float(_el_defect_rows(f, m, _block(x), _block(y), norm)[0])
 
 
 def junkim_defect(f, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     """Codomain norm of the Jun-Kim residual; an independent cubicity witness."""
-    return norm(junkim_residual(f, x, y))
+    X, Y = _block(x), _block(y)
+    R = _junkim_combine(*(_f_rows(f, P) for P in (2.0 * X + Y, 2.0 * X - Y, X + Y, X - Y, X)))
+    return float(_row_norm(norm)(R)[0])
 
 
 # =========================================================================
@@ -398,10 +374,9 @@ class _Pairs:
 
     ``_Pairs.grid`` holds every pair of a grid in lexicographic order; the
     pairs are never stored, and a block is a tile: a run of x-points, each
-    against every y, with about ``_TILE_ELEMENTS // 16`` coordinates of
-    pairs and at least one x-point.  ``_Pairs.of`` holds a sequence of
-    pairs, walked in consecutive blocks of ``BLOCK``.  ``len()`` counts the
-    pairs.
+    against every y, with about 1/16 of a tile of coordinates of pairs and
+    at least one x-point.  ``_Pairs.of`` holds a sequence of pairs, walked
+    in consecutive blocks of ``BLOCK``.  ``len()`` counts the pairs.
     """
 
     BLOCK = 64
@@ -450,11 +425,11 @@ class _Pairs:
             n = len(self.ys)
             # A check keeps about 16 float temporaries per pair coordinate
             # alive (X, Y, FY, four evaluation points, their f values, the
-            # residual and its norm), so a tile of _TILE_ELEMENTS // 16
-            # coordinates keeps the 512 KiB of one _TILE_ELEMENTS tile, which
-            # fits a 2 MiB cache.  One x-point of a 21-point grid of
-            # 1024-sample signals fills a tile alone.
-            rows = max(1, (_TILE_ELEMENTS // 16) // max(1, self.ys.size))
+            # residual and its norm), so 1/16 of a tile of coordinates
+            # keeps the 512 KiB of one tile, which fits a 2 MiB cache.  One
+            # x-point of a 21-point grid of 1024-sample signals fills a
+            # tile alone.
+            rows = _rows_per_tile(self.ys.size, share=16)
             for i0 in range(0, len(self.xs), rows):
                 X = self.xs[i0:i0 + rows]
                 yield (i0 * n, _repeat_rows(X, n), _tile_rows(self.ys, len(X)),
@@ -639,7 +614,7 @@ def _bounds(config: StabilityConfig, weights):
 
 def stability_bound(config: StabilityConfig, phi, x) -> float:
     """Certified per-point bound (4/(1 - L**p))**(1/p) * phi(x, 0) / (2 |m|**3)."""
-    return float(_bounds(config, phi_at_zero(phi, x)))
+    return float(_bounds(config, _phi_at_zero_rows(phi, _block(x))[0]))
 
 
 def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
@@ -908,21 +883,20 @@ def _solution_defects(q: SampledMap, m, norm, n_pts):
 
     A pair is in range when every point the equations touch lands on the
     grid.  Every ordered pair of the ``n_pts`` grid points is a candidate.
-    The pairs are walked in tiles: a run of x-points against every y, about
-    ``_TILE_ELEMENTS`` coordinates of pairs and at least one x-point.  Each
-    tile is looked up in stages: x + y for every pair, x - y where x + y
-    landed, then x + m y, m x - y, 2x + y and 2x - y where both did.  A
-    grid of up to 256 numbers is one tile.  Returns the worst
-    Euler-Lagrange and Jun-Kim defects and the number of pairs in range
-    for either equation.
+    The pairs are walked in tiles: a run of x-points against every y, one
+    tile of coordinates of pairs and at least one x-point.  Each tile is
+    looked up in stages: x + y for every pair, x - y where x + y landed,
+    then x + m y, m x - y, 2x + y and 2x - y where both did.  x and y need
+    no lookup: a grid row matches no earlier row.  A grid of up to 256
+    numbers is one tile.  Returns the worst Euler-Lagrange and Jun-Kim
+    defects and the number of pairs in range for either equation.
     """
     rows = q.domain_grid
     V = q.values
     norm_rows = _row_norm(norm)
     at = q.index_rows
-    own = at(rows)
     ys = np.arange(n_pts)
-    step = max(1, _TILE_ELEMENTS // (n_pts * rows[0].size))  # x-points per tile
+    step = _rows_per_tile(n_pts * rows[0].size)  # x-points per tile
     el_worst = 0.0
     jk_worst = 0.0
     checked = 0
@@ -937,8 +911,8 @@ def _solution_defects(q: SampledMap, m, norm, n_pts):
         live = diff >= 0
         i, j, sum_, diff = i[live], j[live], sum_[live], diff[live]
         X, Y = rows[i], rows[j]
-        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, own[j]])
-        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, own[i]])
+        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, j])
+        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, i])
         el_ok = (el >= 0).all(axis=0)
         jk_ok = (jk >= 0).all(axis=0)
         checked += int(np.count_nonzero(el_ok | jk_ok))

@@ -32,14 +32,14 @@ import numpy as np
 from .core_spaces import (
     GeneralizedBMetricSpace,
     _check_p,
-    _TILE_ELEMENTS,
     _finite_components,
+    _rows_per_tile,
     p_exponent,
     validate_b_metric,
 )
 from .errors import InvalidBMetricError
 
-__all__ = ["ChainMetric", "chain_metric", "p_exponent"]
+__all__ = ["ChainMetric", "chain_metric"]
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _floyd_warshall(d: np.ndarray) -> None:
     commutative, to the same floats.
     """
     n = len(d)
-    rows = min(n, max(1, _TILE_ELEMENTS // n))
+    rows = min(n, _rows_per_tile(n))
     via = np.empty((rows, n))
     blocks = [(d[i0:i0 + rows], via[:min(rows, n - i0)]) for i0 in range(0, n, rows)]
     for k in range(n):

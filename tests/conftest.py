@@ -216,14 +216,14 @@ def _symmetric(F):
 
 @contextlib.contextmanager
 def tile_elements(count):
-    """Run the tiled kernels of the triangle check, Floyd-Warshall and the
-    solution defects with tiles of ``count`` elements, so that small inputs
-    take the many-tile paths too; None keeps the shipped size."""
+    """Run the tiled kernels (the triangle check, Floyd-Warshall, the
+    hypothesis checks and the solution defects) with tiles of ``count``
+    elements, so that small inputs take the many-tile paths too; None
+    keeps the shipped size.  Every kernel sizes its tiles through
+    ``core_spaces._rows_per_tile``, which reads the one constant."""
     with pytest.MonkeyPatch.context() as mp:
         if count is not None:
             mp.setattr(ulamstab.core_spaces, "_TILE_ELEMENTS", count)
-            mp.setattr(ulamstab.metrization, "_TILE_ELEMENTS", count)
-            mp.setattr(ulamstab.cubic_stability, "_TILE_ELEMENTS", count)
         yield
 
 

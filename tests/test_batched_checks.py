@@ -41,9 +41,11 @@ from ulamstab import (
     SampledMap,
     ShiftNorm,
     StabilityConfig,
+    el_defect,
     euclidean_norm,
     example_corpus,
     hypothesis_defect_check,
+    junkim_defect,
     m_closed_grid,
     phi_contractivity_check,
     real_line,
@@ -124,6 +126,12 @@ def ref_el_residual(f, m, x, y):
             - (m**3 + m) * (np.asarray(f(x + y), dtype=float)
                             + np.asarray(f(x - y), dtype=float))
             - 2.0 * (m**4 - 1.0) * np.asarray(f(y), dtype=float))
+
+
+def ref_junkim_residual(f, x, y):
+    return (np.asarray(f(2.0 * x + y), dtype=float) + np.asarray(f(2.0 * x - y), dtype=float)
+            - 2.0 * np.asarray(f(x + y), dtype=float) - 2.0 * np.asarray(f(x - y), dtype=float)
+            - 12.0 * np.asarray(f(x), dtype=float))
 
 
 def _ratio(num, denom):
@@ -580,8 +588,9 @@ points = st.fixed_dictionaries({
 @given(points)
 @settings(max_examples=300, deadline=None)
 def test_per_point_forms_match_the_reference_formulas(case):
-    # phi(x, y), phi(x, 0) and the norms are one-point calls of the block
-    # forms; they must keep the bits of the per-point formulas.
+    # phi(x, y), phi(x, 0), the norms and the two equation defects are
+    # one-point calls of the block forms; they must keep the bits of the
+    # per-point formulas.
     rng = np.random.default_rng(case["seed"])
     vector = case["vector"]
     norm, ref_norm = POINT_NORMS[vector][case["norm"]]
@@ -604,6 +613,13 @@ def test_per_point_forms_match_the_reference_formulas(case):
                              kappa=2.0 if ref_norm is ref_lhalf else 1.0)
     assert _same_float(space.norm(x), ref_norm(x))
     assert isinstance(phi(x, y), float) and isinstance(space.norm(x), float)
+    # The CLI's f has a block form; the plain f is called point by point.
+    m = float(rng.choice([2.0, -3.0]))
+    for f in (cli._BUILTIN_F["cubic_plus_linear"], cubic_plus_linear):
+        got = el_defect(f, m, x, y, norm)
+        assert _same_float(got, ref_norm(ref_el_residual(f, m, x, y))) and isinstance(got, float)
+        got = junkim_defect(f, x, y, norm)
+        assert _same_float(got, ref_norm(ref_junkim_residual(f, x, y))) and isinstance(got, float)
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +678,14 @@ def test_indexed_lookup_matches_the_linear_scan(seed, n, dim):
 
 
 def reference_duplicate(grid):
+    """(k, i) for the first row i that, as the query, matches an earlier
+    row, k being the first such row; None if no row does."""
     rows = grid if grid.ndim == 2 else grid[:, None]
     for i in range(len(rows)):
         tol = 1e-12 + 1e-9 * np.abs(rows[i])
-        dup = np.all(np.abs(rows[i + 1:] - rows[i]) <= tol, axis=1)
+        dup = np.all(np.abs(rows[:i] - rows[i]) <= tol, axis=1)
         if dup.any():
-            return i, i + 1 + int(np.argmax(dup))
+            return int(np.argmax(dup)), i
     return None
 
 
@@ -687,6 +705,20 @@ def test_duplicate_check_matches_the_pairwise_scan(seed, n):
         return
     with pytest.raises(InputError, match=rf"indices {want[0]} and {want[1]}$"):
         SampledMap(domain_grid=grid, values=np.zeros(len(grid)), codomain=real_line())
+
+
+def test_every_m_closed_grid_is_a_valid_sampled_map():
+    # The tolerance is relative to the query, so a pair of rows can match
+    # one way only.  The grid keeps 9.99998999e-07 after 1e-06: it does not
+    # match 1e-06 as the query, although 1e-06 as the query matches it.  A
+    # duplicate check the other way round rejected the grid after every
+    # check had run.
+    grid = m_closed_grid([1e-6, 9.99998999e-07], 2.0, levels=2)
+    assert len(grid) == 13
+    SampledMap(domain_grid=grid, values=grid**3, codomain=real_line())
+    cert = verify_stability(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0),
+                            StabilityConfig(m=2.0, L=0.25), grid)
+    assert cert.q is not None and cert.grid_size == 13
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +824,10 @@ def test_solution_defects_match_the_per_pair_scan(case):
     # landed, the other four where both did; a few calls per tile.  A tile
     # is a run of x-points against every y, with pairs of about tile-size
     # coordinates.
-    assert seen["points"] == n + n * n + sum_hits + 4 * both_hits
+    assert seen["points"] == n * n + sum_hits + 4 * both_hits
     size = (case["tile"] or _TILE_ELEMENTS) // (3 if vector else 1)
     tiles = -(-n // max(1, size // n))
-    assert seen["calls"] <= 1 + 7 * tiles
+    assert seen["calls"] <= 6 * tiles
 
 
 @pytest.mark.parametrize("base, levels, n", [([1.0, 3.0], 3, 17), ([0.5, 0.75, 1.25], 2, 19),

@@ -367,6 +367,8 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
     ({"m": 1e80}, 1, "m**4 overflows"),
     ({"grid": {"levels": 400}}, 1, "f overflowed on the grid"),
     ({"grid": {"points": [[]]}}, 2, "grid points must have at least one coordinate"),
+    ({"grid": {"points": [0.0, 1.0, 2.0, 1.0 + 1e-13]}}, 2,
+     "duplicate domain points at indices 1 and 3"),
 ])
 def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, message):
     # A malformed field is an input error and overflow a certified failure:
@@ -431,6 +433,18 @@ def test_tol_env_var_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, 
     code, doc, err = run_cli(["verify", "--config", cfg], capsys)
     assert (code, doc) == (2, None)
     assert err == f"input error: ULAMSTAB_TOL must be finite and positive, got {float(raw)!r}\n"
+
+
+def test_verify_accepts_the_grid_it_built(tmp_path, capsys):
+    # m_closed_grid keeps both 1e-06 and 9.99998999e-07: they match one way
+    # only.  This exited 2 with "duplicate domain points at indices 1 and 7"
+    # after every check had run.  It fails on el_defect_of_q, the
+    # known stopped-iterate defect, not on its input.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG,
+                                   "grid": {"base": [1e-6, 9.99998999e-07], "levels": 2}})
+    code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, err) == (1, "")
+    assert doc["verdict"] == "fail" and doc["report"]["grid_size"] == 13
 
 
 def test_verify_scale_is_finite_past_the_squared_overflow(tmp_path, capsys):

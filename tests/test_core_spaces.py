@@ -37,6 +37,7 @@ from ulamstab import (
     save_distance_json,
     validate_b_metric,
 )
+from ulamstab.core_spaces import _euclidean_norm_rows
 
 # ---------------------------------------------------------------------------
 # extended-real scalars
@@ -143,6 +144,31 @@ def test_euclidean_norm_rescales_rows_whose_squares_overflow():
     assert got[small].tobytes() == np.array([np.linalg.norm(x) for x in X[small]]).tobytes()
     want = [math.fsum((v / 1e160) ** 2 for v in x) ** 0.5 * 1e160 for x in X[~small].tolist()]
     assert got[~small] == pytest.approx(want, rel=1e-15)
+
+
+def test_euclidean_norm_rescales_rows_whose_squares_underflow():
+    # The sums of squares are subnormal and 0: the norms read 2.99998e-160
+    # and 0.0 when they were not rescaled.
+    assert euclidean_norm([3e-160, 0.0]) == 3e-160
+    want = 1e-170 * math.sqrt(2.0)
+    assert abs(euclidean_norm([1e-170, 1e-170]) - want) <= 2 * math.ulp(want)
+    assert euclidean_norm([0.0, -5e-324]) == 5e-324
+    # In one block with a zero row, a NaN row, an overflowing row and rows
+    # of normal squares, which keep the bits of np.linalg.norm.
+    X = np.array([[0.0, 0.0], [math.nan, 1e-170], [3e-160, 0.0], [1e200, 1e200],
+                  [3.0, 4.0], [1e-150, 2e-150]])
+    got = _euclidean_norm_rows(X)
+    assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == 3e-160
+    assert got[4:].tobytes() == np.array([np.linalg.norm(x) for x in X[4:]]).tobytes()
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+                min_size=2, max_size=16).filter(lambda v: any(v)))
+@settings(max_examples=200, deadline=None)
+def test_euclidean_norm_is_homogeneous_below_the_normal_squares(x):
+    x = np.array(x)
+    want = 2.0**-600 * euclidean_norm(x)
+    assert abs(euclidean_norm(2.0**-600 * x) - want) <= 2 * math.ulp(want)
 
 
 def test_real_line_is_a_normed_space():

@@ -27,17 +27,16 @@ from ulamstab import (
     StabilityConfig,
     cubic_approximant,
     el_defect,
-    el_residual,
     hypothesis_defect_check,
     junkim_defect,
     m_closed_grid,
-    phi_at_zero,
     phi_contractivity_check,
     real_line,
     stability_bound,
     sup_weighted_distance,
     verify_stability,
 )
+from ulamstab.cubic_stability import _el_residual_rows, _phi_at_zero_rows
 
 
 def cubic_plus_linear(u):
@@ -112,8 +111,9 @@ def test_exact_solutions_have_zero_defect_on_dyadics():
 
 def test_el_residual_sign_structure():
     # Residual of the linear part is 2 m (1 - m^2)(x + m y); negative for m = 2.
-    r = el_residual(lambda u: u, 2.0, 1.0, 1.0)
-    assert float(r) == pytest.approx(-36.0, abs=1e-12)
+    X, Y = np.array([1.0, 1.0, -1.0]), np.array([1.0, 0.0, 1.0])
+    r = _el_residual_rows(lambda u: u, 2.0, X, Y, Y)
+    assert r.tolist() == pytest.approx([-36.0, -12.0, -12.0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,23 @@ def test_constant_bound_family():
     assert phi.lipschitz(2.0) == pytest.approx(0.125, abs=1e-15)
 
 
+class _AtZeroOnly:
+    """A phi with a one-point ``at_zero`` and no block forms."""
+
+    def __call__(self, x, y):
+        raise AssertionError("phi(x, 0) must come from at_zero")
+
+    def at_zero(self, x):
+        return 2.0 * abs(x)
+
+
 def test_phi_at_zero_falls_back_to_calling():
-    assert phi_at_zero(lambda x, y: abs(x) + abs(y), 3.0) == 3.0
+    X = np.array([3.0, -0.5, 0.0])
+    assert _phi_at_zero_rows(lambda x, y: abs(x) + abs(y), X).tolist() == [3.0, 0.5, 0.0]
+    assert _phi_at_zero_rows(_AtZeroOnly(), X).tolist() == [6.0, 1.0, 0.0]
+    config = StabilityConfig(m=2.0, L=0.25)
+    assert stability_bound(config, _AtZeroOnly(), -3.0) == stability_bound(
+        config, lambda x, y: 6.0, 5.0)
 
 
 # ---------------------------------------------------------------------------

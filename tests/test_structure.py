@@ -1,0 +1,84 @@
+"""Structural rules of the library source, read from its syntax trees.
+
+Each module of ``src/ulamstab`` uses every name it imports: an import
+that nothing reads is a second path to a name or a leftover of deleted
+code.  A name counts as used when the module reads it or lists it in its
+``__all__``.  The tile budget has one owner: ``core_spaces`` alone binds
+``_TILE_ELEMENTS``, and every tiled kernel sizes its tiles through
+``core_spaces._rows_per_tile``, which reads the constant when it is
+called, so patching that one module reaches every kernel.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ulamstab
+
+SOURCES = sorted(Path(ulamstab.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree):
+    """The names the module's imports bind, with their line numbers."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    """The strings of the module's ``__all__`` list, if it has one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def _unused(tree):
+    """The imported names the module neither reads nor exports."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
+
+
+def _binds_tile_budget(tree):
+    """Whether the module imports ``_TILE_ELEMENTS``, under any name, or
+    assigns it."""
+    return any(
+        (isinstance(n, ast.ImportFrom) and any(a.name == "_TILE_ELEMENTS" for a in n.names))
+        or (isinstance(n, ast.Name) and n.id == "_TILE_ELEMENTS" and isinstance(n.ctx, ast.Store))
+        for n in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    unused = _unused(_tree(path))
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_core_spaces_binds_the_tile_budget(path):
+    assert _binds_tile_budget(_tree(path)) == (path.name == "core_spaces.py")
+
+
+def test_the_rules_catch_what_they_name():
+    # cli's unused import of p_exponent, and a kernel importing the tile
+    # constant by value, as the library had them.
+    tree = ast.parse("from .metrization import chain_metric, p_exponent\n"
+                     "chain_metric()\n")
+    assert _unused(tree) == ["p_exponent (line 1)"]
+    assert _binds_tile_budget(ast.parse("from .core_spaces import _TILE_ELEMENTS as T\nT\n"))
+    assert _binds_tile_budget(ast.parse("_TILE_ELEMENTS = 1\n"))
+    assert not _binds_tile_budget(ast.parse("from .core_spaces import _rows_per_tile\n"))
