@@ -46,8 +46,9 @@ from .cubic_stability import (
     PowerLaw,
     ShiftNorm,
     StabilityConfig,
-    _el_defect_rows,
+    _euler_lagrange,
     _phi_at_zero_rows,
+    _residual_rows,
     m_closed_grid,
     verify_stability,
 )
@@ -325,7 +326,8 @@ def _per_point_csv(path, f, phi, config, cert):
     scalar = g.ndim == 1
     xs = g if scalar else config.codomain.norm_rows(g)
     # The y = 0 row of the defect kernel: one defect per grid point.
-    defects = _el_defect_rows(f, config.m, g, np.zeros_like(g[:1]), config.codomain.norm)
+    defects = config.codomain.norm_rows(
+        _residual_rows(_euler_lagrange(config.m), f, g, np.zeros_like(g[:1])))
     columns = zip(xs.tolist(), defects.tolist(), _phi_at_zero_rows(phi, g).tolist(),
                   cert.error_per_point, cert.bound_per_point)
     with open(path, "w", newline="") as fh:
@@ -401,7 +403,8 @@ def run_example_lhalf(quadrature_n=1024, tol=None, seed=7) -> dict:
             # x against every y of the corpus at once.
             w = space.norm_rows(x + m * ys)
             kept = w >= 1e-9
-            c_meas = _el_defect_rows(f, m, x[None, :], ys, space.norm)[kept] / w[kept]
+            R = _residual_rows(_euler_lagrange(m), f, x[None, :], ys)
+            c_meas = space.norm_rows(R)[kept] / w[kept]
             measured.extend(c_meas.tolist())
             worst_rel = max(worst_rel, float(np.max(np.abs(c_meas - c_exact) / c_exact,
                                                     initial=0.0)))

@@ -117,6 +117,12 @@ def _check_tol(tol, positive=False, name="tol"):
     return tol
 
 
+def _check_count(n, low, name):
+    """n, if it is a count: an integer (numpy integers too) >= low."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+        raise InputError(f"{name} must be an integer >= {low}, got {n!r}")
+
+
 def _check_L(L, name="L"):
     """Reject L unless it is a contraction constant: L in [0, 1)."""
     if math.isnan(L) or not 0.0 <= L < 1.0:
@@ -230,8 +236,7 @@ class QuasiNormedSpace:
     p: float = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError(f"dim must be >= 1, got {self.dim}")
+        _check_count(self.dim, 1, "dim")
         p = p_exponent(self.kappa)
         if abs((2.0 * self.kappa) ** p - 2.0) > 1e-12 * 2.0:
             raise InputError(f"derived exponent inconsistent for kappa={self.kappa!r}")
@@ -448,10 +453,11 @@ _MATCH_RTOL = 1e-9
 class _RowIndex:
     """The one grid-point matcher: rows sorted by their first coordinate.
 
-    Row k matches a query q when |row_k - q| <= _MATCH_ATOL + _MATCH_RTOL |q|
-    in every coordinate.  A query searches the window of first coordinates
-    that can match and applies the full tolerance to the rows in it, so it
-    finds the same (lowest) index a scan of every row would find.
+    Row k matches a query q when |row_k - q| <= _MATCH_ATOL + _MATCH_RTOL
+    max(|row_k|, |q|) in every coordinate, a rule symmetric in the two.  A
+    query searches the window of first coordinates that can match and
+    applies the full tolerance to the rows in it, so it finds the same
+    (lowest) index a scan of every row would find.
     """
 
     def __init__(self, rows):
@@ -464,6 +470,7 @@ class _RowIndex:
         ``allow(i, k)``, only the rows k it accepts for query i count."""
         n = len(self.rows)
         p0 = P[:, 0]
+        # A matching row is within (atol + rtol |p0|) / (1 - rtol) of p0.
         reach = 2.0 * (_MATCH_ATOL + _MATCH_RTOL * np.abs(p0))
         # A gap that overflows is no match.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -478,11 +485,10 @@ class _RowIndex:
                 live = np.flatnonzero(width > t)
                 cand = self.order[lo[live] + t]
                 q = P if len(live) == len(P) else P[live]
-                # |row - q| <= atol + rtol |q|, computed in place.
-                gap = self.rows[cand]
-                gap -= q
-                np.abs(gap, out=gap)
-                tol = np.abs(q)
+                # |row - q| <= atol + rtol max(|row|, |q|), computed in place.
+                tol = self.rows[cand]
+                gap = np.abs(tol - q)
+                np.maximum(np.abs(tol, out=tol), np.abs(q), out=tol)
                 tol *= _MATCH_RTOL
                 tol += _MATCH_ATOL
                 hit = np.all(gap <= tol, axis=1)
@@ -495,7 +501,7 @@ class _RowIndex:
 
 def _distinct(rows) -> np.ndarray:
     """Whether each row is kept when the rows are taken in order and a row
-    that, as the query, matches an earlier kept row is dropped."""
+    that matches an earlier kept row is dropped."""
     index = _RowIndex(rows)
     keep = np.ones(len(rows), dtype=bool)
     while True:
@@ -543,7 +549,7 @@ class SampledMap:
         object.__setattr__(self, "values", v)
         index = _RowIndex(g.reshape(len(g), -1))
         object.__setattr__(self, "_index", index)
-        # A row that matches an earlier row as the query: ``_distinct``'s rule.
+        # A row that matches an earlier row: ``_distinct``'s rule.
         dup = index.match(index.rows, lambda i, k: k < i)
         if (dup >= 0).any():
             i = int(np.argmax(dup >= 0))

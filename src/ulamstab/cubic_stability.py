@@ -27,33 +27,33 @@ of the Jun-Kim cubic equation
 
     f(2x + y) + f(2x - y) = 2 f(x + y) + 2 f(x - y) + 12 f(x),
 
-which cubic maps also satisfy identically.
+which cubic maps also satisfy identically.  Each equation is written once,
+as data: its points, maps (x, y) -> a x + b y, and its residual with exact
+coefficients (``_euler_lagrange(m)``, ``_JUN_KIM``).  The defect check,
+the one-point defects and the solution-defect lookups derive from it.
 
-Points travel as blocks: arrays with one point per leading index, 1-d
-for numbers (the real line) and 2-d for vectors, so a grid is a block.
-The checks, the control functions, the norms and the equation defects
-work on whole blocks, and their one-point forms are calls on one-point
-blocks.  Single points are handed out in three places only: to an f, a
-control function or a norm without a block form, and in reported
-witnesses; they are Python floats when the block holds numbers, rows
-otherwise.
+Points travel as blocks: one point per leading index, 1-d for numbers
+and 2-d for vectors, so a grid is a block.  The checks, the control
+functions, the norms and the equation defects work on whole blocks; a
+one-point form is a call on a one-point block.  Single points go only to
+an f, a control function or a norm without a block form, and into
+witnesses: Python floats for numbers, rows otherwise.
 
-Each rule of the pipeline has one owner: |m| > 1 is ``_check_m``, f(0) = 0
-is tested by ``hypothesis_defect_check`` alone, the slack
-lhs <= rhs + tol * max(1, rhs) of every sampled check is ``_exceeds``, the
-bound factor (4 / (1 - L**p))**(1/p) and the rules on L and p are
+Each rule has one owner: |m| > 1 is ``_check_m``, an overflowing m**4
+``_euler_lagrange``, the one-step divisor 2 |m|**3 ``_step_divisor``,
+f(0) = 0 ``hypothesis_defect_check``, the slack lhs <= rhs + tol *
+max(1, rhs) ``_exceeds``, the bound factor and the rules on L and p
 ``fixed_point.bound_factors`` (L alone: ``core_spaces._check_L``), the
-ranges of the control-function parameters are ``_check_parameters``, a
-tolerance is checked by ``core_spaces._check_tol``, grid points match
-through ``core_spaces._RowIndex`` and are distinct by the rule of
-``core_spaces._distinct``, and tiles are sized by ``_rows_per_tile``.
+control-function parameters ``_check_parameters``; in ``core_spaces``:
+tolerances ``_check_tol``, counts ``_check_count``, grid-point matching
+``_RowIndex``, distinctness ``_distinct``, tiles ``_rows_per_tile``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .core_spaces import (
     SampledMap,
     _block,
     _check_L,
+    _check_count,
     _check_tol,
     _distinct,
     _fields_dict,
@@ -305,48 +306,52 @@ def _check_m(m):
         raise InputError(f"m must be finite, got {m!r}")
 
 
-def _m4(m):
-    """m**4, the largest coefficient of the equation; its overflow is a
-    certified failure."""
+# An equation is its points, maps (X, Y) -> a X + b Y, and its residual from
+# f at those points, in order, with exact coefficients: it evaluates on float
+# blocks, Fractions and symbols alike.  x, y, x + y and x - y are one object each.
+_x, _y = (lambda X, Y: X), (lambda X, Y: Y)
+_sum, _diff = (lambda X, Y: X + Y), (lambda X, Y: X - Y)
+
+
+class _Equation(NamedTuple):
+    points: tuple
+    residual: Callable
+
+
+def _euler_lagrange(m) -> _Equation:
+    """The paper's equation at m; an overflowing m**4 is a certified failure."""
     try:
-        return m**4
+        c4 = 2 * (m**4 - 1)
     except OverflowError:
         raise OverflowGuardError(f"the equation coefficient m**4 overflows at m = {m!r}") from None
+    return _Equation((lambda X, Y: X + m * Y, lambda X, Y: m * X - Y, _sum, _diff, _y),
+                     lambda a, b, c, d, e: 2 * m * a + 2 * b - (m**3 + m) * (c + d) - c4 * e)
 
 
-def _el_combine(m, a, b, c, d, e):
-    """The Euler-Lagrange residual from f at x + m y, m x - y, x + y, x - y, y."""
-    return (2.0 * m * a + 2.0 * b - (m**3 + m) * (c + d) - 2.0 * (_m4(m) - 1.0) * e)
+_JUN_KIM = _Equation((lambda X, Y: 2 * X + Y, lambda X, Y: 2 * X - Y, _sum, _diff, _x),
+                     lambda a, b, c, d, e: a + b - 2 * c - 2 * d - 12 * e)
 
 
-def _junkim_combine(a, b, c, d, e):
-    """The Jun-Kim residual from f at 2x + y, 2x - y, x + y, x - y, x."""
-    return a + b - 2.0 * c - 2.0 * d - 12.0 * e
+def _step_divisor(m) -> float:
+    """2 |m|**3: with f(0) = 0 the residual at (x, 0) is 2 m**3 (f(m x)/m**3 - f(x))."""
+    return 2.0 * abs(m) ** 3
 
 
-def _el_residual_rows(f, m, X, Y, FY) -> np.ndarray:
-    """The Euler-Lagrange residual over matching points of X and Y, with f at Y given."""
-    return _el_combine(m, _f_rows(f, X + m * Y), _f_rows(f, m * X - Y),
-                       _f_rows(f, X + Y), _f_rows(f, X - Y), FY)
-
-
-def _el_defect_rows(f, m, X, Y, norm) -> np.ndarray:
-    """The norm of the Euler-Lagrange residual at each pair of matching
-    points of the blocks X and Y; a one-point block pairs with every point
-    of the other.  f is evaluated on blocks when it has a block form."""
-    return _row_norm(norm)(_el_residual_rows(f, m, X, Y, _f_rows(f, Y)))
+def _residual_rows(eq: _Equation, f, X, Y, FY=None) -> np.ndarray:
+    """eq's residual over matching points of the blocks X and Y (a one-point
+    block pairs with every point of the other); FY, if given, is f at Y."""
+    return eq.residual(*(FY if p is _y and FY is not None else _f_rows(f, p(X, Y))
+                         for p in eq.points))
 
 
 def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     """Codomain norm of the Euler-Lagrange residual; 0 for exact solutions."""
-    return float(_el_defect_rows(f, m, _block(x), _block(y), norm)[0])
+    return float(_row_norm(norm)(_residual_rows(_euler_lagrange(m), f, _block(x), _block(y)))[0])
 
 
 def junkim_defect(f, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     """Codomain norm of the Jun-Kim residual; an independent cubicity witness."""
-    X, Y = _block(x), _block(y)
-    R = _junkim_combine(*(_f_rows(f, P) for P in (2.0 * X + Y, 2.0 * X - Y, X + Y, X - Y, X)))
-    return float(_row_norm(norm)(R)[0])
+    return float(_row_norm(norm)(_residual_rows(_JUN_KIM, f, _block(x), _block(y)))[0])
 
 
 # =========================================================================
@@ -529,7 +534,7 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
 
     def sides(X, Y, FY):
         with np.errstate(over="ignore", invalid="ignore"):
-            R = _el_residual_rows(f, m, X, Y, FY)
+            R = _residual_rows(_euler_lagrange(m), f, X, Y, FY)
         if np.isfinite(R).all():
             return norm_rows(R), _phi_rows(phi, X, Y)
         # The first pair whose residual is not finite.
@@ -562,8 +567,7 @@ def cubic_approximant(f, m, grid, n_max=_MAX_STAGES, tol=DEFAULT_TOL,
     """
     _check_m(m)
     _check_tol(tol)
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max!r}")
+    _check_count(n_max, 1, "n_max")
     g = _as_block(grid)
     return _approximant(f, m, g, _f_rows(f, g), n_max, tol, codomain or real_line())[0]
 
@@ -609,7 +613,7 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
 def _bounds(config: StabilityConfig, weights):
     """The certified bounds from the weights phi(x, 0) of a block of points."""
     factor = bound_factors(config.L, config.p)["from_L_pow_p"]
-    return factor * weights / (2.0 * abs(config.m) ** 3)
+    return factor * weights / _step_divisor(config.m)
 
 
 def stability_bound(config: StabilityConfig, phi, x) -> float:
@@ -655,8 +659,7 @@ def m_closed_grid(base, m, levels=2, symmetric=True) -> np.ndarray:
     level that is not finite (m**k * b overflows) is an input error.
     """
     _check_m(m)
-    if levels < 0:
-        raise InputError(f"levels must be >= 0, got {levels!r}")
+    _check_count(levels, 0, "levels")
     items = [np.asarray(b, dtype=float) for b in base]
     if not items:
         raise InputError("base must contain at least one point")
@@ -809,7 +812,7 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
     codomain = config.codomain
     if _nonzero(g).all():
         raise InputError("grid must contain the zero point")
-    _m4(config.m)  # an overflowing m**4 is reported before an overflowing f
+    _euler_lagrange(config.m)  # an overflowing m**4 is reported before an overflowing f
     F = _f_rows(f, g)
     finite = np.isfinite(F.reshape(n_pts, -1)).all(axis=1)
     if not finite.all():
@@ -829,7 +832,7 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
     weights = _phi_at_zero_rows(phi, g)
-    rhs = weights / (2.0 * abs(config.m) ** 3)
+    rhs = weights / _step_divisor(config.m)
     one_step_worst = _max_ratio(step, rhs)
     one_step_ok = not _exceeds(step, rhs, config.tol).any()
     scale = max(1.0, float(np.max(codomain.norm_rows(q.values))))
@@ -881,45 +884,41 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
 def _solution_defects(q: SampledMap, m, norm, n_pts):
     """Equation defects of the recovered q over the in-range grid pairs.
 
-    A pair is in range when every point the equations touch lands on the
-    grid.  Every ordered pair of the ``n_pts`` grid points is a candidate.
-    The pairs are walked in tiles: a run of x-points against every y, one
-    tile of coordinates of pairs and at least one x-point.  Each tile is
-    looked up in stages: x + y for every pair, x - y where x + y landed,
-    then x + m y, m x - y, 2x + y and 2x - y where both did.  x and y need
-    no lookup: a grid row matches no earlier row.  A grid of up to 256
-    numbers is one tile.  Returns the worst Euler-Lagrange and Jun-Kim
-    defects and the number of pairs in range for either equation.
+    A pair is in range for an equation when every point it touches lands
+    on the grid.  Every ordered pair of the ``n_pts`` grid points is a
+    candidate, walked in tiles: a run of x-points against every y, one tile
+    of coordinates of pairs and at least one x-point.  A tile is looked up
+    in stages: x + y, then x - y where it landed (the points both equations
+    share), then each equation's own points where both did; x and y are
+    grid rows.  A grid of up to 256 numbers is one tile.  Returns the worst
+    Euler-Lagrange and Jun-Kim defects and the pairs in range for either.
     """
     rows = q.domain_grid
-    V = q.values
-    norm_rows = _row_norm(norm)
     at = q.index_rows
+    equations = (_euler_lagrange(m), _JUN_KIM)
+    shared = [p for p in equations[0].points if p in equations[1].points and p not in (_x, _y)]
     ys = np.arange(n_pts)
     step = _rows_per_tile(n_pts * rows[0].size)  # x-points per tile
-    el_worst = 0.0
-    jk_worst = 0.0
+    worst = [0.0] * len(equations)
     checked = 0
     for start in range(0, n_pts, step):
         xs = np.arange(start, min(start + step, n_pts))
-        # One broadcast sum per tile: gathering each pair's x and y first
-        # costs more than the lookup itself on vector grids.
-        sum_ = at((rows[xs, None] + rows[None, ys]).reshape(len(xs) * len(ys), -1))
-        live = sum_ >= 0
-        i, j, sum_ = np.repeat(xs, len(ys))[live], np.tile(ys, len(xs))[live], sum_[live]
-        diff = at(rows[i] - rows[j])
-        live = diff >= 0
-        i, j, sum_, diff = i[live], j[live], sum_[live], diff[live]
-        X, Y = rows[i], rows[j]
-        el = np.stack([at(X + m * Y), at(m * X - Y), sum_, diff, j])
-        jk = np.stack([at(2.0 * X + Y), at(2.0 * X - Y), sum_, diff, i])
-        el_ok = (el >= 0).all(axis=0)
-        jk_ok = (jk >= 0).all(axis=0)
-        checked += int(np.count_nonzero(el_ok | jk_ok))
-        if el_ok.any():
-            R = _el_combine(m, *(V[k] for k in el[:, el_ok]))
-            el_worst = max(el_worst, float(np.max(norm_rows(R))))
-        if jk_ok.any():
-            R = _junkim_combine(*(V[k] for k in jk[:, jk_ok]))
-            jk_worst = max(jk_worst, float(np.max(norm_rows(R))))
-    return el_worst, jk_worst, checked
+        found = {_x: np.repeat(xs, n_pts), _y: np.tile(ys, len(xs))}
+        for k, p in enumerate(shared):
+            # The first stage is one broadcast per tile: gathering each pair's
+            # x and y first costs more than the lookup itself on vector grids.
+            P = (p(rows[xs, None], rows[None, ys]) if k == 0
+                 else p(rows[found[_x]], rows[found[_y]]))
+            found[p] = at(P.reshape((-1,) + rows.shape[1:]))
+            found = {r: v[found[p] >= 0] for r, v in found.items()}
+        X, Y = rows[found[_x]], rows[found[_y]]
+        in_range = np.zeros(len(X), dtype=bool)
+        for e, eq in enumerate(equations):
+            idx = np.stack([found[p] if p in found else at(p(X, Y)) for p in eq.points])
+            ok = (idx >= 0).all(axis=0)
+            in_range |= ok
+            if ok.any():
+                R = eq.residual(*(q.values[k] for k in idx[:, ok]))
+                worst[e] = max(worst[e], float(np.max(_row_norm(norm)(R))))
+        checked += int(np.count_nonzero(in_range))
+    return worst[0], worst[1], checked

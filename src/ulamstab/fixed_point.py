@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .core_spaces import _check_L, _check_p, _check_tol, _fields_dict, as_extended
+from .core_spaces import _check_L, _check_count, _check_p, _check_tol, _fields_dict, as_extended
 from .errors import HypothesisViolation, InputError
 
 __all__ = ["Outcome", "ContractionMap", "FixedPointResult", "bound_factors", "iterate"]
@@ -119,8 +119,7 @@ def iterate(map: ContractionMap, x0, distance, p: float, tol: float,
     declared L allows.
     """
     _check_tol(tol, positive=True)
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter!r}")
+    _check_count(max_iter, 1, "max_iter")
     factors = bound_factors(map.L, p)
     headline = max(factors["from_L"], factors["from_L_pow_p"])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_spaces import QuasiNormedSpace, _scalar_pow
+from .core_spaces import QuasiNormedSpace, _check_count, _scalar_pow
 from .errors import InputError
 
 __all__ = [
@@ -95,8 +95,7 @@ class LHalfSpace:
     p = 0.5
 
     def __post_init__(self):
-        if self.quadrature_n < 1:
-            raise InputError(f"quadrature_n must be >= 1, got {self.quadrature_n!r}")
+        _check_count(self.quadrature_n, 1, "quadrature_n")
 
     @property
     def midpoints(self) -> np.ndarray:

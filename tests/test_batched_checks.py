@@ -632,7 +632,7 @@ def reference_try_index(grid, point):
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != rows.shape[1:]:
         return None
-    tol = 1e-12 + 1e-9 * np.abs(p)
+    tol = 1e-12 + 1e-9 * np.maximum(np.abs(rows), np.abs(p))
     hits = np.all(np.abs(rows - p) <= tol, axis=1)
     return int(np.argmax(hits)) if hits.any() else None
 
@@ -678,11 +678,11 @@ def test_indexed_lookup_matches_the_linear_scan(seed, n, dim):
 
 
 def reference_duplicate(grid):
-    """(k, i) for the first row i that, as the query, matches an earlier
-    row, k being the first such row; None if no row does."""
+    """(k, i) for the first row i that matches an earlier row, k being the
+    first such row; None if no row does."""
     rows = grid if grid.ndim == 2 else grid[:, None]
     for i in range(len(rows)):
-        tol = 1e-12 + 1e-9 * np.abs(rows[i])
+        tol = 1e-12 + 1e-9 * np.maximum(np.abs(rows[:i]), np.abs(rows[i]))
         dup = np.all(np.abs(rows[:i] - rows[i]) <= tol, axis=1)
         if dup.any():
             return int(np.argmax(dup)), i
@@ -708,17 +708,36 @@ def test_duplicate_check_matches_the_pairwise_scan(seed, n):
 
 
 def test_every_m_closed_grid_is_a_valid_sampled_map():
-    # The tolerance is relative to the query, so a pair of rows can match
-    # one way only.  The grid keeps 9.99998999e-07 after 1e-06: it does not
-    # match 1e-06 as the query, although 1e-06 as the query matches it.  A
-    # duplicate check the other way round rejected the grid after every
-    # check had run.
+    # 9.99998999e-07 and 1e-06 are within 1e-12 + 1e-9 |1e-06| of each other
+    # but not within 1e-12 + 1e-9 |9.99998999e-07|.  With a tolerance
+    # relative to the query they matched one way only, and whether a grid
+    # holding both was accepted depended on the order of its rows.  The
+    # tolerance reads the larger magnitude, so they match both ways.
+    for order in ([0.0, 1e-6, 9.99998999e-07], [0.0, 9.99998999e-07, 1e-6]):
+        with pytest.raises(InputError, match=r"indices 1 and 2$"):
+            SampledMap(domain_grid=order, values=np.zeros(3), codomain=real_line())
     grid = m_closed_grid([1e-6, 9.99998999e-07], 2.0, levels=2)
-    assert len(grid) == 13
+    assert len(grid) == 11
     SampledMap(domain_grid=grid, values=grid**3, codomain=real_line())
     cert = verify_stability(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0),
                             StabilityConfig(m=2.0, L=0.25), grid)
-    assert cert.q is not None and cert.grid_size == 13
+    assert cert.q is not None and cert.grid_size == 11
+
+
+# Near-duplicates at the relative term and at the absolute floor.
+NEAR_BASE = [1e-6, 9.99998999e-07, 1.0, 1.0 + 1e-9, 1.0 + 1.8e-9, 6e-13, 1.2e-12, 0.3, 0.9]
+
+
+@given(st.lists(st.one_of(st.sampled_from(NEAR_BASE), st.floats(-20.0, 20.0, allow_nan=False)),
+                min_size=1, max_size=5),
+       st.sampled_from([2.0, -3.0, 1.5]), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_permutation_of_an_m_closed_grid_is_a_valid_sampled_map(base, m, levels, seed):
+    # The match rule is symmetric, so the rows m_closed_grid keeps match no
+    # other kept row in any order.
+    grid = m_closed_grid(base, m, levels=levels)
+    for order in (np.random.default_rng(seed).permutation(len(grid)), np.arange(len(grid))[::-1]):
+        SampledMap(domain_grid=grid[order], values=np.zeros(len(grid)), codomain=real_line())
 
 
 # ---------------------------------------------------------------------------

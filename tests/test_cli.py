@@ -436,15 +436,16 @@ def test_tol_env_var_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, 
 
 
 def test_verify_accepts_the_grid_it_built(tmp_path, capsys):
-    # m_closed_grid keeps both 1e-06 and 9.99998999e-07: they match one way
-    # only.  This exited 2 with "duplicate domain points at indices 1 and 7"
-    # after every check had run.  It fails on el_defect_of_q, the
-    # known stopped-iterate defect, not on its input.
+    # 1e-06 and 9.99998999e-07 match one another, so m_closed_grid keeps
+    # the first.  With a match rule relative to the query this grid exited 2
+    # with "duplicate domain points at indices 1 and 7" after every check
+    # had run.  It fails on el_defect_of_q, the known stopped-iterate
+    # defect, not on its input.
     cfg = _write_config(tmp_path, {**PASSING_CONFIG,
                                    "grid": {"base": [1e-6, 9.99998999e-07], "levels": 2}})
     code, doc, err = run_cli(["verify", "--config", cfg], capsys)
     assert (code, err) == (1, "")
-    assert doc["verdict"] == "fail" and doc["report"]["grid_size"] == 13
+    assert doc["verdict"] == "fail" and doc["report"]["grid_size"] == 11
 
 
 def test_verify_scale_is_finite_past_the_squared_overflow(tmp_path, capsys):

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulamstab import (
     ConstantBound,
@@ -36,7 +39,12 @@ from ulamstab import (
     sup_weighted_distance,
     verify_stability,
 )
-from ulamstab.cubic_stability import _el_residual_rows, _phi_at_zero_rows
+from ulamstab.cubic_stability import (
+    _JUN_KIM,
+    _euler_lagrange,
+    _phi_at_zero_rows,
+    _residual_rows,
+)
 
 
 def cubic_plus_linear(u):
@@ -78,6 +86,35 @@ def test_symbolic_defect_constant_of_the_linear_part():
     assert sp.expand(jk + 12 * x) == 0
 
 
+def _library_residual(equation, F, x, y):
+    # The library's definition, with f applied point by point.
+    return equation.residual(*(F(p(x, y)) for p in equation.points))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_library_equations_are_the_symbolic_oracle(k):
+    # The one definition of each equation, evaluated on symbols, for f = u**k.
+    u, x, y, m = sp.symbols("u x y m", real=True)
+    F = lambda arg: (u**k).subs(u, arg)
+    assert sp.expand(_library_residual(_euler_lagrange(m), F, x, y)
+                     - _el_symbolic(u**k, u, x, y, m)) == 0
+    assert sp.expand(_library_residual(_JUN_KIM, F, x, y) - _junkim_symbolic(u**k, u, x, y)) == 0
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+
+
+@given(rationals, rationals, rationals)
+@settings(max_examples=100, deadline=None)
+def test_library_equation_is_exact_on_rationals(m, x, y):
+    # The same definition on Fractions: the cubic solves it exactly, and the
+    # linear part leaves 2 m (1 - m**2)(x + m y).
+    equation = _euler_lagrange(m)
+    assert _library_residual(equation, lambda u: u**3, x, y) == 0
+    assert _library_residual(equation, lambda u: u, x, y) == 2 * m * (1 - m**2) * (x + m * y)
+    assert isinstance(_library_residual(equation, lambda u: u, x, y), Fraction)
+
+
 def test_numeric_defect_matches_symbolic_constant():
     rng = np.random.default_rng(12)
     for m in (2.0, 3.0, -2.0):
@@ -112,7 +149,7 @@ def test_exact_solutions_have_zero_defect_on_dyadics():
 def test_el_residual_sign_structure():
     # Residual of the linear part is 2 m (1 - m^2)(x + m y); negative for m = 2.
     X, Y = np.array([1.0, 1.0, -1.0]), np.array([1.0, 0.0, 1.0])
-    r = _el_residual_rows(lambda u: u, 2.0, X, Y, Y)
+    r = _residual_rows(_euler_lagrange(2.0), lambda u: u, X, Y)
     assert r.tolist() == pytest.approx([-36.0, -12.0, -12.0], abs=1e-12)
 
 

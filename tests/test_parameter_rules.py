@@ -7,7 +7,10 @@
 * L and p of a configuration obey ``fixed_point.bound_factors``, and the
   L of ``phi_contractivity_check`` its rule on L, ``core_spaces._check_L``;
 * grid points match through ``core_spaces._RowIndex``, and a grid whose
-  levels overflow is an input error.
+  levels overflow is an input error;
+* a count (``n_max``, ``levels``, ``max_iter``, ``quadrature_n``, ``dim``)
+  is an integer, numpy integers too, at or above its least value:
+  ``core_spaces._check_count``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from ulamstab import (
     ConstantBound,
     ContractionMap,
     InputError,
+    LHalfSpace,
     PowerLaw,
+    QuasiNormedSpace,
     ShiftNorm,
     StabilityConfig,
     bound_factors,
     cubic_approximant,
+    euclidean_norm,
     hypothesis_defect_check,
     iterate,
     m_closed_grid,
@@ -80,6 +86,42 @@ def test_zero_tol_is_accepted_where_a_check_allows_it():
                                    tol=0.0).passed
     with pytest.raises(InputError, match=r"^tol must be finite and positive, got 0\.0$"):
         StabilityConfig(m=2.0, L=0.25, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# counts
+# ---------------------------------------------------------------------------
+
+# Each entry point that takes a count, by the name of the count, with its
+# least value.
+COUNT_ENTRY_POINTS = {
+    "n_max": (lambda n: cubic_approximant(cubic_plus_linear, 2.0, np.array([0.0, 1.0]), n_max=n),
+              1),
+    "levels": (lambda n: m_closed_grid([1.0], 2.0, levels=n), 0),
+    "max_iter": (lambda n: iterate(ContractionMap(apply=lambda x: x / 2.0, L=0.5), 1.0,
+                                   lambda a, b: abs(a - b), p=1.0, tol=1e-9, max_iter=n), 1),
+    "quadrature_n": (lambda n: LHalfSpace(n), 1),
+    "dim": (lambda n: QuasiNormedSpace(dim=n, norm_eval=euclidean_norm, kappa=1.0), 1),
+}
+
+# "below" stands for the least value minus 1.  The fractional and
+# non-finite counts raised a TypeError or were accepted silently before.
+BAD_COUNTS = ["below", 2.5, math.nan, math.inf, 1.0, True, "3"]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_every_count_taking_entry_point_rejects_a_malformed_count(entry, bad):
+    build, low = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match=rf"^{entry} must be an integer >= {low}, got "):
+        build(low - 1 if bad == "below" else bad)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_a_count_at_its_least_value_is_accepted_as_any_integer(entry):
+    build, low = COUNT_ENTRY_POINTS[entry]
+    build(low)
+    build(np.int64(low))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +220,8 @@ def test_every_L_taking_entry_point_rejects_a_malformed_L(entry, L):
 
 def reference_m_closed_grid(base, m, levels, symmetric):
     """The grid as a per-row loop builds it: each row is compared with every
-    row kept before it, within 1e-12 + 1e-9 |row| per coordinate."""
+    row kept before it, within 1e-12 + 1e-9 max(|row|, |kept row|) per
+    coordinate."""
     items = [np.asarray(b, dtype=float) for b in base]
     rows = [np.zeros(items[0].shape)]
     for b in items:
@@ -192,7 +235,7 @@ def reference_m_closed_grid(base, m, levels, symmetric):
     flat = R.reshape(len(R), -1)
     keep = []
     for i, r in enumerate(flat):
-        near = np.abs(r - flat[keep]) <= 1e-12 + 1e-9 * np.abs(r)
+        near = np.abs(r - flat[keep]) <= 1e-12 + 1e-9 * np.maximum(np.abs(r), np.abs(flat[keep]))
         if not near.all(axis=1).any():
             keep.append(i)
     return R[keep]

@@ -3,7 +3,9 @@
 Each module of ``src/ulamstab`` uses every name it imports: an import
 that nothing reads is a second path to a name or a leftover of deleted
 code.  A name counts as used when the module reads it or lists it in its
-``__all__``.  The tile budget has one owner: ``core_spaces`` alone binds
+``__all__``.  Every private name a module binds at its top level is read
+by some module of the library: a private definition nothing reads is
+dead code.  The tile budget has one owner: ``core_spaces`` alone binds
 ``_TILE_ELEMENTS``, and every tiled kernel sizes its tiles through
 ``core_spaces._rows_per_tile``, which reads the constant when it is
 called, so patching that one module reaches every kernel.
@@ -53,6 +55,36 @@ def _unused(tree):
     return [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
 
 
+def _private_definitions(tree):
+    """The private names the module binds at its top level, with their
+    line numbers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _read_names(trees):
+    """The names the modules read, as names or as attributes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def _dead(tree, trees):
+    """The private top-level names of ``tree`` that none of ``trees`` reads."""
+    read = _read_names(trees)
+    return [f"{name} (line {line})" for name, line in _private_definitions(tree)
+            if name not in read]
+
+
 def _binds_tile_budget(tree):
     """Whether the module imports ``_TILE_ELEMENTS``, under any name, or
     assigns it."""
@@ -69,6 +101,12 @@ def test_every_imported_name_is_used(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_definition_is_read(path):
+    dead = _dead(_tree(path), [_tree(p) for p in SOURCES])
+    assert not dead, f"{path.name} defines private names no module reads: {', '.join(dead)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_core_spaces_binds_the_tile_budget(path):
     assert _binds_tile_budget(_tree(path)) == (path.name == "core_spaces.py")
 
@@ -82,3 +120,9 @@ def test_the_rules_catch_what_they_name():
     assert _binds_tile_budget(ast.parse("from .core_spaces import _TILE_ELEMENTS as T\nT\n"))
     assert _binds_tile_budget(ast.parse("_TILE_ELEMENTS = 1\n"))
     assert not _binds_tile_budget(ast.parse("from .core_spaces import _rows_per_tile\n"))
+    # A combine left behind after its callers moved to the equation's
+    # definition; the definition that is read stays.
+    tree = ast.parse("def _el_combine(m, a):\n    return 2 * m * a\n"
+                     "_JUN_KIM = 1\n"
+                     "def junkim_defect():\n    return _JUN_KIM\n")
+    assert _dead(tree, [tree]) == ["_el_combine (line 1)"]
