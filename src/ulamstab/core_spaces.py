@@ -406,6 +406,17 @@ def _finite_components(A) -> list[np.ndarray]:
     return comps
 
 
+def _bitwise_symmetric(A) -> bool:
+    """Whether A equals its transpose entry by entry, with +inf equal to +inf.
+
+    The comparison is ``==``, so +0 and -0 count as equal.  That cannot
+    matter where the answer is used: validation rejects every off-diagonal
+    entry <= tol, so no zero lies off the diagonal, and the diagonal is
+    never mirrored.
+    """
+    return bool(np.array_equal(A, A.T))
+
+
 def _first_triangle_violation(A, k, tol):
     """(i, j, kk, rhs) of the lexicographically first (i, j, kk) with
     A[i, j] > k * (A[i, kk] + A[kk, j]) + tol, or None.
@@ -417,7 +428,7 @@ def _first_triangle_violation(A, k, tol):
     ``validate_b_metric``); any other A on every column.
     """
     n = len(A)
-    symmetric = np.array_equal(A, A.T)
+    symmetric = _bitwise_symmetric(A)
     AT = A if symmetric else np.ascontiguousarray(A.T)
     cols = min(n, _rows_per_tile(n))
     rows = _rows_per_tile(cols * n)

@@ -297,13 +297,19 @@ def _phi_at_zero_rows(phi, X) -> np.ndarray:
 # Equation defects
 # =========================================================================
 
-def _check_m(m):
-    """Reject m unless it is finite with |m| > 1, where the forward rescaling contracts."""
-    if not abs(m) > 1.0:
+def _check_m(m) -> float:
+    """m as a float, if it is finite with |m| > 1, where the forward rescaling
+    contracts.  An int too large for a float is not finite, like m = inf."""
+    try:
+        v = float(m)
+    except OverflowError:
+        raise InputError("m must be finite, got an int too large for a float") from None
+    if not abs(v) > 1.0:
         raise InputError(f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
                          f"rescaling diverges for 0 < |m| <= 1), got {m!r}")
-    if math.isinf(m):
+    if math.isinf(v):
         raise InputError(f"m must be finite, got {m!r}")
+    return v
 
 
 # An equation is its points, maps (X, Y) -> a X + b Y, and its residual from
@@ -565,7 +571,7 @@ def cubic_approximant(f, m, grid, n_max=_MAX_STAGES, tol=DEFAULT_TOL,
     Requires |m| > 1; an orbit or denominator leaving the safe floating
     range raises ``OverflowGuardError`` carrying the last safe stage.
     """
-    _check_m(m)
+    m = _check_m(m)
     _check_tol(tol)
     _check_count(n_max, 1, "n_max")
     g = _as_block(grid)
@@ -658,7 +664,7 @@ def m_closed_grid(base, m, levels=2, symmetric=True) -> np.ndarray:
     an earlier kept point is dropped, so the first occurrence stays.  A
     level that is not finite (m**k * b overflows) is an input error.
     """
-    _check_m(m)
+    m = _check_m(m)
     _check_count(levels, 0, "levels")
     items = [np.asarray(b, dtype=float) for b in base]
     if not items:
@@ -702,7 +708,7 @@ class StabilityConfig:
     codomain: QuasiNormedSpace | None = None
 
     def __post_init__(self):
-        _check_m(self.m)
+        object.__setattr__(self, "m", _check_m(self.m))
         bound_factors(self.L, self.p)  # the owner of the rules on L and p
         _check_tol(self.tol, positive=True)
         if self.codomain is None:

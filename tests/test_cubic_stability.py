@@ -499,6 +499,25 @@ def test_stability_config_validation():
     assert StabilityConfig(m=2.0, L=0.25).codomain.name == "reals"
 
 
+def test_an_int_m_is_taken_as_its_float():
+    phi = ShiftNorm(c=12.0, m=2.0)
+    # 10**80 is a float, whose m**4 overflows: a certified failure, not a crash.
+    with pytest.raises(OverflowGuardError, match="m\\*\\*4 overflows"):
+        verify_stability(cubic_plus_linear, phi, StabilityConfig(m=10**80, L=0.25), _real_grid())
+    # 10**400 is no float at all, like m = inf.
+    for call in (lambda: StabilityConfig(m=10**400, L=0.25),
+                 lambda: cubic_approximant(cubic_plus_linear, 10**400, np.array([0.0, 1.0])),
+                 lambda: m_closed_grid([1.0], 10**400)):
+        with pytest.raises(InputError, match="m must be finite"):
+            call()
+    assert type(StabilityConfig(m=2, L=0.25).m) is float
+    by_int, by_float = (verify_stability(cubic_plus_linear, phi, StabilityConfig(m=m, L=0.25),
+                                         _real_grid()).to_dict() for m in (2, 2.0))
+    assert by_int == by_float
+    assert json.dumps(by_int) == json.dumps(by_float)
+    assert np.array_equal(m_closed_grid([0.5, 1.0], 2), m_closed_grid([0.5, 1.0], 2.0))
+
+
 # ---------------------------------------------------------------------------
 # verification pipeline
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     TILES,
+    _relaxed_closure,
+    _symmetric,
     chain_oracle,
     component_b_metrics,
     integer_metric,
@@ -19,6 +21,7 @@ from conftest import (
     tile_elements,
 )
 from ulamstab import (
+    AXIOM_SLACK,
     GeneralizedBMetricSpace,
     InputError,
     InvalidBMetricError,
@@ -26,6 +29,8 @@ from ulamstab import (
     p_exponent,
     validate_b_metric,
 )
+from ulamstab.core_spaces import _bitwise_symmetric
+from ulamstab.metrization import _floyd_warshall
 
 # ---------------------------------------------------------------------------
 # chain metric: reference examples
@@ -200,6 +205,74 @@ def test_delta_keeps_an_asymmetry_within_the_slack():
     assert cm.delta[0, 2] == np.power(D[0, 2], cm.p)
     assert cm.delta[2, 0] == np.power(D[2, 0], cm.p)
     assert cm.delta[0, 2] - cm.delta[2, 0] == pytest.approx(1.8e-13, rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the Floyd-Warshall kernel on its own
+# ---------------------------------------------------------------------------
+
+
+def _weights(rng, n, ties=False) -> np.ndarray:
+    """Symmetric edge weights on n points that break many triangles, so that
+    most entries relax; small integers when ``ties``, so that many sums
+    tie.  The diagonal holds 0 and positive entries up to AXIOM_SLACK, so
+    that d[k, k] > 0 at some steps."""
+    F = rng.integers(1, 9, size=(n, n)) if ties else rng.uniform(0.1, 4.0, size=(n, n))
+    W = np.triu(F, 1).astype(float)
+    W = W + W.T
+    np.fill_diagonal(W, AXIOM_SLACK * rng.choice([0.0, 0.5, 1.0], size=n))
+    return W
+
+
+def _relaxed(W, tile) -> np.ndarray:
+    d = W.copy()
+    with tile_elements(tile):
+        _floyd_warshall(d)
+    return d
+
+
+@given(st.integers(1, 40), TILES, st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_floyd_warshall_is_bitwise_the_reference(n, tile, seed, ties, nudge):
+    rng = np.random.default_rng(seed)
+    W = _weights(rng, n, ties)
+    if nudge and n > 1:
+        # Symmetric within the slack only: every block relaxes every column.
+        a, b = rng.choice(n, size=2, replace=False)
+        W[a, b] += AXIOM_SLACK * rng.choice([-0.5, 0.5])
+        assert not _bitwise_symmetric(W)
+    d = _relaxed(W, tile)
+    assert d.tobytes() == reference_floyd_warshall(W, 1.0).tobytes()
+    assert _bitwise_symmetric(d) or nudge
+
+
+@pytest.mark.parametrize("n, tile", [(7, 64), (10, 64), (11, 64), (200, None), (300, None)])
+def test_floyd_warshall_on_a_partial_last_block(n, tile):
+    # The block height (4, 3 and 2 rows under a 64-element tile; 163 and 109
+    # rows under the shipped one) does not divide n.
+    rng = np.random.default_rng(n)
+    for ties in (False, True):
+        W = _weights(rng, n, ties)
+        d = _relaxed(W, tile)
+        assert d.tobytes() == reference_floyd_warshall(W, 1.0).tobytes()
+        assert _bitwise_symmetric(d)
+
+
+@given(TILES, st.integers(2, 4))
+@settings(max_examples=20, deadline=None)
+def test_interleaved_components_are_bitwise_the_reference(tile, parts):
+    # Point i lies in component i % parts; each component runs the kernel on
+    # its own submatrix, whose blocks mirror into the right places of delta.
+    # A relaxed closure has many entries that a chain through k shortens.
+    rng = np.random.default_rng(parts)
+    n = 41
+    D = _relaxed_closure(_symmetric(np.exp(rng.uniform(0.0, 4.0, size=(n, n)))), 2.0)
+    labels = np.arange(n) % parts
+    D[labels[:, None] != labels[None, :]] = np.inf
+    with tile_elements(tile):
+        cm = chain_metric(GeneralizedBMetricSpace(D=D, kappa=2.0))
+    assert cm.delta.tobytes() == reference_floyd_warshall(D, cm.p).tobytes()
+    assert _bitwise_symmetric(cm.delta)
 
 
 def test_determinism_bitwise():
