@@ -15,8 +15,8 @@ verdict is pass, 1 on a failing verdict or a certified failure (violated
 hypothesis, overflow), 2 on an input error (malformed file, bad flag, bad
 config, a NaN or infinite number).
 
-The environment variable ``ULAMSTAB_TOL`` overrides the default
-tolerance (1e-9) wherever a command or config does not set one.
+A command or config that sets no tolerance uses ``DEFAULT_TOL`` (1e-9);
+the report echoes the tolerance it ran with.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -33,8 +32,8 @@ import numpy as np
 
 from . import __version__
 from .core_spaces import (
+    AXIOM_SLACK,
     GeneralizedBMetricSpace,
-    _check_tol,
     load_distance_csv,
     load_distance_json,
     real_line,
@@ -63,20 +62,6 @@ from .function_spaces import LHalfSpace, example_corpus
 from .metrization import chain_metric
 
 __all__ = ["main", "run_example_lhalf"]
-
-TOL_ENV_VAR = "ULAMSTAB_TOL"
-
-
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise InputError(f"{TOL_ENV_VAR}={raw!r} is not a number") from exc
-    return _check_tol(tol, positive=True, name=TOL_ENV_VAR)
-
 
 def _emit(doc, out_path=None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -126,8 +111,8 @@ def _cmd_metrize(args):
     if args.out:
         save_distance_csv(args.out, cm.delta)
     Dp = np.power(space.D, cm.p)
-    sandwich_ok = bool(np.all(cm.delta <= Dp + 1e-12)
-                       and np.all(0.25 * Dp <= cm.delta + 1e-12))
+    sandwich_ok = bool(np.all(cm.delta <= Dp + AXIOM_SLACK)
+                       and np.all(0.25 * Dp <= cm.delta + AXIOM_SLACK))
     report = {
         "n": space.n,
         "kappa": kappa,
@@ -167,12 +152,11 @@ def _cmd_fixpoint(args):
     apply_fn, distance, p, default_L, default_x0 = _SCENARIOS[args.scenario]
     L = default_L if args.L is None else args.L
     x0 = default_x0 if args.x0 is None else args.x0
-    tol = args.tol if args.tol is not None else _default_tol()
     config = {"scenario": args.scenario, "L": L, "x0": x0,
-              "tol": tol, "max_iter": args.max_iter}
+              "tol": args.tol, "max_iter": args.max_iter}
     cmap = ContractionMap(apply=apply_fn, L=L)
     try:
-        result = iterate(cmap, x0, distance, p=p, tol=tol, max_iter=args.max_iter)
+        result = iterate(cmap, x0, distance, p=p, tol=args.tol, max_iter=args.max_iter)
     except HypothesisViolation as exc:
         report = {"hypothesis_violation": str(exc),
                   "witness": [float(w) for w in (exc.witness or ())],
@@ -340,7 +324,7 @@ def _per_point_csv(path, f, phi, config, cert):
 
 def _cmd_verify(args):
     doc = _load_config(args.config)
-    tol = _field(doc, "tol", float) if "tol" in doc else _default_tol()
+    tol = _field(doc, "tol", float) if "tol" in doc else DEFAULT_TOL
     m = _field(doc, "m", float)
     codomain = _build_space(doc)
     f, f_echo = _build_f(doc)
@@ -377,7 +361,7 @@ _EXAMPLE_MS = (2.0, 3.0)
 _EXAMPLE_LEVELS = 1
 
 
-def run_example_lhalf(quadrature_n=1024, tol=None, seed=7) -> dict:
+def run_example_lhalf(quadrature_n=1024, tol=DEFAULT_TOL, seed=7) -> dict:
     """Frozen reproduction: f(u) = u**3 + u on L^{1/2}[0,1].
 
     For each m the equation defect of f is measured over the fixed signal
@@ -385,7 +369,6 @@ def run_example_lhalf(quadrature_n=1024, tol=None, seed=7) -> dict:
     the smaller constant |2m(1 - m)| that is sometimes quoted for this
     example; the certificate is then built with the exact constant.
     """
-    tol = tol if tol is not None else _default_tol()
     space = LHalfSpace(quadrature_n)
     qspace = space.space()
     f = _BUILTIN_F["cubic_plus_linear"]
@@ -467,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="distance matrix: CSV (token 'inf') or JSON with kappa")
     pm.add_argument("--kappa", type=float, help="relaxation modulus (CSV input)")
     pm.add_argument("--p", type=float, default=None,
-                    help="override the exponent (default log_{2 kappa} 2)")
+                    help="override the exponent, at most log_{2 kappa} 2 (the default)")
     pm.add_argument("--out", default=None,
                     help="write the metrized matrix as CSV here")
 
@@ -477,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"one of {sorted(_SCENARIOS)}")
     pf.add_argument("--L", type=float, default=None, help="contraction constant")
     pf.add_argument("--x0", type=float, default=None, help="starting point")
-    pf.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    pf.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
     pf.add_argument("--max-iter", type=int, default=200)
 
     pv = sub.add_parser("verify", parents=[common],
@@ -488,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("example-lhalf", parents=[common],
                         help="frozen L^{1/2}[0,1] reproduction at m = 2 and 3")
     pe.add_argument("--quadrature-n", type=int, default=1024)
-    pe.add_argument("--tol", type=float, default=None)
+    pe.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pe.add_argument("--seed", type=int, default=7)
 
     return parser

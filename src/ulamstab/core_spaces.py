@@ -109,10 +109,10 @@ def _check_p(p):
     return p
 
 
-def _check_tol(tol, positive=False, name="tol"):
+def _check_tol(tol, positive=False):
     """tol, if it is a tolerance: finite and >= 0, or > 0 when ``positive``."""
     if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
-        raise InputError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, "
+        raise InputError(f"tol must be finite and {'positive' if positive else 'nonnegative'}, "
                          f"got {tol!r}")
     return tol
 
@@ -161,6 +161,12 @@ def _block(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[None]
 
 
+def _points(P):
+    """A block's points one by one, as a per-point callable gets them:
+    Python floats from a 1-d block, else rows."""
+    return P.tolist() if P.ndim == 1 else P
+
+
 def _squares(X) -> np.ndarray:
     """One dot product per row, as ``np.linalg.norm`` takes it."""
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
@@ -207,14 +213,15 @@ def _row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:
     numbers, a 2-d block one vector per row.  ``euclidean_norm`` and a
     bound ``norm`` method whose owner also has ``norm_rows``
     (``QuasiNormedSpace``, ``LHalfSpace``) have a block form; any other
-    norm is called on each point as it stands, a number or a row.
+    norm is called on each point as ``_points`` gives it, a Python float
+    or a row.
     """
     if norm is euclidean_norm:
         return _euclidean_norm_rows
     owner = getattr(norm, "__self__", None)
     if hasattr(owner, "norm_rows") and norm == getattr(owner, "norm", None):
         return owner.norm_rows
-    return lambda X: np.array([norm(x) for x in X], dtype=float).reshape(len(X))
+    return lambda X: np.array([norm(x) for x in _points(X)], dtype=float).reshape(len(X))
 
 
 @dataclass(frozen=True)

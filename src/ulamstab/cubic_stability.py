@@ -42,11 +42,14 @@ witnesses: Python floats for numbers, rows otherwise.
 Each rule has one owner: |m| > 1 is ``_check_m``, an overflowing m**4
 ``_euler_lagrange``, the one-step divisor 2 |m|**3 ``_step_divisor``,
 f(0) = 0 ``hypothesis_defect_check``, the slack lhs <= rhs + tol *
-max(1, rhs) ``_exceeds``, the bound factor and the rules on L and p
-``fixed_point.bound_factors`` (L alone: ``core_spaces._check_L``), the
-control-function parameters ``_check_parameters``; in ``core_spaces``:
-tolerances ``_check_tol``, counts ``_check_count``, grid-point matching
-``_RowIndex``, distinctness ``_distinct``, tiles ``_rows_per_tile``.
+max(1, rhs) ``_exceeds``, a worst ratio (the running maximum)
+``_worst_ratio``, the bound factor (4 / (1 - L**p))**(1/p) and the rules
+on L and p ``fixed_point.bound_factors`` (L alone:
+``core_spaces._check_L``), the control-function parameters
+``_check_parameters``; in ``core_spaces``: tolerances ``_check_tol``,
+counts ``_check_count``, grid-point matching ``_RowIndex``, distinctness
+``_distinct``, tiles ``_rows_per_tile``, the single points a per-point
+callable gets ``_points``.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .core_spaces import (
     _check_tol,
     _distinct,
     _fields_dict,
+    _points,
     _row_norm,
     _rows_per_tile,
     _scalar_pow,
@@ -127,11 +131,6 @@ def _nonzero(P) -> np.ndarray:
     return np.any(P != 0.0, axis=tuple(range(1, P.ndim)))
 
 
-def _points(P):
-    """A block's points one by one: Python floats from a 1-d block, else rows."""
-    return P.tolist() if P.ndim == 1 else P
-
-
 def _f_rows(f, P) -> np.ndarray:
     """f at each point of P, stacked: ``f.rows(P)`` when f has a block form,
     else one call per point."""
@@ -147,18 +146,19 @@ def _ratios(num, denom) -> np.ndarray:
     return np.where(denom == 0.0, np.where(num == 0.0, 0.0, math.inf), r)
 
 
-def _max_ratio(num, denom) -> float:
-    """The largest num / denom, at least 0; NaN ratios are ignored."""
-    r = _ratios(num, denom)
-    return float(np.max(np.where(np.isnan(r), 0.0, r), initial=0.0))
-
-
 def _first_max(r) -> int:
     """Index where a left-to-right running maximum of r ends: the first
     largest value, with NaN never winning unless it comes first."""
     if np.isnan(r[0]):
         return 0
     return int(np.argmax(np.where(np.isnan(r), -math.inf, r)))
+
+
+def _worst_ratio(num, denom) -> float:
+    """The running maximum of the ratios num / denom (``_ratios``,
+    ``_first_max``): NaN when the first ratio is NaN, a later NaN never wins."""
+    r = _ratios(num, denom)
+    return float(r[_first_max(r)])
 
 
 # =========================================================================
@@ -532,11 +532,11 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     """
     _check_tol(tol)
     pairs = _Pairs.of(samples)
-    f0 = norm(np.asarray(f(pairs.zero) if pairs.f0 is None else pairs.f0, dtype=float))
+    norm_rows = _row_norm(norm)
+    f0 = float(norm_rows(_block(f(pairs.zero) if pairs.f0 is None else pairs.f0))[0])
     if f0 > tol:
         raise HypothesisViolation(
             f"f(0) has norm {f0!r}, expected 0", witness=(pairs.zero,), observed=f0, allowed=tol)
-    norm_rows = _row_norm(norm)
 
     def sides(X, Y, FY):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -631,13 +631,14 @@ def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
     """sup over the grid of |g(x) - h(x)| / phi(x, 0).
 
     The weight is the bound-effective phi(x, 0).  Conventions: 0/0 = 0
-    and pos/0 = +inf (the sup of an empty admissible constant set).
+    and pos/0 = +inf (the sup of an empty admissible constant set).  The
+    sup is ``_worst_ratio``, a running maximum in grid order.
     Both maps must live on the identical grid.
     """
     if not np.array_equal(g.domain_grid, h.domain_grid):
         raise InputError("sampled maps live on different grids")
     num = g.codomain.norm_rows(g.values - h.values)
-    return _max_ratio(num, _phi_at_zero_rows(phi, g.domain_grid))
+    return _worst_ratio(num, _phi_at_zero_rows(phi, g.domain_grid))
 
 
 def cubic_rescale(g: SampledMap, m) -> SampledMap:
@@ -839,14 +840,13 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
     weights = _phi_at_zero_rows(phi, g)
     rhs = weights / _step_divisor(config.m)
-    one_step_worst = _max_ratio(step, rhs)
+    one_step_worst = _worst_ratio(step, rhs)
     one_step_ok = not _exceeds(step, rhs, config.tol).any()
     scale = max(1.0, float(np.max(codomain.norm_rows(q.values))))
 
     bounds = _bounds(config, weights)
     errors = codomain.norm_rows(F - q.values)
-    ratios = _ratios(errors, bounds)
-    max_error_ratio = float(ratios[_first_max(ratios)])
+    max_error_ratio = _worst_ratio(errors, bounds)
 
     image = q.index_rows(config.m * g)
     on_grid = np.flatnonzero(image >= 0)

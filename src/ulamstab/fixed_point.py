@@ -9,10 +9,9 @@ Three outcomes are possible:
 
 * Converged: the step residual D(x_N, x_{N+1}) dropped to ``tol``.  The
   distance from x_N to the fixed point is then certified by
-  C * residual with C = max((4 / (1 - L))**(1/p), (4 / (1 - L**p))**(1/p));
-  both constants are reported, the larger one is the headline bound, and
-  in the metric case (p = 1) the sharper residual / (1 - L) is reported
-  alongside.
+  C * residual with C = (4 / (1 - L**p))**(1/p), the headline bound; the
+  smaller (4 / (1 - L))**(1/p) is reported too, and in the metric case
+  (p = 1) the sharper residual / (1 - L) alongside.
 * DivergentInfinite: the residual is +inf and stays +inf for one further
   full step.  On a generalized space this certifies that the whole orbit
   keeps infinite step distances and no fixed point is approached.
@@ -79,19 +78,24 @@ class FixedPointResult:
 def bound_factors(L: float, p: float) -> dict:
     """The certified-bound multipliers for constant L and exponent p.
 
-    ``from_L`` is (4 / (1 - L))**(1/p); ``from_L_pow_p`` is
-    (4 / (1 - L**p))**(1/p), which dominates because L**p >= L on [0, 1).
-    ``metric`` is 1 / (1 - L), meaningful only when p = 1.
+    ``from_L_pow_p`` is (4 / (1 - L**p))**(1/p), the certified factor; it
+    dominates ``from_L`` = (4 / (1 - L))**(1/p) because L**p >= L on
+    [0, 1).  ``metric`` is 1 / (1 - L), meaningful only when p = 1.  L**p
+    rounding to 1 and a factor beyond the float range are input errors.
     """
     _check_p(p)
     _check_L(L)
     Lp = L**p
     if not Lp < 1.0:
         raise InputError(f"L**p must stay below 1, got {Lp!r}")
-    factors = {
-        "from_L": (4.0 / (1.0 - L)) ** (1.0 / p),
-        "from_L_pow_p": (4.0 / (1.0 - Lp)) ** (1.0 / p),
-    }
+    try:
+        factor = (4.0 / (1.0 - Lp)) ** (1.0 / p)
+    except OverflowError:
+        factor = math.inf
+    if math.isinf(factor):  # a subnormal p makes 1/p = inf, and x**inf does not raise
+        raise InputError(f"the bound factor (4 / (1 - L**p))**(1/p) overflows at "
+                         f"L = {L!r}, p = {p!r}")
+    factors = {"from_L": (4.0 / (1.0 - L)) ** (1.0 / p), "from_L_pow_p": factor}
     if p == 1.0:
         factors["metric"] = 1.0 / (1.0 - L)
     return factors
@@ -121,13 +125,12 @@ def iterate(map: ContractionMap, x0, distance, p: float, tol: float,
     _check_tol(tol, positive=True)
     _check_count(max_iter, 1, "max_iter")
     factors = bound_factors(map.L, p)
-    headline = max(factors["from_L"], factors["from_L_pow_p"])
 
     def result(outcome, point, n, residual, history):
         bounds = {name: f * residual for name, f in factors.items()}
         return FixedPointResult(
             outcome=outcome, iterate=point, iterations=n, residual=residual,
-            error_bound=headline * residual, bounds=bounds,
+            error_bound=bounds["from_L_pow_p"], bounds=bounds,
             residual_history=tuple(history))
 
     current = x0

@@ -46,7 +46,7 @@ from .core_spaces import (
     p_exponent,
     validate_b_metric,
 )
-from .errors import InvalidBMetricError
+from .errors import InputError, InvalidBMetricError
 
 __all__ = ["ChainMetric", "chain_metric"]
 
@@ -140,13 +140,18 @@ def chain_metric(space: GeneralizedBMetricSpace, p: float | None = None) -> Chai
 
     The space must pass ``validate_b_metric``; an invalid matrix raises
     ``InvalidBMetricError`` carrying the validation report.  ``p``
-    defaults to the derived exponent for the space's kappa and must lie
-    in (0, 1] when overridden.
+    defaults to the derived exponent log_{2 kappa} 2 for the space's
+    kappa; an override must lie in (0, log_{2 kappa} 2], where the
+    sandwich (1/4) D**p <= delta <= D**p holds.
     """
+    p_max = p_exponent(space.kappa)
+    p = p_max if p is None else _check_p(float(p))
+    if p > p_max:
+        raise InputError(f"p = {p!r} exceeds log_(2 kappa) 2 = {p_max!r} at kappa = "
+                         f"{space.kappa!r}, above which (1/4) D**p <= delta may fail")
     report = validate_b_metric(space.D, space.kappa)
     if not report.passed:
         raise InvalidBMetricError(report)
-    p = p_exponent(space.kappa) if p is None else _check_p(float(p))
     # p == 1 keeps W bitwise equal to D, so a true metric passes through
     # Floyd-Warshall unchanged.
     W = space.D.copy() if p == 1.0 else np.power(space.D, p)

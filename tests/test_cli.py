@@ -20,6 +20,7 @@ from ulamstab import chain_metric, GeneralizedBMetricSpace, load_distance_csv, s
 from ulamstab import LHalfSpace, example_corpus, m_closed_grid
 from ulamstab import cli
 from ulamstab.cli import main
+from ulamstab.cubic_stability import DEFAULT_TOL
 
 
 def run_cli(argv, capsys):
@@ -107,6 +108,22 @@ def test_metrize_reports_unreachable_pairs(tmp_path, capsys):
     code, doc, _ = run_cli(["metrize", "--in", str(src), "--kappa", "1"], capsys)
     assert code == 0
     assert doc["report"]["unreachable_pairs"] == 1
+
+
+def test_metrize_rejects_p_above_the_derived_exponent(tmp_path, capsys):
+    # D(i, j) = (i - j)**2 on 9 collinear points is a kappa = 2 b-metric,
+    # since (a + b)**2 <= 2 (a**2 + b**2).  At p = 1 the chain metric is
+    # |i - j|, below (1/4) D for |i - j| > 4; this exited 0 with "pass"
+    # and sandwich_ok false.
+    idx = np.arange(9.0)
+    src = tmp_path / "sq9.json"
+    save_distance_json(src, (idx[:, None] - idx[None, :]) ** 2, kappa=2.0)
+    code, doc, err = run_cli(["metrize", "--in", str(src), "--p", "1"], capsys)
+    assert (code, doc) == (2, None)
+    assert err == ("input error: p = 1.0 exceeds log_(2 kappa) 2 = 0.5 at kappa = 2.0, "
+                   "above which (1/4) D**p <= delta may fail\n")
+    code, doc, _ = run_cli(["metrize", "--in", str(src), "--p", "0.25"], capsys)
+    assert (code, doc["verdict"], doc["report"]["sandwich_ok"]) == (0, "pass", True)
 
 
 def _interleaved_components(rng, n=12):
@@ -426,15 +443,6 @@ def test_verify_a_residual_that_overflows_is_a_certified_failure(tmp_path, capsy
                    "(0.0, 1e+308)\n")
 
 
-@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "-1", "0"])
-def test_tol_env_var_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("ULAMSTAB_TOL", raw)
-    cfg = _write_config(tmp_path, PASSING_CONFIG)
-    code, doc, err = run_cli(["verify", "--config", cfg], capsys)
-    assert (code, doc) == (2, None)
-    assert err == f"input error: ULAMSTAB_TOL must be finite and positive, got {float(raw)!r}\n"
-
-
 def test_verify_accepts_the_grid_it_built(tmp_path, capsys):
     # 1e-06 and 9.99998999e-07 match one another, so m_closed_grid keeps
     # the first.  With a match rule relative to the query this grid exited 2
@@ -456,6 +464,17 @@ def test_verify_scale_is_finite_past_the_squared_overflow(tmp_path, capsys):
     assert report["scale"] == max(abs(v) for v in report["q"]["values"]) == 8e156
 
 
+def test_a_command_that_sets_no_tol_runs_at_the_default_tol(tmp_path, capsys):
+    cfg = _write_config(tmp_path, PASSING_CONFIG)
+    for argv in (["fixpoint", "--scenario", "halving"],
+                 ["example-lhalf", "--quadrature-n", "16"],
+                 ["verify", "--config", cfg]):
+        code, doc, _ = run_cli(argv, capsys)
+        assert (code, doc["config"]["tol"]) == (0, DEFAULT_TOL), argv
+    _, doc, _ = run_cli(["fixpoint", "--scenario", "halving", "--tol", "1e-3"], capsys)
+    assert doc["config"]["tol"] == 1e-3
+
+
 def test_verify_output_is_bitwise_reproducible(tmp_path, capsys):
     cfg = _write_config(tmp_path, PASSING_CONFIG)
     code1 = main(["verify", "--config", cfg])
@@ -472,33 +491,6 @@ def test_timings_are_opt_in(tmp_path, capsys):
     assert doc["timings"] is None
     _, doc, _ = run_cli(["verify", "--config", cfg, "--timings"], capsys)
     assert doc["timings"]["wall_s"] > 0.0
-
-
-# ---------------------------------------------------------------------------
-# tolerance environment variable
-# ---------------------------------------------------------------------------
-
-
-def test_tol_env_var_overrides_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ULAMSTAB_TOL", "1e-6")
-    code, doc, _ = run_cli(["fixpoint", "--scenario", "halving"], capsys)
-    assert code == 0
-    assert doc["config"]["tol"] == 1e-6
-
-
-def test_tol_env_var_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("ULAMSTAB_TOL", "banana")
-    code, _, err = run_cli(["fixpoint", "--scenario", "halving"], capsys)
-    assert code == 2
-    assert "ULAMSTAB_TOL" in err
-
-
-def test_explicit_tol_beats_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("ULAMSTAB_TOL", "1e-6")
-    code, doc, _ = run_cli(["fixpoint", "--scenario", "halving",
-                            "--tol", "1e-3"], capsys)
-    assert code == 0
-    assert doc["config"]["tol"] == 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from ulamstab import (
     LHalfSpace,
     OverflowGuardError,
     PowerLaw,
+    QuasiNormedSpace,
     SampledMap,
     ShiftNorm,
     StabilityConfig,
@@ -550,6 +551,43 @@ def test_verify_stability_one_step_ratio_is_tight():
     phi = ShiftNorm(c=12.0, m=2.0)
     cert = verify_stability(cubic_plus_linear, phi, config, _real_grid())
     assert cert.one_step_worst_ratio == pytest.approx(1.0, rel=1e-12)
+
+
+def test_verify_stability_worst_ratios_follow_one_running_maximum():
+    # A phi that is NaN at (0, 0), outside the contract of a control
+    # function: the first ratio of both is NaN, and the running maximum
+    # keeps it.  The one-step ratio read 1.0 here, hiding the NaN.
+    def phi(x, y):
+        return math.nan if x == y == 0.0 else 12.0 * abs(x + 2.0 * y)
+
+    cert = verify_stability(cubic_plus_linear, phi, StabilityConfig(m=2.0, L=0.25),
+                            m_closed_grid([1.0, 3.0], 2.0, levels=2))
+    assert math.isnan(cert.one_step_worst_ratio)
+    assert math.isnan(cert.max_error_ratio)
+
+
+def test_plain_callables_get_python_floats_on_the_real_line():
+    # A plain norm got numpy scalars from a 1-d block, and a 0-d array for f(0).
+    seen = {"f": set(), "phi": set(), "norm": set()}
+
+    def f(u):
+        seen["f"].add(type(u))
+        return u**3 + u
+
+    def phi(x, y):
+        seen["phi"].update((type(x), type(y)))
+        return 12.0 * abs(x + 2.0 * y)
+
+    def norm(v):
+        seen["norm"].add(type(v))
+        return abs(v)
+
+    codomain = QuasiNormedSpace(dim=1, norm_eval=norm, kappa=1.0)
+    cert = verify_stability(f, phi, StabilityConfig(m=2.0, L=0.25, codomain=codomain),
+                            _real_grid())
+    assert cert.passed
+    assert hypothesis_defect_check(f, phi, 2.0, [(0.5, 1.0)], norm=norm).passed
+    assert seen == {"f": {float}, "phi": {float}, "norm": {float}}
 
 
 def test_verify_stability_undersized_phi_fails_without_raising():

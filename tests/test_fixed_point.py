@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulamstab import (
     ContractionMap,
@@ -24,6 +26,7 @@ from ulamstab import (
     sup_weighted_distance,
     SampledMap,
 )
+from ulamstab.cli import _SCENARIOS
 
 
 def _abs_distance(a, b):
@@ -75,6 +78,34 @@ def test_L_pow_p_rounding_to_one_is_an_input_error():
     with pytest.raises(InputError, match=message):
         StabilityConfig(m=2.0, L=L, p=0.5, codomain=LHalfSpace(4).space())
     assert bound_factors(L, 1.0)["from_L_pow_p"] == 4.0 / (1.0 - L)
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.floats(0.0, 1.0, exclude_max=True), p=st.floats(0.0, 1.0, exclude_min=True))
+def test_the_L_pow_p_factor_dominates_wherever_the_factors_exist(L, p):
+    try:
+        f = bound_factors(L, p)
+    except InputError:  # L**p rounds to 1, or the factor leaves the float range
+        return
+    assert f["from_L_pow_p"] >= f["from_L"]
+
+
+def test_a_bound_factor_beyond_the_float_range_is_an_input_error():
+    # 4**1000 overflows, and 1/p = inf for a subnormal p; the first raised
+    # a bare OverflowError and the second gave an infinite factor.
+    for p in (0.001, 5e-324):
+        with pytest.raises(InputError, match=r"^the bound factor \(4 / \(1 - L\*\*p\)\)\*\*\(1/p\) "
+                                             r"overflows at L = 0\.0, p = "):
+            bound_factors(0.0, p)
+
+
+def test_the_engine_bound_is_the_L_pow_p_factor():
+    apply_fn, distance, p, L, x0 = _SCENARIOS["halving"]
+    res = iterate(ContractionMap(apply=apply_fn, L=L), x0, distance, p=p, tol=1e-9,
+                  max_iter=200)
+    assert res.outcome is Outcome.CONVERGED
+    assert res.error_bound == res.bounds["from_L_pow_p"]
+    assert res.error_bound == bound_factors(L, p)["from_L_pow_p"] * res.residual
 
 
 def test_contraction_map_validates_L():

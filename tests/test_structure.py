@@ -8,7 +8,9 @@ by some module of the library: a private definition nothing reads is
 dead code.  The tile budget has one owner: ``core_spaces`` alone binds
 ``_TILE_ELEMENTS``, and every tiled kernel sizes its tiles through
 ``core_spaces._rows_per_tile``, which reads the constant when it is
-called, so patching that one module reaches every kernel.
+called, so patching that one module reaches every kernel.  No module
+reads the process environment: every input of a run is an argument, so
+one config gives one report in any shell.
 """
 
 from __future__ import annotations
@@ -94,6 +96,24 @@ def _binds_tile_budget(tree):
         for n in ast.walk(tree))
 
 
+# The names of ``os`` that read the process environment.
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_environment(tree):
+    """The sorted lines where the module reads the process environment: one
+    of those names imported from ``os``, or read as an attribute of ``os``
+    under any name it is imported as."""
+    os_names = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names if a.name == "os"}
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "os"
+        and any(a.name in _ENVIRONMENT for a in n.names)
+        or isinstance(n, ast.Attribute) and n.attr in _ENVIRONMENT
+        and isinstance(n.value, ast.Name) and n.value.id in os_names)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     unused = _unused(_tree(path))
@@ -111,6 +131,12 @@ def test_only_core_spaces_binds_the_tile_budget(path):
     assert _binds_tile_budget(_tree(path)) == (path.name == "core_spaces.py")
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_process_environment(path):
+    lines = _reads_environment(_tree(path))
+    assert not lines, f"{path.name} reads the process environment on lines {lines}"
+
+
 def test_the_rules_catch_what_they_name():
     # cli's unused import of p_exponent, and a kernel importing the tile
     # constant by value, as the library had them.
@@ -126,3 +152,19 @@ def test_the_rules_catch_what_they_name():
                      "_JUN_KIM = 1\n"
                      "def junkim_defect():\n    return _JUN_KIM\n")
     assert _dead(tree, [tree]) == ["_el_combine (line 1)"]
+    # cli's default tolerance as it read the environment, and the other
+    # ways to reach it; a path join reads nothing.
+    tree = ast.parse("import os\n"
+                     "def _default_tol() -> float:\n"
+                     "    raw = os.environ.get(TOL_ENV_VAR)\n"
+                     "    if raw is None:\n"
+                     "        return DEFAULT_TOL\n"
+                     "    try:\n"
+                     "        tol = float(raw)\n"
+                     "    except ValueError as exc:\n"
+                     "        raise InputError(f'{TOL_ENV_VAR}={raw!r} is not a number') from exc\n"
+                     "    return _check_tol(tol, positive=True, name=TOL_ENV_VAR)\n")
+    assert _reads_environment(tree) == [3]
+    assert _reads_environment(ast.parse("from os import environ\n")) == [1]
+    assert _reads_environment(ast.parse("import os as o\no.getenv('X')\n")) == [2]
+    assert _reads_environment(ast.parse("import os\nos.path.join('a', 'b')\n")) == []
