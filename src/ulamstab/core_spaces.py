@@ -43,7 +43,6 @@ __all__ = [
     "load_distance_csv",
     "save_distance_csv",
     "load_distance_json",
-    "save_distance_json",
 ]
 
 # Absolute slack applied to every <= axiom check.
@@ -67,10 +66,14 @@ def as_extended(value, name="value") -> float:
 def as_extended_matrix(D) -> np.ndarray:
     """Coerce a square matrix of extended nonnegative reals.
 
-    Returns a float copy with the write flag cleared.  Non-square shape,
-    NaN entries, and negative entries are input errors.
+    Returns a float copy with the write flag cleared.  Entries that are not
+    numbers, ragged rows, non-square shape, NaN entries, and negative entries
+    are input errors.
     """
-    A = np.array(D, dtype=float)
+    try:
+        A = np.array(D, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"distance matrix is not a matrix of numbers: {exc}") from exc
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {A.shape}")
     if np.isnan(A).any():
@@ -230,7 +233,7 @@ class QuasiNormedSpace:
 
     ``norm_eval`` must be absolutely homogeneous and satisfy the kappa-relaxed
     triangle inequality; both are assumed, not checked.  The builtin norms
-    (the real line, L^{1/2}, ell^r) are p-normed,
+    (the real line, L^{1/2}) are p-normed,
     |x + y|**p <= |x|**p + |y|**p, which implies that triangle.
     The exponent ``p`` is derived from kappa at construction and satisfies
     (2 kappa)**p = 2 within 1e-12 relative.
@@ -640,16 +643,10 @@ def load_distance_json(path) -> tuple[np.ndarray, float]:
             raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or "kappa" not in doc or "D" not in doc:
         raise InputError(f"{path}: expected an object with fields 'kappa' and 'D'")
+    if isinstance(doc["kappa"], bool):
+        raise InputError(f"{path}: field 'kappa': a JSON boolean is not a number")
     try:
         kappa = float(doc["kappa"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: field 'kappa': {exc}") from exc
     return as_extended_matrix(doc["D"]), kappa
-
-
-def save_distance_json(path, D, kappa) -> None:
-    A = as_extended_matrix(D)
-    with open(path, "w") as fh:
-        json.dump({"kappa": float(kappa), "D": [list(map(float, row)) for row in A]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -93,7 +93,6 @@ __all__ = [
     "cubic_approximant",
     "stability_bound",
     "sup_weighted_distance",
-    "cubic_rescale",
     "m_closed_grid",
     "StabilityConfig",
     "StabilityCertificate",
@@ -639,19 +638,6 @@ def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
         raise InputError("sampled maps live on different grids")
     num = g.codomain.norm_rows(g.values - h.values)
     return _worst_ratio(num, _phi_at_zero_rows(phi, g.domain_grid))
-
-
-def cubic_rescale(g: SampledMap, m) -> SampledMap:
-    """The iteration operator (T g)(x) = g(m x) / m**3 on sampled maps.
-
-    Defined on the sub-grid of points whose m-multiple is still on g's
-    grid; empty sub-grids are an input error.
-    """
-    j = g.index_rows(m * g.domain_grid)
-    keep = np.flatnonzero(j >= 0)
-    if not len(keep):
-        raise InputError("no grid point has its m-multiple on the grid")
-    return SampledMap(g.domain_grid[keep], g.values[j[keep]] / m**3, g.codomain)
 
 
 def m_closed_grid(base, m, levels=2, symmetric=True) -> np.ndarray:

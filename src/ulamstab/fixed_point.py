@@ -9,9 +9,9 @@ Three outcomes are possible:
 
 * Converged: the step residual D(x_N, x_{N+1}) dropped to ``tol``.  The
   distance from x_N to the fixed point is then certified by
-  C * residual with C = (4 / (1 - L**p))**(1/p), the headline bound; the
-  smaller (4 / (1 - L))**(1/p) is reported too, and in the metric case
-  (p = 1) the sharper residual / (1 - L) alongside.
+  C * residual with C = (4 / (1 - L**p))**(1/p), the headline bound; in
+  the metric case (p = 1) the sharper residual / (1 - L) is reported
+  alongside.
 * DivergentInfinite: the residual is +inf and stays +inf for one further
   full step.  On a generalized space this certifies that the whole orbit
   keeps infinite step distances and no fixed point is approached.
@@ -78,10 +78,9 @@ class FixedPointResult:
 def bound_factors(L: float, p: float) -> dict:
     """The certified-bound multipliers for constant L and exponent p.
 
-    ``from_L_pow_p`` is (4 / (1 - L**p))**(1/p), the certified factor; it
-    dominates ``from_L`` = (4 / (1 - L))**(1/p) because L**p >= L on
-    [0, 1).  ``metric`` is 1 / (1 - L), meaningful only when p = 1.  L**p
-    rounding to 1 and a factor beyond the float range are input errors.
+    ``from_L_pow_p`` is (4 / (1 - L**p))**(1/p), the certified factor.
+    ``metric`` is 1 / (1 - L), present only when p = 1.  L**p rounding to 1
+    and a factor beyond the float range are input errors.
     """
     _check_p(p)
     _check_L(L)
@@ -95,7 +94,7 @@ def bound_factors(L: float, p: float) -> dict:
     if math.isinf(factor):  # a subnormal p makes 1/p = inf, and x**inf does not raise
         raise InputError(f"the bound factor (4 / (1 - L**p))**(1/p) overflows at "
                          f"L = {L!r}, p = {p!r}")
-    factors = {"from_L": (4.0 / (1.0 - L)) ** (1.0 / p), "from_L_pow_p": factor}
+    factors = {"from_L_pow_p": factor}
     if p == 1.0:
         factors["metric"] = 1.0 / (1.0 - L)
     return factors

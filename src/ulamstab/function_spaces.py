@@ -1,4 +1,4 @@
-"""Concrete quasi-normed spaces: L^{1/2}[0,1] and the ell^r sequence spaces.
+"""The concrete quasi-normed space L^{1/2}[0,1] and a corpus of test signals.
 
 L^{1/2}[0,1] carries |x| = (integral of |x(t)|**(1/2) dt)**2, a quasi-norm
 with modulus kappa = 2 and exponent p = 1/2.  Elements are represented by
@@ -9,9 +9,6 @@ norm is the midpoint quadrature
 
 which is exactly homogeneous and converges monotonically in n for
 piecewise-smooth signals.
-
-ell^r for 0 < r < 1 carries |x| = (sum |x_i|**r)**(1/r) with the tight
-modulus kappa = 2**(1/r - 1); r >= 1 gives an honest norm (kappa = 1).
 """
 
 from __future__ import annotations
@@ -25,40 +22,10 @@ from .core_spaces import QuasiNormedSpace, _check_count, _scalar_pow
 from .errors import InputError
 
 __all__ = [
-    "ell_r_quasi_norm",
-    "ell_r_kappa",
-    "ell_r_space",
     "lhalf_norm",
     "LHalfSpace",
     "example_corpus",
 ]
-
-
-def _check_r(r):
-    """Reject r unless it is an ell^r exponent: r > 0."""
-    if math.isnan(r) or r <= 0:
-        raise InputError(f"r must be positive, got {r!r}")
-
-
-def ell_r_quasi_norm(x, r) -> float:
-    """(sum |x_i|**r)**(1/r); requires r > 0."""
-    _check_r(r)
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.isnan(v).any():
-        raise InputError("vector contains NaN")
-    return float(np.sum(np.abs(v) ** r) ** (1.0 / r))
-
-
-def ell_r_kappa(r) -> float:
-    """The tight relaxed-triangle modulus of ell^r: 2**(1/r - 1) for r < 1, else 1."""
-    _check_r(r)
-    return 2.0 ** (1.0 / r - 1.0) if r < 1.0 else 1.0
-
-
-def ell_r_space(dim, r) -> QuasiNormedSpace:
-    k = ell_r_kappa(r)
-    return QuasiNormedSpace(dim=dim, norm_eval=lambda x: ell_r_quasi_norm(x, r),
-                            kappa=k, name=f"ell^{r}")
 
 
 def lhalf_norm(x, quadrature_n=None) -> float:

@@ -64,7 +64,6 @@ class ChainMetric:
 
     delta: np.ndarray
     p: float
-    source_kappa: float
 
     def __post_init__(self):
         d = np.array(self.delta, dtype=float)
@@ -155,4 +154,4 @@ def chain_metric(space: GeneralizedBMetricSpace, p: float | None = None) -> Chai
     # p == 1 keeps W bitwise equal to D, so a true metric passes through
     # Floyd-Warshall unchanged.
     W = space.D.copy() if p == 1.0 else np.power(space.D, p)
-    return ChainMetric(delta=_shortest_paths(W), p=p, source_kappa=space.kappa)
+    return ChainMetric(delta=_shortest_paths(W), p=p)

@@ -137,7 +137,6 @@ def test_bench_workloads_pass_their_own_oracles(workload, seed, monkeypatch, tmp
     # wrong by the benchmark's oracle, and a second run encodes the same
     # bytes.  The CLI workload writes its files under the working directory.
     monkeypatch.setitem(sys.modules, "oracles", _load("oracles"))  # workloads imports it
-    monkeypatch.delenv("ULAMSTAB_TOL", raising=False)
     monkeypatch.chdir(tmp_path)
     wl = getattr(_load("workloads"), workload)(ulamstab, seed, smoke=False)
     try:

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ulamstab import chain_metric, GeneralizedBMetricSpace, load_distance_csv, save_distance_csv, save_distance_json
+from ulamstab import chain_metric, GeneralizedBMetricSpace, load_distance_csv, save_distance_csv
 from ulamstab import LHalfSpace, example_corpus, m_closed_grid
 from ulamstab import cli
 from ulamstab.cli import main
@@ -67,7 +67,7 @@ def test_metrize_csv_requires_kappa(tmp_path, capsys):
 
 def test_metrize_json_carries_kappa(tmp_path, capsys):
     src = tmp_path / "d.json"
-    save_distance_json(src, VALID_D, kappa=8.0)
+    src.write_text(json.dumps({"kappa": 8.0, "D": VALID_D.tolist()}))
     code, doc, _ = run_cli(["metrize", "--in", str(src)], capsys)
     assert code == 0
     assert doc["report"]["kappa"] == 8.0
@@ -94,6 +94,23 @@ def test_metrize_invalid_space_is_certified_failure(tmp_path, capsys):
     assert validation["witness"] == [0, 2, 1]
 
 
+@pytest.mark.parametrize("text", [
+    '{"kappa": 2, "D": "abc"}',
+    '{"kappa": 2, "D": [[0, 1], [1]]}',
+    '{"kappa": 2, "D": [[0, "x"], ["x", 0]]}',
+    '{"kappa": 2, "D": {"a": 1}}',
+    '{"kappa": true, "D": [[0, 1], [1, 0]]}',
+], ids=["string", "ragged", "string-entry", "object", "boolean-kappa"])
+def test_metrize_rejects_a_malformed_json_file(tmp_path, capsys, text):
+    # The first four raised a bare ValueError or TypeError (exit 1, the
+    # code of a certified failure); a boolean kappa was read as 1.0.
+    src = tmp_path / "d.json"
+    src.write_text(text)
+    code, doc, err = run_cli(["metrize", "--in", str(src)], capsys)
+    assert (code, doc) == (2, None)
+    assert err.startswith("input error: ")
+
+
 def test_metrize_missing_file(tmp_path, capsys):
     code, doc, err = run_cli(["metrize", "--in", str(tmp_path / "nope.csv"),
                               "--kappa", "2"], capsys)
@@ -116,8 +133,9 @@ def test_metrize_rejects_p_above_the_derived_exponent(tmp_path, capsys):
     # |i - j|, below (1/4) D for |i - j| > 4; this exited 0 with "pass"
     # and sandwich_ok false.
     idx = np.arange(9.0)
+    D = (idx[:, None] - idx[None, :]) ** 2
     src = tmp_path / "sq9.json"
-    save_distance_json(src, (idx[:, None] - idx[None, :]) ** 2, kappa=2.0)
+    src.write_text(json.dumps({"kappa": 2.0, "D": D.tolist()}))
     code, doc, err = run_cli(["metrize", "--in", str(src), "--p", "1"], capsys)
     assert (code, doc) == (2, None)
     assert err == ("input error: p = 1.0 exceeds log_(2 kappa) 2 = 0.5 at kappa = 2.0, "
@@ -141,7 +159,7 @@ def _interleaved_components(rng, n=12):
 def test_metrize_interleaved_components(tmp_path, capsys):
     D = _interleaved_components(np.random.default_rng(3))
     src, dst = tmp_path / "d.json", tmp_path / "delta.csv"
-    save_distance_json(src, D, kappa=2.0)
+    src.write_text(json.dumps({"kappa": 2.0, "D": D.tolist()}))
     code, doc, _ = run_cli(["metrize", "--in", str(src), "--out", str(dst)], capsys)
     assert code == 0
     assert doc["report"]["unreachable_pairs"] == 6 * 6
@@ -160,7 +178,7 @@ def test_metrize_reports_the_least_row_across_components(tmp_path, capsys):
     D[4, 10] = D[10, 4] = 100.0
     D[1, 11] = D[11, 1] = 100.0
     src = tmp_path / "d.json"
-    save_distance_json(src, D, kappa=2.0)
+    src.write_text(json.dumps({"kappa": 2.0, "D": D.tolist()}))
     code, doc, _ = run_cli(["metrize", "--in", str(src)], capsys)
     assert code == 1
     validation = doc["report"]["validation"]
@@ -181,7 +199,7 @@ def test_fixpoint_halving_converges(capsys):
     report = doc["report"]
     assert report["outcome"] == "Converged"
     assert report["error_bound"] >= abs(report["iterate"])
-    assert "metric" in report["bounds"]
+    assert set(report["bounds"]) == {"from_L_pow_p", "metric"}
     hist = report["residual_history"]
     assert all(a > b for a, b in zip(hist, hist[1:]))
 

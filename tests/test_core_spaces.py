@@ -34,7 +34,6 @@ from ulamstab import (
     p_exponent,
     real_line,
     save_distance_csv,
-    save_distance_json,
     validate_b_metric,
 )
 from ulamstab.core_spaces import _euclidean_norm_rows
@@ -367,7 +366,7 @@ def test_csv_loader_names_the_line_of_a_bad_entry(tmp_path):
 def test_json_round_trip_carries_kappa(tmp_path):
     D = np.array([[0.0, 4.0], [4.0, 0.0]])
     path = tmp_path / "d.json"
-    save_distance_json(path, D, kappa=2.0)
+    path.write_text(json.dumps({"kappa": 2.0, "D": D.tolist()}))
     back, kappa = load_distance_json(path)
     assert np.array_equal(back, D)
     assert kappa == 2.0
@@ -386,11 +385,3 @@ def test_csv_loader_rejects_ragged_rows(tmp_path):
     path.write_text("0.0,1.0\n1.0\n")
     with pytest.raises(InputError):
         load_distance_csv(path)
-
-
-def test_json_round_trip_through_plain_json_module(tmp_path):
-    path = tmp_path / "d.json"
-    save_distance_json(path, np.array([[0.0, 1.0], [1.0, 0.0]]), kappa=1.0)
-    doc = json.loads(path.read_text())
-    assert doc["kappa"] == 1.0
-    assert doc["D"] == [[0.0, 1.0], [1.0, 0.0]]

@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 from ulamstab import (
     InputError,
     LHalfSpace,
-    ell_r_kappa,
-    ell_r_quasi_norm,
-    ell_r_space,
     example_corpus,
     lhalf_norm,
     real_line,
@@ -103,46 +100,6 @@ def test_lhalf_midpoints():
 
 
 # ---------------------------------------------------------------------------
-# ell^r spaces
-# ---------------------------------------------------------------------------
-
-
-def test_ell_r_reference_values():
-    # r = 1/2 uses the unnormalized sequence form (sum of square roots,
-    # squared): (1 + 2)**2 = 9 and (1 + 1)**2 = 4.
-    assert ell_r_quasi_norm(np.array([1.0, 4.0]), 0.5) == pytest.approx(9.0, rel=1e-12)
-    assert ell_r_quasi_norm(np.array([1.0, 1.0]), 0.5) == pytest.approx(4.0, rel=1e-12)
-    assert ell_r_quasi_norm(np.array([3.0, 4.0]), 2.0) == pytest.approx(5.0, rel=1e-12)
-    assert ell_r_quasi_norm(np.array([3.0, -4.0]), 1.0) == pytest.approx(7.0, rel=1e-12)
-
-
-def test_ell_r_kappa_values():
-    assert ell_r_kappa(1.0) == 1.0
-    assert ell_r_kappa(2.0) == 1.0
-    assert ell_r_kappa(0.5) == pytest.approx(2.0, abs=1e-15)
-    assert ell_r_kappa(1.0 / 3.0) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_ell_r_validation():
-    with pytest.raises(InputError):
-        ell_r_quasi_norm(np.array([1.0]), 0.0)
-    with pytest.raises(InputError):
-        ell_r_quasi_norm(np.array([math.nan]), 0.5)
-    with pytest.raises(InputError):
-        ell_r_kappa(-1.0)
-
-
-def test_ell_r_kappa_is_tight():
-    # Disjoint unit spikes realize the modulus exactly.
-    for r in (0.5, 1.0 / 3.0, 0.25):
-        x = np.array([1.0, 0.0])
-        y = np.array([0.0, 1.0])
-        ratio = ell_r_quasi_norm(x + y, r) / (
-            ell_r_quasi_norm(x, r) + ell_r_quasi_norm(y, r))
-        assert ratio == pytest.approx(ell_r_kappa(r), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # example corpus
 # ---------------------------------------------------------------------------
 
@@ -178,7 +135,6 @@ def test_example_corpus_seed_changes_signals():
 P_NORMED = [
     pytest.param(real_line(), 1.0, id="reals"),
     pytest.param(LHalfSpace(128).space(), 0.5, id="lhalf-128"),
-    *(pytest.param(ell_r_space(6, r), r, id=f"ell-{r:.3g}") for r in (0.5, 1.0 / 3.0, 0.8)),
 ]
 
 
