@@ -72,7 +72,7 @@ def as_extended_matrix(D) -> np.ndarray:
     """
     try:
         A = np.array(D, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"distance matrix is not a matrix of numbers: {exc}") from exc
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {A.shape}")
@@ -476,9 +476,10 @@ class _RowIndex:
 
     Row k matches a query q when |row_k - q| <= _MATCH_ATOL + _MATCH_RTOL
     max(|row_k|, |q|) in every coordinate, a rule symmetric in the two.  A
-    query searches the window of first coordinates that can match and
-    applies the full tolerance to the rows in it, so it finds the same
-    (lowest) index a scan of every row would find.
+    query is sought by its first coordinate: only a query whose window of
+    first coordinates that can match holds a row is built in full, and the
+    full tolerance is applied to the rows in its window, so it finds the
+    same (lowest) index a scan of every row would find.
     """
 
     def __init__(self, rows):
@@ -489,33 +490,51 @@ class _RowIndex:
     def match(self, P, allow=None) -> np.ndarray:
         """Lowest index of a row matching each row of P, or -1.  With
         ``allow(i, k)``, only the rows k it accepts for query i count."""
-        n = len(self.rows)
-        p0 = P[:, 0]
+        return self.lookup(P[:, 0], lambda i: P if len(i) == len(P) else P[i], allow)
+
+    def lookup(self, first, build, allow=None) -> np.ndarray:
+        """``match`` of the queries whose first coordinates are ``first``.
+
+        ``build(i)`` gives the full queries at the indices i.  It is called
+        only for the queries whose window holds a row, or whose first
+        coordinate is not finite (its window is every row), in equal chunks
+        of at most one tile of coordinates.  On a grid of numbers the first
+        coordinate is the whole query, and ``build`` is not called.
+        """
+        n, d = self.rows.shape
         # A matching row is within (atol + rtol |p0|) / (1 - rtol) of p0.
-        reach = 2.0 * (_MATCH_ATOL + _MATCH_RTOL * np.abs(p0))
+        reach = 2.0 * (_MATCH_ATOL + _MATCH_RTOL * np.abs(first))
+        found = np.full(len(first), n)
         # A gap that overflows is no match.
         with np.errstate(over="ignore", invalid="ignore"):
-            lo = np.searchsorted(self.keys, p0 - reach, side="left")
-            hi = np.searchsorted(self.keys, p0 + reach, side="right")
-            wild = ~np.isfinite(p0)  # no window: scan every row
+            lo = np.searchsorted(self.keys, first - reach, side="left")
+            width = np.searchsorted(self.keys, first + reach, side="right") - lo
+            wild = ~np.isfinite(first)  # no window: scan every row
             lo[wild] = 0
-            hi[wild] = n
-            found = np.full(len(P), n)
-            width = hi - lo
-            for t in range(int(width.max(initial=0))):
-                live = np.flatnonzero(width > t)
-                cand = self.order[lo[live] + t]
-                q = P if len(live) == len(P) else P[live]
-                # |row - q| <= atol + rtol max(|row|, |q|), computed in place.
-                tol = self.rows[cand]
-                gap = np.abs(tol - q)
-                np.maximum(np.abs(tol, out=tol), np.abs(q), out=tol)
-                tol *= _MATCH_RTOL
-                tol += _MATCH_ATOL
-                hit = np.all(gap <= tol, axis=1)
-                if allow is not None:
-                    hit &= allow(live, cand)
-                found[live[hit]] = np.minimum(found[live[hit]], cand[hit])
+            width[wild] = n
+            live = np.flatnonzero(width > 0)
+            # As few chunks as the budget allows, of equal size.
+            chunks = -(-len(live) // _rows_per_tile(d))
+            for c in range(chunks):
+                i = live[c * len(live) // chunks:(c + 1) * len(live) // chunks]
+                q = first[i, None] if d == 1 else build(i)
+                ids, start, w = i, lo[i], width[i]
+                for t in range(int(w.max())):
+                    if t:  # the queries whose window holds a row t
+                        k = np.flatnonzero(w > t)
+                        ids, start, w, q = ids[k], start[k], w[k], q[k]
+                    cand = self.order[start + t]
+                    # |row - q| <= atol + rtol max(|row|, |q|), computed in place.
+                    tol = self.rows[cand]
+                    gap = tol - q
+                    np.abs(gap, out=gap)
+                    np.maximum(np.abs(tol, out=tol), np.abs(q), out=tol)
+                    tol *= _MATCH_RTOL
+                    tol += _MATCH_ATOL
+                    hit = np.all(gap <= tol, axis=1)
+                    if allow is not None:
+                        hit &= allow(ids, cand)
+                    found[ids[hit]] = np.minimum(found[ids[hit]], cand[hit])
         found[found == n] = -1
         return found
 
@@ -634,6 +653,10 @@ def save_distance_csv(path, D) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in A.tolist())
 
 
+# The types json.load gives a JSON number: Infinity and NaN are floats.
+_JSON_NUMBERS = frozenset({int, float})
+
+
 def load_distance_json(path) -> tuple[np.ndarray, float]:
     """Read ``{"kappa": k, "D": [[...]]}``; returns (matrix, kappa)."""
     with open(path) as fh:
@@ -643,10 +666,17 @@ def load_distance_json(path) -> tuple[np.ndarray, float]:
             raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or "kappa" not in doc or "D" not in doc:
         raise InputError(f"{path}: expected an object with fields 'kappa' and 'D'")
-    if isinstance(doc["kappa"], bool):
-        raise InputError(f"{path}: field 'kappa': a JSON boolean is not a number")
+    # A JSON string or boolean is no number, here as in a config file.
+    if type(doc["kappa"]) not in _JSON_NUMBERS:
+        raise InputError(f"{path}: field 'kappa' must be float")
+    D = doc["D"]
+    for i, row in enumerate(D if isinstance(D, list) else ()):
+        if isinstance(row, list) and not _JSON_NUMBERS.issuperset(map(type, row)):
+            j = next(j for j, v in enumerate(row) if type(v) not in _JSON_NUMBERS)
+            raise InputError(f"{path}: field 'D.{i}.{j}' must be float")
     try:
         kappa = float(doc["kappa"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: field 'kappa': {exc}") from exc
-    return as_extended_matrix(doc["D"]), kappa
+    except OverflowError:
+        raise InputError(f"{path}: field 'kappa' must be finite, got an int too large "
+                         f"for a float") from None
+    return as_extended_matrix(D), kappa

@@ -385,8 +385,11 @@ class _Pairs:
     ``_Pairs.grid`` holds every pair of a grid in lexicographic order; the
     pairs are never stored, and a block is a tile: a run of x-points, each
     against every y, with about 1/16 of a tile of coordinates of pairs and
-    at least one x-point.  ``_Pairs.of`` holds a sequence of pairs, walked
-    in consecutive blocks of ``BLOCK``.  ``len()`` counts the pairs.
+    at least one x-point; a tile of one x-point holds it as a one-point
+    block.  A grid keeps phi(x, y) block by block (``phi_rows``), so that
+    two checks of one ``_Pairs`` evaluate it once.  ``_Pairs.of`` holds a
+    sequence of pairs, walked in consecutive blocks of ``BLOCK``.  ``len()``
+    counts the pairs.
     """
 
     BLOCK = 64
@@ -394,6 +397,7 @@ class _Pairs:
     def __init__(self, xs, ys, zero, values=None, f0=None, samples=None):
         self.xs, self.ys, self.zero = xs, ys, zero
         self.values, self.f0, self.samples = values, f0, samples
+        self._phi, self._phi_blocks = None, {}
 
     @classmethod
     def grid(cls, grid, exclude_zero=False, values=None):
@@ -428,7 +432,8 @@ class _Pairs:
 
         A grid calls f on its points once, unless their values came with
         it; a sequence calls f block by block, so that a check stopping
-        early calls f on no later pair.
+        early calls f on no later pair.  A grid tile of one x-point holds
+        it as a one-point block, which broadcasts against the y block.
         """
         if self.samples is None:
             fy = self.values if self.values is not None or f is None else _f_rows(f, self.ys)
@@ -442,12 +447,25 @@ class _Pairs:
             rows = _rows_per_tile(self.ys.size, share=16)
             for i0 in range(0, len(self.xs), rows):
                 X = self.xs[i0:i0 + rows]
-                yield (i0 * n, _repeat_rows(X, n), _tile_rows(self.ys, len(X)),
-                       None if fy is None else _tile_rows(fy, len(X)))
+                yield (i0 * n, X if len(X) == 1 else _repeat_rows(X, n),
+                       _tile_rows(self.ys, len(X)), None if f is None else _tile_rows(fy, len(X)))
             return
         for start in range(0, len(self.xs), self.BLOCK):
             X, Y = self.xs[start:start + self.BLOCK], self.ys[start:start + self.BLOCK]
             yield start, X, Y, None if f is None else _f_rows(f, Y)
+
+    def phi_rows(self, phi, start, X, Y) -> np.ndarray:
+        """phi over the block of pairs from index ``start``.  A grid keeps
+        each block's values, so a second check of the same pairs with the
+        same phi reads them instead of evaluating phi again."""
+        if self.samples is not None:
+            return _phi_rows(phi, X, Y)
+        if phi is not self._phi:
+            self._phi, self._phi_blocks = phi, {}
+        key = (start, len(Y))
+        if key not in self._phi_blocks:
+            self._phi_blocks[key] = _phi_rows(phi, X, Y)
+        return self._phi_blocks[key]
 
     def pair(self, k) -> tuple:
         if self.samples is not None:
@@ -457,8 +475,7 @@ class _Pairs:
 
 
 def _repeat_rows(A, n) -> np.ndarray:
-    """Each point of the block A n times in a row; a one-point block is a
-    view, not a copy."""
+    """Each point of the block A n times in a row."""
     return np.broadcast_to(A[:, None], (len(A), n) + A.shape[1:]).reshape((-1,) + A.shape[1:])
 
 
@@ -476,13 +493,14 @@ def _exceeds(lhs, rhs, tol) -> np.ndarray:
 def _scan(pairs, sides, tol, exceeds, holds, f=None) -> CheckReport:
     """Check lhs <= rhs + tol * max(1, rhs) block by block.
 
-    ``sides(X, Y, FY)`` gives both sides for one block, FY being f at the
-    y block when f is given.  The first violating pair fails the check;
-    otherwise the witness is the first pair of largest lhs/rhs.
+    ``sides(start, X, Y, FY)`` gives both sides for the block of pairs from
+    index ``start``, FY being f at the y block when f is given.  The first
+    violating pair fails the check; otherwise the witness is the first pair
+    of largest lhs/rhs.
     """
     worst, witness = 0.0, None
     for start, X, Y, FY in pairs.blocks(f):
-        lhs, rhs = sides(X, Y, FY)
+        lhs, rhs = sides(start, X, Y, FY)
         ratio = _ratios(lhs, rhs)
         bad = _exceeds(lhs, rhs, tol)
         if bad.any():
@@ -510,8 +528,8 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     pairs = _Pairs.of(samples)
     scale = L * abs(m) ** 3
 
-    def sides(X, Y, FY):
-        return _phi_rows(phi, m * X, m * Y), scale * _phi_rows(phi, X, Y)
+    def sides(start, X, Y, FY):
+        return _phi_rows(phi, m * X, m * Y), scale * pairs.phi_rows(phi, start, X, Y)
 
     return _scan(pairs, sides, tol,
                  lambda lhs, rhs: f"phi(m x, m y) = {lhs!r} exceeds L |m|^3 phi(x, y) = {rhs!r}",
@@ -537,12 +555,13 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
         raise HypothesisViolation(
             f"f(0) has norm {f0!r}, expected 0", witness=(pairs.zero,), observed=f0, allowed=tol)
 
-    def sides(X, Y, FY):
+    def sides(start, X, Y, FY):
         with np.errstate(over="ignore", invalid="ignore"):
             R = _residual_rows(_euler_lagrange(m), f, X, Y, FY)
         if np.isfinite(R).all():
-            return norm_rows(R), _phi_rows(phi, X, Y)
+            return norm_rows(R), pairs.phi_rows(phi, start, X, Y)
         # The first pair whose residual is not finite.
+        X, Y = np.broadcast_arrays(X, Y)
         k = int(np.argmin(np.isfinite(R.reshape(len(R), -1)).all(axis=1)))
         if k:  # a violating pair before it decides the check
             lhs, rhs = norm_rows(R[:k]), _phi_rows(phi, X[:k], Y[:k])
@@ -795,6 +814,9 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
     one-step check, the errors and stage 0 of the approximant.  The n**2
     grid pairs are processed in tiles of x-points against every y; a
     failing check stops after the tile holding the first violating pair.
+    phi(x, y) is evaluated once per grid pair: the contractivity check
+    reads it from the defect check, unless the two walk different pairs
+    (a phi that excludes zero arguments) or the defect check stopped early.
     The one-step estimate reads f at m x from stage 1 of the approximant.
     The equation defects of q are taken over every ordered grid pair whose
     equation points all lie on the grid, at every grid size;
@@ -813,14 +835,17 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
             f"f overflowed on the grid: f is not finite at grid point {int(np.argmin(finite))}")
 
     # The power-law hypotheses are stated away from the origin only.
+    exclude_zero = getattr(phi, "excludes_zero", False)
+    pairs = _Pairs.grid(g, exclude_zero, values=F)
     try:
-        defect_report = hypothesis_defect_check(
-            f, phi, config.m, _Pairs.grid(g, getattr(phi, "excludes_zero", False), values=F),
-            norm=codomain.norm, tol=config.tol)
+        defect_report = hypothesis_defect_check(f, phi, config.m, pairs,
+                                                norm=codomain.norm, tol=config.tol)
     except HypothesisViolation as exc:
         # f(0) = 0 is the ground everything else stands on.
         return _failing_certificate(config, n_pts, str(exc), exc.witness)
-    phi_report = phi_contractivity_check(phi, config.m, config.L, _Pairs.grid(g))
+    # On the same pairs the contractivity check reads phi(x, y) from the defect check.
+    phi_report = phi_contractivity_check(phi, config.m, config.L,
+                                         _Pairs.grid(g) if exclude_zero else pairs)
     q, step = _approximant(f, config.m, g, F, _MAX_STAGES, config.tol, codomain)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).
@@ -879,38 +904,47 @@ def _solution_defects(q: SampledMap, m, norm, n_pts):
     A pair is in range for an equation when every point it touches lands
     on the grid.  Every ordered pair of the ``n_pts`` grid points is a
     candidate, walked in tiles: a run of x-points against every y, one tile
-    of coordinates of pairs and at least one x-point.  A tile is looked up
-    in stages: x + y, then x - y where it landed (the points both equations
-    share), then each equation's own points where both did; x and y are
-    grid rows.  A grid of up to 256 numbers is one tile.  Returns the worst
-    Euler-Lagrange and Jun-Kim defects and the pairs in range for either.
+    of pairs and at least one x-point.  A tile is looked up in stages:
+    x + y, then x - y where it landed (the points both equations share),
+    then each equation's own points where both did; x and y are grid rows.
+    A stage computes the first coordinate of its point for every pair (the
+    point maps act coordinate by coordinate, so it is the point's first
+    coordinate bit for bit) and builds a point in full only where that
+    coordinate can match a grid row, at most one tile of coordinates at a
+    time (``_RowIndex.lookup``).  A grid of up to 256 points is one tile.
+    Returns the worst Euler-Lagrange and Jun-Kim defects and the pairs in
+    range for either.
     """
-    rows = q.domain_grid
-    at = q.index_rows
+    index = q._index
+    rows = index.rows
+    first = rows[:, 0]
     equations = (_euler_lagrange(m), _JUN_KIM)
     shared = [p for p in equations[0].points if p in equations[1].points and p not in (_x, _y)]
+
+    def at(p, xi, yi):
+        """The grid index of p(x, y) for the pairs of grid rows xi, yi, or -1."""
+        return index.lookup(p(first[xi], first[yi]), lambda k: p(rows[xi[k]], rows[yi[k]]))
+
     ys = np.arange(n_pts)
-    step = _rows_per_tile(n_pts * rows[0].size)  # x-points per tile
+    step = _rows_per_tile(n_pts)  # x-points per tile
     worst = [0.0] * len(equations)
     checked = 0
     for start in range(0, n_pts, step):
         xs = np.arange(start, min(start + step, n_pts))
         found = {_x: np.repeat(xs, n_pts), _y: np.tile(ys, len(xs))}
-        for k, p in enumerate(shared):
-            # The first stage is one broadcast per tile: gathering each pair's
-            # x and y first costs more than the lookup itself on vector grids.
-            P = (p(rows[xs, None], rows[None, ys]) if k == 0
-                 else p(rows[found[_x]], rows[found[_y]]))
-            found[p] = at(P.reshape((-1,) + rows.shape[1:]))
-            found = {r: v[found[p] >= 0] for r, v in found.items()}
-        X, Y = rows[found[_x]], rows[found[_y]]
-        in_range = np.zeros(len(X), dtype=bool)
+        # A point that overflows is compared with every row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in shared:
+                found[p] = at(p, found[_x], found[_y])
+                found = {r: v[found[p] >= 0] for r, v in found.items()}
+            idx = [np.stack([found[p] if p in found else at(p, found[_x], found[_y])
+                             for p in eq.points]) for eq in equations]
+        in_range = np.zeros(len(found[_x]), dtype=bool)
         for e, eq in enumerate(equations):
-            idx = np.stack([found[p] if p in found else at(p(X, Y)) for p in eq.points])
-            ok = (idx >= 0).all(axis=0)
+            ok = (idx[e] >= 0).all(axis=0)
             in_range |= ok
             if ok.any():
-                R = eq.residual(*(q.values[k] for k in idx[:, ok]))
+                R = eq.residual(*(q.values[k] for k in idx[e][:, ok]))
                 worst[e] = max(worst[e], float(np.max(_row_norm(norm)(R))))
         checked += int(np.count_nonzero(in_range))
     return worst[0], worst[1], checked

@@ -47,9 +47,12 @@ def _lhalf_norm_rows(X, quadrature_n=None) -> np.ndarray:
         raise InputError(f"expected a 2-d block of sample vectors, got shape {V.shape}")
     if quadrature_n is not None and V.shape[1] != quadrature_n:
         raise InputError(f"sample vector has length {V.shape[1]}, expected {quadrature_n}")
-    if np.isnan(V).any():
+    R = np.abs(V)
+    s = np.sum(np.sqrt(R, out=R), axis=1)
+    # Every term is >= 0 or +inf, so a row sum is NaN exactly when its row holds a NaN.
+    if np.isnan(s).any():
         raise InputError("sample vector contains NaN")
-    return _scalar_pow(np.sum(np.sqrt(np.abs(V)), axis=1) / V.shape[1], 2)
+    return _scalar_pow(s / V.shape[1], 2)
 
 
 @dataclass(frozen=True)

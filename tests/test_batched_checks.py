@@ -53,7 +53,7 @@ from ulamstab import (
 )
 from conftest import TILES, tile_elements
 from ulamstab import cli
-from ulamstab.core_spaces import _TILE_ELEMENTS
+from ulamstab.core_spaces import _TILE_ELEMENTS, _RowIndex
 from ulamstab.cubic_stability import DEFAULT_TOL, _Pairs, _solution_defects
 
 DIM = 8
@@ -444,6 +444,28 @@ def test_verify_stability_calls_f_once_per_evaluation_point(phi):
     assert len(calls) == n + 4 * pairs + n * cert.approximant_iterations
 
 
+@pytest.mark.parametrize("base", [[0.5, 1.0, 3.0], [[0.5, 1.0], [1.0, -0.25], [2.0, 0.125]]])
+@pytest.mark.parametrize("tile", [None, 1, 64])
+def test_a_shift_norm_verify_evaluates_phi_once_per_grid_pair(base, tile):
+    # phi(x, y) once per grid pair, read by both checks, and phi(m x, m y)
+    # once: 2 n**2 pairs, where evaluating phi(x, y) in each check took 3 n**2.
+    grid = m_closed_grid(base, 2.0, levels=2)
+    phi = ShiftNorm(c=12.0, m=2.0)
+    pairs = []
+    rows = ShiftNorm.rows
+
+    def counted(self, X, Y):
+        v = rows(self, X, Y)
+        pairs.append(len(v))
+        return v
+
+    with tile_elements(tile), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ShiftNorm, "rows", counted)
+        cert = verify_stability(cubic_plus_linear, phi, StabilityConfig(m=2.0, L=0.25), grid)
+    assert cert.passed
+    assert sum(pairs) == 2 * len(grid) ** 2
+
+
 @contextlib.contextmanager
 def counting_blocks():
     """The number of blocks each walk of _Pairs.blocks yields, and the
@@ -454,8 +476,9 @@ def counting_blocks():
     def counted(self, f=None):
         walks.append([0, 0])
         for block in blocks(self, f):
+            # A one-point x block broadcasts: the y block holds one point per pair.
             walks[-1][0] += 1
-            walks[-1][1] += len(block[1])
+            walks[-1][1] += len(block[2])
             yield block
 
     with pytest.MonkeyPatch.context() as mp:
@@ -746,28 +769,41 @@ def test_every_permutation_of_an_m_closed_grid_is_a_valid_sampled_map(base, m, l
 
 
 def reference_solution_defects(grid, values, m, norm):
-    """(el_worst, jk_worst, checked, x + y hits, x + y and x - y hits) of
-    the Euler-Lagrange and Jun-Kim residuals of the sampled map, one
-    ordered pair of grid points at a time.  Both equations touch x + y
-    and x - y, so a pair where either misses the grid is out of range."""
+    """(el_worst, jk_worst, checked, built) of the Euler-Lagrange and
+    Jun-Kim residuals of the sampled map, one ordered pair of grid points
+    at a time.  Both equations touch x + y and x - y, so a pair where
+    either misses the grid is out of range.  ``built`` counts the points
+    looked up in stages (x + y for every pair, x - y where it landed, the
+    other four where both did) whose first coordinate is not finite or
+    lies within 2 (1e-12 + 1e-9 |p0|) of a grid row's: the points a lookup
+    by first coordinate builds in full on a vector grid."""
     n = len(grid)
     pairs = [(i, j) for i in range(n) for j in range(n)]
+    first = (grid if grid.ndim == 1 else grid[:, 0]).tolist()
 
     def find(point):
         return reference_try_index(grid, point)
 
+    def opens(point):
+        p0 = float(np.atleast_1d(point)[0])
+        if not math.isfinite(p0):
+            return True
+        reach = 2.0 * (1e-12 + 1e-9 * abs(p0))
+        return any(p0 - reach <= g0 <= p0 + reach for g0 in first)
+
     el_worst = jk_worst = 0.0
-    checked = sum_hits = both_hits = 0
+    checked = built = 0
     for i, j in pairs:
         x, y = grid[i], grid[j]
+        built += opens(x + y)
         s = find(x + y)
         if s is None:
             continue
-        sum_hits += 1
+        built += opens(x - y)
         d = find(x - y)
         if d is None:
             continue
-        both_hits += 1
+        built += sum(opens(p) for p in (x + m * y, m * x - y, 2.0 * x + y, 2.0 * x - y))
         el = [find(x + m * y), find(m * x - y), s, d, find(y)]
         jk = [find(2.0 * x + y), find(2.0 * x - y), s, d, find(x)]
         checked += None not in el or None not in jk
@@ -778,22 +814,28 @@ def reference_solution_defects(grid, values, m, norm):
         if None not in jk:
             a, b, c, dd, e = (values[k] for k in jk)
             jk_worst = max(jk_worst, norm(a + b - 2.0 * c - 2.0 * dd - 12.0 * e))
-    return el_worst, jk_worst, checked, sum_hits, both_hits
+    return el_worst, jk_worst, checked, built
 
 
 @contextlib.contextmanager
 def counting_lookups():
-    """Count the calls of SampledMap.index_rows and the points they look up."""
-    seen = {"calls": 0, "points": 0}
-    lookup = SampledMap.index_rows
+    """Count the calls of _RowIndex.lookup, the full points they build, and
+    the most points one build holds."""
+    seen = {"calls": 0, "built": 0, "largest": 0}
+    lookup = _RowIndex.lookup
 
-    def counted(self, points):
+    def counted(self, first, build, allow=None):
         seen["calls"] += 1
-        seen["points"] += len(points)
-        return lookup(self, points)
+
+        def counted_build(i):
+            seen["built"] += len(i)
+            seen["largest"] = max(seen["largest"], len(i))
+            return build(i)
+
+        return lookup(self, first, counted_build, allow)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SampledMap, "index_rows", counted)
+        mp.setattr(_RowIndex, "lookup", counted)
         yield seen
 
 
@@ -834,34 +876,82 @@ def test_solution_defects_match_the_per_pair_scan(case):
     n = len(grid)
     with tile_elements(case["tile"]), counting_lookups() as seen:
         got = _solution_defects(q, m, codomain.norm, n)
-    el_worst, jk_worst, checked, sum_hits, both_hits = reference_solution_defects(
-        grid, values, m, ref_norm)
+    el_worst, jk_worst, checked, built = reference_solution_defects(grid, values, m, ref_norm)
     assert _same_float(got[0], el_worst), (got[0], el_worst)
     assert _same_float(got[1], jk_worst), (got[1], jk_worst)
     assert got[2] == checked > 0
     # The lookups are staged: x + y for every ordered pair, x - y where it
     # landed, the other four where both did; a few calls per tile.  A tile
-    # is a run of x-points against every y, with pairs of about tile-size
-    # coordinates.
-    assert seen["points"] == n * n + sum_hits + 4 * both_hits
-    size = (case["tile"] or _TILE_ELEMENTS) // (3 if vector else 1)
+    # is a run of x-points against every y, with about one tile of pairs.
+    # A point is built in full only where its first coordinate can match,
+    # at most one tile of coordinates at a time; on a grid of numbers the
+    # first coordinate is the whole point.
+    assert seen["built"] == (built if vector else 0)
+    size = case["tile"] or _TILE_ELEMENTS
+    assert seen["largest"] <= max(1, size // 3)
     tiles = -(-n // max(1, size // n))
     assert seen["calls"] <= 6 * tiles
+
+
+wide = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "bases": st.sampled_from([1, 2, 3]),  # 7, 13 or 19 points, then the huge ones
+    "m": st.sampled_from([2.0, 3.0, -2.0]),
+    "huge": st.booleans(),
+    "norm": st.integers(0, 2),
+    "tile": TILES,
+})
+
+
+@given(wide)
+@settings(max_examples=60, deadline=None)
+def test_solution_defects_match_where_windows_span_the_grid(case):
+    # Every grid row has first coordinate 0, so every window of first
+    # coordinates spans the grid, and each lookup builds every point it is
+    # given.  Huge rows make equation points overflow in the first
+    # coordinate: their windows are every row as well.  The defects match
+    # the per-pair scan bit for bit, quietly, and no build holds more than
+    # one tile of coordinates.
+    rng = np.random.default_rng(case["seed"])
+    m = case["m"]
+    base = rng.integers(-64, 65, size=(case["bases"], 3)) / 32.0
+    base[:, 0] = 0.0
+    grid = m_closed_grid(base, m, levels=2)
+    if case["huge"]:
+        huge = rng.integers(-4, 5, size=(3, 3)) / 4.0
+        huge[:, 0] = [1.5e308, -1.2e308, 1e308]
+        grid = np.concatenate([grid, huge])
+    grid = grid[rng.permutation(len(grid))]
+    values = rng.normal(size=grid.shape)
+    norm, ref_norm = SOLUTION_NORMS[True][case["norm"]]
+    codomain = QuasiNormedSpace(dim=3, norm_eval=norm, kappa=2.0)
+    q = SampledMap(domain_grid=grid, values=values, codomain=codomain)
+    n = len(grid)
+    with tile_elements(case["tile"]), counting_lookups() as seen:
+        got = _solution_defects(q, m, codomain.norm, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        el_worst, jk_worst, checked, built = reference_solution_defects(grid, values, m, ref_norm)
+    assert _same_float(got[0], el_worst), (got[0], el_worst)
+    assert _same_float(got[1], jk_worst), (got[1], jk_worst)
+    assert got[2] == checked
+    assert seen["built"] == built and (case["huge"] or built >= n * n)
+    assert seen["largest"] <= max(1, (case["tile"] or _TILE_ELEMENTS) // 3)
 
 
 @pytest.mark.parametrize("base, levels, n", [([1.0, 3.0], 3, 17), ([0.5, 0.75, 1.25], 2, 19),
                                              ([1.0, 1.25, 1.5, 1.75], 5, 48),
                                              ([1.0, 1.25, 1.5, 1.75], 7, 65)])
 def test_solution_defects_of_a_scalar_grid_take_one_tile(base, levels, n):
-    # A grid of up to 256 numbers is one tile: at most 1 + 7 index_rows
-    # calls, where a lookup per grid row needs 7 n + 1.
+    # A grid of up to 256 numbers is one tile: one lookup per point of the
+    # two equations but x and y, at most 1 + 7 calls, where a lookup per
+    # grid row needs 7 n + 1.
     grid = m_closed_grid(base, 2.0, levels=levels)
     grid = grid[:n]
     q = SampledMap(domain_grid=grid, values=grid**3, codomain=real_line())
     with counting_lookups() as seen:
         _solution_defects(q, 2.0, q.codomain.norm, len(grid))
     assert len(grid) == n
-    assert seen["calls"] <= 8
+    assert 0 < seen["calls"] <= 8
 
 
 @pytest.mark.parametrize("grid", [np.array([0.0, 1.0, -1.0]),

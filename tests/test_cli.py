@@ -111,6 +111,40 @@ def test_metrize_rejects_a_malformed_json_file(tmp_path, capsys, text):
     assert err.startswith("input error: ")
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"kappa": 2, "D": [[0, "1"], ["1", 0]]}', "D.0.1"),
+    ('{"kappa": 2, "D": [[0, 1], [true, 0]]}', "D.1.0"),
+    ('{"kappa": "2", "D": [[0, 1], [1, 0]]}', "kappa"),
+    ('{"kappa": 2, "D": [[0, 1], [1, null]]}', "D.1.1"),
+    ('{"kappa": %s, "D": [[0, 1], [1, 0]]}' % BIG_INT, "kappa"),
+    ('{"kappa": 2, "D": [[0, %s], [%s, 0]]}' % (BIG_INT, BIG_INT), None),
+], ids=["string-entry", "boolean-entry", "string-kappa", "null-entry", "huge-kappa",
+        "huge-entry"])
+def test_metrize_json_numbers_are_json_numbers(tmp_path, capsys, text, field):
+    # Strings and booleans passed as numbers (exit 0); an integer beyond the
+    # float range escaped as a traceback.  The message names the field in
+    # the words of a config error.
+    src = tmp_path / "d.json"
+    src.write_text(text)
+    code, doc, err = run_cli(["metrize", "--in", str(src)], capsys)
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"input error: {src}: field '{field}' must be " if field
+                          else "input error: distance matrix is not a matrix of numbers")
+
+
+def test_metrize_json_takes_integers_and_infinity(tmp_path, capsys):
+    # Infinity (an unreachable pair) and integer entries and kappa are numbers.
+    src = tmp_path / "d.json"
+    src.write_text('{"kappa": 1, "D": [[0, 2, Infinity], [2, 0, Infinity], '
+                   '[Infinity, Infinity, 0]]}')
+    code, doc, _ = run_cli(["metrize", "--in", str(src)], capsys)
+    assert code == 0
+    assert doc["report"]["unreachable_pairs"] == 2
+
+
 def test_metrize_missing_file(tmp_path, capsys):
     code, doc, err = run_cli(["metrize", "--in", str(tmp_path / "nope.csv"),
                               "--kappa", "2"], capsys)

@@ -94,6 +94,39 @@ def test_lhalf_norm_input_validation():
         LHalfSpace(quadrature_n=0)
 
 
+SPECIAL_SAMPLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, math.inf,
+                   -math.inf, 1.0, -2.5, 1e308, -3e-200]
+
+
+def old_lhalf_norm_rows(V):
+    """The block norm as first written: a NaN pass over the block, then the
+    sum of square roots of absolute values, squared by the scalar pow."""
+    if np.isnan(V).any():
+        raise InputError("sample vector contains NaN")
+    return np.array([v**2 for v in (np.sum(np.sqrt(np.abs(V)), axis=1) / V.shape[1]).tolist()])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_block_lhalf_norm_keeps_the_bits_of_the_first_form(seed, rows, n):
+    # Signed zeros, subnormals and infinities among ordinary samples: the
+    # in-place square root and the NaN test on the row sums give the same
+    # bits, and the same message when a row holds a NaN, +inf beside it or not.
+    rng = np.random.default_rng(seed)
+    V = np.where(rng.random((rows, n)) < 0.4, rng.choice(SPECIAL_SAMPLES, size=(rows, n)),
+                 rng.normal(scale=float(rng.choice([1e-3, 1.0, 1e3])), size=(rows, n)))
+    got = LHalfSpace(n).norm_rows(V)
+    assert got.tobytes() == old_lhalf_norm_rows(V).tobytes()
+    r, j = int(rng.integers(0, rows)), int(rng.integers(0, n))
+    V[r, j] = math.nan
+    if n > 1 and rng.random() < 0.5:
+        V[r, (j + int(rng.integers(1, n))) % n] = math.inf
+    with pytest.raises(InputError) as want:
+        old_lhalf_norm_rows(V)
+    with pytest.raises(InputError, match=f"^{want.value}$"):
+        LHalfSpace(n).norm_rows(V)
+
+
 def test_lhalf_midpoints():
     space = LHalfSpace(quadrature_n=4)
     assert np.allclose(space.midpoints, [0.125, 0.375, 0.625, 0.875], atol=0)
