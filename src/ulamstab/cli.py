@@ -221,7 +221,11 @@ def _field(cfg, name, kind):
             raise InputError(f"config: missing field {name!r}")
     number = isinstance(cur, (int, float)) and not isinstance(cur, bool)
     if kind is float and number:
-        return float(cur)
+        try:
+            return float(cur)
+        except OverflowError:
+            raise InputError(f"config: field {name!r} must be finite, got an int too large "
+                             f"for a float") from None
     if kind is int and number and (isinstance(cur, int) or cur.is_integer()):
         return int(cur)
     if kind in (float, int) or not isinstance(cur, kind):
@@ -334,16 +338,15 @@ def _cmd_verify(args):
     grid, grid_echo = _build_grid(doc, m, codomain)
 
     cert = verify_stability(f, phi, config, grid)
-    if args.csv:
-        if cert.q is None:
-            raise InputError("per-point CSV requires a certificate with an extracted q")
-        _per_point_csv(args.csv, f, phi, config, cert)
+    csv = args.csv if cert.q is not None else None  # no q, no per-point table
+    if csv:
+        _per_point_csv(csv, f, phi, config, cert)
 
     echo = {"f": f_echo, "m": m, "L": L, "phi": doc.get("phi"),
             "space": doc.get("space", {"kind": "reals"}), "grid": grid_echo,
-            "tol": tol, "csv": args.csv}
+            "tol": tol, "csv": csv}
     verdict = "pass" if cert.passed else "fail"
-    return _envelope("verify", echo, verdict, cert.to_dict(), seed=doc.get("seed"))
+    return _envelope("verify", echo, verdict, cert.to_dict())
 
 
 # =========================================================================

@@ -242,7 +242,6 @@ class QuasiNormedSpace:
     dim: int
     norm_eval: Callable[..., float]
     kappa: float
-    name: str = ""
     p: float = field(init=False)
 
     def __post_init__(self):
@@ -270,7 +269,7 @@ class QuasiNormedSpace:
 
 def real_line() -> QuasiNormedSpace:
     """The real line with the absolute value (kappa = 1, p = 1)."""
-    return QuasiNormedSpace(dim=1, norm_eval=euclidean_norm, kappa=1.0, name="reals")
+    return QuasiNormedSpace(dim=1, norm_eval=euclidean_norm, kappa=1.0)
 
 
 # =========================================================================

@@ -42,7 +42,8 @@ witnesses: Python floats for numbers, rows otherwise.
 Each rule has one owner: |m| > 1 is ``_check_m``, an overflowing m**4
 ``_euler_lagrange``, the one-step divisor 2 |m|**3 ``_step_divisor``,
 f(0) = 0 ``hypothesis_defect_check``, the slack lhs <= rhs + tol *
-max(1, rhs) ``_exceeds``, a worst ratio (the running maximum)
+max(1, rhs) ``_exceeds``, the pairs the hypothesis checks walk (with or
+without zero arguments) ``_Pairs``, a worst ratio (the running maximum)
 ``_worst_ratio``, the bound factor (4 / (1 - L**p))**(1/p) and the rules
 on L and p ``fixed_point.bound_factors`` (L alone:
 ``core_spaces._check_L``), the control-function parameters
@@ -180,8 +181,8 @@ class PowerLaw:
 
     At x = 0 or y = 0 the value is 0 by convention, which keeps negative
     exponents s meaningful; the hypothesis checks therefore exclude zero
-    arguments for this family.  Contracts along m with
-    L = |m|**(s - 3), so s < 3 is required.
+    arguments for this family (``excludes_zero``, read by ``_Pairs``).
+    Contracts along m with L = |m|**(s - 3), so s < 3 is required.
     """
 
     lam: float
@@ -380,86 +381,66 @@ class CheckReport:
 
 
 class _Pairs:
-    """Ordered pairs (x, y) of points, walked by the checks in blocks.
+    """The ordered pairs (x, y) of a grid that the hypothesis checks walk.
 
-    ``_Pairs.grid`` holds every pair of a grid in lexicographic order; the
-    pairs are never stored, and a block is a tile: a run of x-points, each
+    ``_Pairs(grid, phi, values)`` is the one place that decides which
+    pairs are checked: every pair of the grid, or, for a phi that
+    ``excludes_zero`` (the power law), every pair with no zero argument,
+    in lexicographic order.  ``values``, f at the grid points in grid
+    order, spares the defect check from calling f there, f(0) included.
+    The pairs are never stored: a block is a tile, a run of x-points each
     against every y, with about 1/16 of a tile of coordinates of pairs and
     at least one x-point; a tile of one x-point holds it as a one-point
-    block.  A grid keeps phi(x, y) block by block (``phi_rows``), so that
-    two checks of one ``_Pairs`` evaluate it once.  ``_Pairs.of`` holds a
-    sequence of pairs, walked in consecutive blocks of ``BLOCK``.  ``len()``
-    counts the pairs.
+    block.  phi(x, y) is kept block by block (``phi_rows``), so that two
+    checks of one ``_Pairs`` evaluate it once.  ``len()`` counts the pairs.
     """
 
-    BLOCK = 64
-
-    def __init__(self, xs, ys, zero, values=None, f0=None, samples=None):
-        self.xs, self.ys, self.zero = xs, ys, zero
-        self.values, self.f0, self.samples = values, f0, samples
-        self._phi, self._phi_blocks = None, {}
-
-    @classmethod
-    def grid(cls, grid, exclude_zero=False, values=None):
-        """Every pair of a grid.  ``exclude_zero`` leaves out the pairs with a
-        zero argument.  ``values``, f at the grid points in grid order,
-        spares the defect check from calling f there, f(0) included."""
+    def __init__(self, grid, phi, values=None):
         g = _as_block(grid)
         nonzero = _nonzero(g)
         values = None if values is None else np.asarray(values, dtype=float)
         z = np.flatnonzero(~nonzero)[:1]  # the grid's own zero point, if any
-        zero = _points(g[z] if len(z) else np.zeros((1,) + g.shape[1:]))[0]
-        f0 = values[z[0]] if len(z) and values is not None else None
-        if exclude_zero:
+        self.zero = _points(g[z] if len(z) else np.zeros((1,) + g.shape[1:]))[0]
+        self.f0 = values[z[0]] if len(z) and values is not None else None
+        if getattr(phi, "excludes_zero", False):
             g = g[nonzero]
             values = None if values is None else values[nonzero]
-        return cls(g, g, zero, values, f0)
+        self.points, self.values = g, values
+        self._phi, self._phi_blocks = None, {}
 
     @classmethod
-    def of(cls, samples):
-        """A sequence of (x, y) pairs; pairs already walkable are returned as they are."""
-        if isinstance(samples, cls):
-            return samples
-        both = np.asarray(samples, dtype=float) if len(samples) else np.empty((0, 2))
-        x0 = samples[0][0] if len(samples) else 0.0
-        return cls(both[:, 0], both[:, 1], _zero_like(x0), samples=samples)
+    def of(cls, samples, phi):
+        """The pairs of a grid for phi; pairs already walkable come back as they are."""
+        return samples if isinstance(samples, cls) else cls(samples, phi)
 
     def __len__(self) -> int:
-        return len(self.xs) * len(self.ys) if self.samples is None else len(self.samples)
+        return len(self.points) ** 2
 
     def blocks(self, f=None):
         """(index of the first pair, x block, y block, f at the y block if f is given).
 
-        A grid calls f on its points once, unless their values came with
-        it; a sequence calls f block by block, so that a check stopping
-        early calls f on no later pair.  A grid tile of one x-point holds
-        it as a one-point block, which broadcasts against the y block.
+        f is called on the points once, unless their values came with the
+        pairs.  A tile of one x-point holds it as a one-point block, which
+        broadcasts against the y block.
         """
-        if self.samples is None:
-            fy = self.values if self.values is not None or f is None else _f_rows(f, self.ys)
-            n = len(self.ys)
-            # A check keeps about 16 float temporaries per pair coordinate
-            # alive (X, Y, FY, four evaluation points, their f values, the
-            # residual and its norm), so 1/16 of a tile of coordinates
-            # keeps the 512 KiB of one tile, which fits a 2 MiB cache.  One
-            # x-point of a 21-point grid of 1024-sample signals fills a
-            # tile alone.
-            rows = _rows_per_tile(self.ys.size, share=16)
-            for i0 in range(0, len(self.xs), rows):
-                X = self.xs[i0:i0 + rows]
-                yield (i0 * n, X if len(X) == 1 else _repeat_rows(X, n),
-                       _tile_rows(self.ys, len(X)), None if f is None else _tile_rows(fy, len(X)))
-            return
-        for start in range(0, len(self.xs), self.BLOCK):
-            X, Y = self.xs[start:start + self.BLOCK], self.ys[start:start + self.BLOCK]
-            yield start, X, Y, None if f is None else _f_rows(f, Y)
+        P = self.points
+        fy = self.values if self.values is not None or f is None else _f_rows(f, P)
+        n = len(P)
+        # A check keeps about 16 float temporaries per pair coordinate alive
+        # (X, Y, FY, four evaluation points, their f values, the residual
+        # and its norm), so 1/16 of a tile of coordinates keeps the 512 KiB
+        # of one tile, which fits a 2 MiB cache.  One x-point of a 21-point
+        # grid of 1024-sample signals fills a tile alone.
+        rows = _rows_per_tile(P.size, share=16)
+        for i0 in range(0, n, rows):
+            X = P[i0:i0 + rows]
+            yield (i0 * n, X if len(X) == 1 else _repeat_rows(X, n),
+                   _tile_rows(P, len(X)), None if f is None else _tile_rows(fy, len(X)))
 
     def phi_rows(self, phi, start, X, Y) -> np.ndarray:
-        """phi over the block of pairs from index ``start``.  A grid keeps
-        each block's values, so a second check of the same pairs with the
-        same phi reads them instead of evaluating phi again."""
-        if self.samples is not None:
-            return _phi_rows(phi, X, Y)
+        """phi over the block of pairs from index ``start``, kept, so that a
+        second check of the same pairs with the same phi reads it instead
+        of evaluating phi again."""
         if phi is not self._phi:
             self._phi, self._phi_blocks = phi, {}
         key = (start, len(Y))
@@ -468,10 +449,8 @@ class _Pairs:
         return self._phi_blocks[key]
 
     def pair(self, k) -> tuple:
-        if self.samples is not None:
-            return tuple(self.samples[k])
-        i, j = divmod(k, len(self.ys))
-        return _points(self.xs[i:i + 1])[0], _points(self.ys[j:j + 1])[0]
+        i, j = divmod(k, len(self.points))
+        return _points(self.points[i:i + 1])[0], _points(self.points[j:j + 1])[0]
 
 
 def _repeat_rows(A, n) -> np.ndarray:
@@ -515,17 +494,17 @@ def _scan(pairs, sides, tol, exceeds, holds, f=None) -> CheckReport:
 
 
 def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
-    """Check phi(m x, m y) <= L * |m|**3 * phi(x, y) on sample pairs.
+    """Check phi(m x, m y) <= L * |m|**3 * phi(x, y) on the pairs of a grid.
 
-    ``samples`` is a sequence of (x, y) pairs, or every pair of a grid
-    as ``verify_stability`` passes them.  The slack is tol * max(1, rhs):
-    purely absolute near unit scale, relative for large values, so that
-    families whose ratio is exactly 1 survive float rounding at any
-    magnitude.
+    ``samples`` is a grid, or its ``_Pairs`` as ``verify_stability``
+    passes them; a phi that excludes zero arguments is checked on the
+    pairs without one.  The slack is tol * max(1, rhs): purely absolute
+    near unit scale, relative for large values, so that families whose
+    ratio is exactly 1 survive float rounding at any magnitude.
     """
     _check_L(L)
     _check_tol(tol)
-    pairs = _Pairs.of(samples)
+    pairs = _Pairs.of(samples, phi)
     scale = L * abs(m) ** 3
 
     def sides(start, X, Y, FY):
@@ -538,17 +517,19 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
 
 def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euclidean_norm,
                             tol=DEFAULT_TOL) -> CheckReport:
-    """Check el_defect(f, m, x, y) <= phi(x, y) + tol * max(1, phi) on samples.
+    """Check el_defect(f, m, x, y) <= phi(x, y) + tol * max(1, phi) on the
+    pairs of a grid.
 
-    ``samples`` is a sequence of (x, y) pairs, or every pair of a grid
-    as ``verify_stability`` passes them.  ``f(0) = 0`` is verified first;
-    its failure invalidates the whole construction and raises
-    ``HypothesisViolation``.  A residual that is not finite (an equation
-    point or f overflows) raises ``OverflowGuardError`` naming its pair,
-    unless a violating pair comes before it.
+    ``samples`` is a grid, or its ``_Pairs`` as ``verify_stability``
+    passes them; a phi that excludes zero arguments is checked on the
+    pairs without one.  ``f(0) = 0`` is verified first; its failure
+    invalidates the whole construction and raises ``HypothesisViolation``.
+    A residual that is not finite (an equation point or f overflows)
+    raises ``OverflowGuardError`` naming its pair, unless a violating pair
+    comes before it.
     """
     _check_tol(tol)
-    pairs = _Pairs.of(samples)
+    pairs = _Pairs.of(samples, phi)
     norm_rows = _row_norm(norm)
     f0 = float(norm_rows(_block(f(pairs.zero) if pairs.f0 is None else pairs.f0))[0])
     if f0 > tol:
@@ -811,13 +792,13 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
     block P with the bits of one call per point, is evaluated on blocks;
     any other f is called once per evaluation point.  f at the grid points
     is computed once and serves the f(y) term of the defect check, the
-    one-step check, the errors and stage 0 of the approximant.  The n**2
-    grid pairs are processed in tiles of x-points against every y; a
-    failing check stops after the tile holding the first violating pair.
-    phi(x, y) is evaluated once per grid pair: the contractivity check
-    reads it from the defect check, unless the two walk different pairs
-    (a phi that excludes zero arguments) or the defect check stopped early.
-    The one-step estimate reads f at m x from stage 1 of the approximant.
+    one-step check, the errors and stage 0 of the approximant.  Both
+    checks walk one ``_Pairs``, the grid pairs phi is checked on, in tiles
+    of x-points against every y; a failing check stops after the tile
+    holding the first violating pair.  phi(x, y) is evaluated once per
+    checked pair: the contractivity check reads it from the defect check,
+    unless the defect check stopped early.  The one-step estimate reads f
+    at m x from stage 1 of the approximant.
     The equation defects of q are taken over every ordered grid pair whose
     equation points all lie on the grid, at every grid size;
     ``defect_pairs_checked`` counts those pairs.
@@ -834,18 +815,14 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
         raise OverflowGuardError(
             f"f overflowed on the grid: f is not finite at grid point {int(np.argmin(finite))}")
 
-    # The power-law hypotheses are stated away from the origin only.
-    exclude_zero = getattr(phi, "excludes_zero", False)
-    pairs = _Pairs.grid(g, exclude_zero, values=F)
+    pairs = _Pairs(g, phi, F)
     try:
         defect_report = hypothesis_defect_check(f, phi, config.m, pairs,
                                                 norm=codomain.norm, tol=config.tol)
     except HypothesisViolation as exc:
         # f(0) = 0 is the ground everything else stands on.
         return _failing_certificate(config, n_pts, str(exc), exc.witness)
-    # On the same pairs the contractivity check reads phi(x, y) from the defect check.
-    phi_report = phi_contractivity_check(phi, config.m, config.L,
-                                         _Pairs.grid(g) if exclude_zero else pairs)
+    phi_report = phi_contractivity_check(phi, config.m, config.L, pairs)
     q, step = _approximant(f, config.m, g, F, _MAX_STAGES, config.tol, codomain)
 
     # One-step estimate: |f(m x)/m^3 - f(x)| <= phi(x, 0) / (2 |m|^3).

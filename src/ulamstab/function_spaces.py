@@ -86,8 +86,7 @@ class LHalfSpace:
 
     def space(self) -> QuasiNormedSpace:
         """The QuasiNormedSpace view (dim = quadrature_n, kappa = 2)."""
-        return QuasiNormedSpace(dim=self.quadrature_n, norm_eval=self.norm,
-                                kappa=self.kappa, name=f"L^1/2[0,1]@{self.quadrature_n}")
+        return QuasiNormedSpace(dim=self.quadrature_n, norm_eval=self.norm, kappa=self.kappa)
 
 
 def example_corpus(quadrature_n=1024, seed=7) -> list[np.ndarray]:

@@ -236,6 +236,13 @@ def _nonzero(x):
     return bool(np.any(np.asarray(x) != 0.0))
 
 
+def reference_pairs(phi, pts):
+    """The ordered pairs of the points in grid order; a power law, which is
+    0 at a zero argument by convention, is checked away from zero only."""
+    return [(x, y) for x in pts for y in pts
+            if not isinstance(phi, PowerLaw) or (_nonzero(x) and _nonzero(y))]
+
+
 def _phi(kind, rng, m, norm):
     if kind == "constant":
         return ConstantBound(value=float(rng.choice([0.0, 0.5, 3.0])))
@@ -285,12 +292,11 @@ def test_contractivity_check_matches_the_per_pair_loop(case):
     m = case["m"]
     # The family's own constant, or one declared too small.
     L = phi.lipschitz(m) * float(rng.choice([1.0, 0.5]))
-    pts = _points(grid)
-    pairs = [(x, y) for x in pts for y in pts]
+    pairs = reference_pairs(phi, _points(grid))
     reference = reference_contractivity(ref_phi(phi, ref_norm), m, L, pairs)
-    assert_same_report(tiled_report(lambda: phi_contractivity_check(phi, m, L, _Pairs.grid(grid))),
+    assert_same_report(tiled_report(lambda: phi_contractivity_check(phi, m, L, _Pairs(grid, phi))),
                        reference)
-    assert_same_report(phi_contractivity_check(phi, m, L, pairs), reference)
+    assert_same_report(phi_contractivity_check(phi, m, L, grid), reference)
 
 
 @given(checks)
@@ -298,14 +304,11 @@ def test_contractivity_check_matches_the_per_pair_loop(case):
 def test_defect_check_matches_the_per_pair_loop(case):
     rng, grid, norm, ref_norm, phi = _setup(case)
     m = case["m"]
-    excl = phi.excludes_zero
-    pts = _points(grid)
-    pairs = [(x, y) for x in pts for y in pts
-             if not excl or (_nonzero(x) and _nonzero(y))]
+    pairs = reference_pairs(phi, _points(grid))
     reference = reference_defect(cubic_plus_linear, ref_phi(phi, ref_norm), m, pairs, ref_norm)
     assert_same_report(tiled_report(lambda: hypothesis_defect_check(
-        cubic_plus_linear, phi, m, _Pairs.grid(grid, excl), norm=norm)), reference)
-    assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m, pairs, norm=norm),
+        cubic_plus_linear, phi, m, _Pairs(grid, phi), norm=norm)), reference)
+    assert_same_report(hypothesis_defect_check(cubic_plus_linear, phi, m, grid, norm=norm),
                        reference)
 
 
@@ -322,31 +325,29 @@ def test_non_finite_sides_follow_the_running_maximum(grid, phi):
     def cube(u):
         return u * u * u
 
-    pts = [float(x) for x in grid]
-    pairs = [(x, y) for x in pts for y in pts]
+    pairs = reference_pairs(phi, [float(x) for x in grid])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowGuardError) as want:
             reference_defect(cube, ref_phi(phi, ref_euclidean), 2.0, pairs, ref_euclidean)
         for tile in CHECK_TILES:
             with tile_elements(tile), pytest.raises(OverflowGuardError) as got:
-                hypothesis_defect_check(cube, phi, 2.0, _Pairs.grid(np.array(grid)))
+                hypothesis_defect_check(cube, phi, 2.0, _Pairs(np.array(grid), phi))
             assert str(got.value) == str(want.value)
         assert_same_report(
             tiled_report(lambda: phi_contractivity_check(phi, 2.0, 0.25,
-                                                         _Pairs.grid(np.array(grid)))),
+                                                         _Pairs(np.array(grid), phi))),
             reference_contractivity(ref_phi(phi, ref_euclidean), 2.0, 0.25, pairs))
 
 
 def test_both_outcomes_are_exercised():
     # Both verdicts occur for both checks on the grids drawn above.
     grid = _grid(np.random.default_rng(0), 6, False, True)
-    pairs = _Pairs.grid(grid)
-    assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, pairs).passed
-    assert not phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.125, pairs).passed
+    assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, grid).passed
+    assert not phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.125, grid).passed
     assert hypothesis_defect_check(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0), 2.0,
-                                   pairs).passed
+                                   grid).passed
     assert not hypothesis_defect_check(cubic_plus_linear, ShiftNorm(c=3.0, m=2.0), 2.0,
-                                       pairs).passed
+                                       grid).passed
 
 
 def test_grid_pairs_with_f_values_skip_the_grid_calls():
@@ -358,8 +359,8 @@ def test_grid_pairs_with_f_values_skip_the_grid_calls():
         return cubic_plus_linear(u)
 
     values = np.array([cubic_plus_linear(x) for x in grid])
-    report = hypothesis_defect_check(f, ShiftNorm(c=12.0, m=2.0), 2.0,
-                                     _Pairs.grid(grid, values=values))
+    phi = ShiftNorm(c=12.0, m=2.0)
+    report = hypothesis_defect_check(f, phi, 2.0, _Pairs(grid, phi, values))
     assert report.passed and report.n_samples == len(grid) ** 2
     # Four evaluation points per pair; f(y) and f(0) come from the values.
     assert len(calls) == 4 * len(grid) ** 2
@@ -368,24 +369,9 @@ def test_grid_pairs_with_f_values_skip_the_grid_calls():
 
 def test_power_law_pairs_exclude_zero_arguments():
     grid = _grid(np.random.default_rng(2), 4, True, False)
-    assert len(_Pairs.grid(grid)) == 25
-    assert len(_Pairs.grid(grid, exclude_zero=True)) == 16
-
-
-def test_pair_list_stops_calling_f_after_the_failing_block():
-    # A violation on the first pair: f is not called on the y of a pair
-    # two blocks later, where it would raise.
-    far = 1e6
-
-    def f(u):
-        if u == far:
-            raise AssertionError("f called past the failing block")
-        return cubic_plus_linear(u)
-
-    pairs = [(1.0, 1.0)] * 200
-    pairs[150] = (1.0, far)
-    report = hypothesis_defect_check(f, ConstantBound(value=0.0), 2.0, pairs)
-    assert not report.passed and report.witness == (1.0, 1.0)
+    assert len(_Pairs(grid, ShiftNorm(c=12.0, m=2.0))) == 25
+    assert len(_Pairs(grid, ConstantBound(value=1.0))) == 25
+    assert len(_Pairs(grid, PowerLaw(lam=1.0, s=1.0))) == 16
 
 
 @pytest.mark.parametrize("norm", [abs, np.abs, cond_abs])
@@ -446,13 +432,16 @@ def test_verify_stability_calls_f_once_per_evaluation_point(phi):
 
 @pytest.mark.parametrize("base", [[0.5, 1.0, 3.0], [[0.5, 1.0], [1.0, -0.25], [2.0, 0.125]]])
 @pytest.mark.parametrize("tile", [None, 1, 64])
-def test_a_shift_norm_verify_evaluates_phi_once_per_grid_pair(base, tile):
-    # phi(x, y) once per grid pair, read by both checks, and phi(m x, m y)
+@pytest.mark.parametrize("phi", [ShiftNorm(c=12.0, m=2.0), PowerLaw(lam=24.0, s=1.0)],
+                         ids=["shift", "power"])
+def test_a_verify_evaluates_phi_once_per_checked_pair(base, tile, phi):
+    # phi(x, y) once per checked pair, read by both checks, and phi(m x, m y)
     # once: 2 n**2 pairs, where evaluating phi(x, y) in each check took 3 n**2.
+    # Both checks of a power law leave out the pairs with the grid's zero
+    # point, 2 (n - 1)**2, where two pair sets took (n - 1)**2 + 2 n**2.
     grid = m_closed_grid(base, 2.0, levels=2)
-    phi = ShiftNorm(c=12.0, m=2.0)
     pairs = []
-    rows = ShiftNorm.rows
+    rows = type(phi).rows
 
     def counted(self, X, Y):
         v = rows(self, X, Y)
@@ -460,10 +449,12 @@ def test_a_shift_norm_verify_evaluates_phi_once_per_grid_pair(base, tile):
         return v
 
     with tile_elements(tile), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ShiftNorm, "rows", counted)
-        cert = verify_stability(cubic_plus_linear, phi, StabilityConfig(m=2.0, L=0.25), grid)
-    assert cert.passed
-    assert sum(pairs) == 2 * len(grid) ** 2
+        mp.setattr(type(phi), "rows", counted)
+        cert = verify_stability(cubic_plus_linear, phi,
+                                StabilityConfig(m=2.0, L=phi.lipschitz(2.0)), grid)
+    assert cert.hypothesis_defect_ok and cert.hypothesis_phi_ok
+    n = len(grid) - 1 if isinstance(phi, PowerLaw) else len(grid)
+    assert sum(pairs) == 2 * n ** 2
 
 
 @contextlib.contextmanager

@@ -451,6 +451,50 @@ def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, 
     assert message in err
 
 
+# 401 digits: a JSON integer with no float value.
+HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize("field, change", [
+    ("m", {"m": HUGE_INT}),
+    ("tol", {"tol": HUGE_INT}),
+    ("L", {"L": HUGE_INT}),
+    ("phi.c", {"phi": {"kind": "shift_norm", "c": HUGE_INT}}),
+    ("grid.base.0", {"grid": {"base": [HUGE_INT]}}),
+    ("grid.points.0", {"grid": {"points": [HUGE_INT, 0.0]}}),
+    ("f.coefficients.1", {"f": {"name": "poly", "coefficients": [0.0, HUGE_INT]}}),
+])
+def test_verify_int_beyond_the_float_range_is_an_input_error(tmp_path, capsys, field, change):
+    # float() of such an int raised OverflowError: a traceback and exit 1.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, **change})
+    code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, doc) == (2, None)
+    assert err == (f"input error: config: field {field!r} must be finite, "
+                   f"got an int too large for a float\n")
+
+
+def test_verify_csv_of_a_certificate_without_q_is_skipped(tmp_path, capsys):
+    # f(0) = 1 fails before q is extracted.  --csv made that certified
+    # failure an input error; now the run reports it as without --csv.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG,
+                                   "f": {"name": "poly", "coefficients": [1, 0, 0, 1]}})
+    csv_path = tmp_path / "per_point.csv"
+    runs = [run_cli(["verify", "--config", cfg, *extra], capsys)
+            for extra in ([], ["--csv", str(csv_path)])]
+    assert runs[0] == runs[1]
+    code, doc, err = runs[0]
+    assert code == 1 and doc["verdict"] == "fail" and doc["report"]["q"] is None
+    assert doc["config"]["csv"] is None and err == ""
+    assert not csv_path.exists()
+
+
+def test_verify_envelope_has_no_seed(tmp_path, capsys):
+    # A top-level seed was echoed as given, unchecked, and read by nothing.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, "seed": {"any": [1, "x"]}})
+    code, doc, _ = run_cli(["verify", "--config", cfg], capsys)
+    assert code == 0 and doc["seed"] is None
+
+
 def _non_finite_changes():
     """Config changes that put NaN or an infinity into a number; each must
     exit 2.  On the parent design, c = +inf on these points and s = -inf on

@@ -221,16 +221,16 @@ def test_phi_at_zero_falls_back_to_calling():
 # ---------------------------------------------------------------------------
 
 
-def _pair_grid(rng, n=40, lo=-2.0, hi=2.0):
-    return [tuple(rng.uniform(lo, hi, size=2)) for _ in range(n)]
+def _random_grid(rng, n=7, lo=-2.0, hi=2.0):
+    return rng.uniform(lo, hi, size=n)
 
 
 def test_constant_phi_contractivity_threshold():
     # phi == 1, m = 2: the inequality reads 1 <= 8 L, tight at L = 1/8.
     phi = ConstantBound(value=1.0)
-    samples = [(1.0, 1.0), (0.5, -0.25)]
-    assert phi_contractivity_check(phi, 2.0, 1.0 / 8.0, samples).passed
-    report = phi_contractivity_check(phi, 2.0, 1.0 / 10.0, samples)
+    grid = [1.0, 0.5, -0.25]
+    assert phi_contractivity_check(phi, 2.0, 1.0 / 8.0, grid).passed
+    report = phi_contractivity_check(phi, 2.0, 1.0 / 10.0, grid)
     assert not report.passed
     assert report.witness == (1.0, 1.0)
     assert report.worst_ratio == pytest.approx(1.25, abs=1e-12)
@@ -239,7 +239,7 @@ def test_constant_phi_contractivity_threshold():
 def test_shift_norm_contractivity_exact_ratio_one():
     phi = ShiftNorm(c=12.0, m=2.0)
     rng = np.random.default_rng(13)
-    report = phi_contractivity_check(phi, 2.0, 0.25, _pair_grid(rng))
+    report = phi_contractivity_check(phi, 2.0, 0.25, _random_grid(rng))
     assert report.passed
     assert report.worst_ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -249,14 +249,14 @@ def test_contractivity_slack_is_relative_at_large_scale():
     # absolute 1e-12 slack used to fail here for odd m.
     phi = ShiftNorm(c=4654.338311463441, m=3.0)
     rng = np.random.default_rng(14)
-    report = phi_contractivity_check(phi, 3.0, 1.0 / 9.0, _pair_grid(rng, n=200))
+    report = phi_contractivity_check(phi, 3.0, 1.0 / 9.0, _random_grid(rng, n=15))
     assert report.passed
     assert report.worst_ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_contractivity_rejects_negative_L():
     with pytest.raises(InputError):
-        phi_contractivity_check(ConstantBound(1.0), 2.0, -0.1, [(1.0, 1.0)])
+        phi_contractivity_check(ConstantBound(1.0), 2.0, -0.1, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +267,14 @@ def test_contractivity_rejects_negative_L():
 def test_defect_check_tight_family_passes():
     phi = ShiftNorm(c=12.0, m=2.0)
     rng = np.random.default_rng(15)
-    report = hypothesis_defect_check(cubic_plus_linear, phi, 2.0, _pair_grid(rng))
+    report = hypothesis_defect_check(cubic_plus_linear, phi, 2.0, _random_grid(rng))
     assert report.passed
-    assert report.n_samples == 40
+    assert report.n_samples == 49
 
 
 def test_defect_check_undersized_phi_fails_with_witness():
     phi = ShiftNorm(c=4.0, m=2.0)
-    report = hypothesis_defect_check(cubic_plus_linear, phi, 2.0, [(1.0, 1.0)])
+    report = hypothesis_defect_check(cubic_plus_linear, phi, 2.0, [1.0])
     assert not report.passed
     assert report.witness == (1.0, 1.0)
     assert report.worst_ratio == pytest.approx(3.0, rel=1e-12)
@@ -283,19 +283,21 @@ def test_defect_check_undersized_phi_fails_with_witness():
 def test_defect_check_requires_f_vanishing_at_zero():
     phi = ShiftNorm(c=12.0, m=2.0)
     with pytest.raises(HypothesisViolation) as err:
-        hypothesis_defect_check(lambda u: u + 1.0, phi, 2.0, [(1.0, 1.0)])
+        hypothesis_defect_check(lambda u: u + 1.0, phi, 2.0, [1.0])
     assert err.value.observed == pytest.approx(1.0, abs=1e-12)
 
 
 def test_defect_check_stops_at_the_first_violating_or_overflowing_pair():
     # f(u) = u has the residual -12 (x + 2 y) at m = 2: 36 > 1 at (1, 1), 0 at
-    # (-2, 1), and not finite at (0, 1e308), where x + 2 y overflows.
+    # (0, 0), and not finite at (0, 1e308) and (1, 1e308), where x + 2 y
+    # overflows.  The pairs come in grid order: (1, 1) first on the first
+    # grid, (0, 0) and then (0, 1e308) on the second.
     phi = ConstantBound(1.0)
-    report = hypothesis_defect_check(lambda u: u, phi, 2.0, [(1.0, 1.0), (0.0, 1e308)])
+    report = hypothesis_defect_check(lambda u: u, phi, 2.0, [1.0, 0.0, 1e308])
     assert not report.passed
     assert report.witness == (1.0, 1.0)
     with pytest.raises(OverflowGuardError, match=r"not finite at the pair \(0\.0, 1e\+308\)$"):
-        hypothesis_defect_check(lambda u: u, phi, 2.0, [(-2.0, 1.0), (0.0, 1e308), (1.0, 1.0)])
+        hypothesis_defect_check(lambda u: u, phi, 2.0, [0.0, 1e308, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +499,8 @@ def test_stability_config_validation():
     with pytest.raises(InputError):
         StabilityConfig(m=2.0, L=0.25, p=0.5)
     assert StabilityConfig(m=-2.0, L=0.25).m == -2.0
-    assert StabilityConfig(m=2.0, L=0.25).codomain.name == "reals"
+    default = StabilityConfig(m=2.0, L=0.25).codomain  # the real line
+    assert (default.dim, default.kappa, default.p) == (1, 1.0, 1.0)
 
 
 def test_an_int_m_is_taken_as_its_float():
@@ -586,7 +589,7 @@ def test_plain_callables_get_python_floats_on_the_real_line():
     cert = verify_stability(f, phi, StabilityConfig(m=2.0, L=0.25, codomain=codomain),
                             _real_grid())
     assert cert.passed
-    assert hypothesis_defect_check(f, phi, 2.0, [(0.5, 1.0)], norm=norm).passed
+    assert hypothesis_defect_check(f, phi, 2.0, [0.5, 1.0], norm=norm).passed
     assert seen == {"f": {float}, "phi": {float}, "norm": {float}}
 
 
@@ -635,6 +638,19 @@ def test_verify_stability_power_law_exact_solution():
     assert cert.junkim_defect_of_q <= 1e-10
     assert cert.phi_worst_ratio == pytest.approx(1.0, rel=1e-12)
     assert cert.defect_pairs_checked > 0
+
+
+def test_a_zero_power_law_reports_the_first_zero_free_pair():
+    # phi == 0 makes every contractivity ratio 0/0 = 0, so the witness is
+    # the first pair checked.  Both checks leave out the pairs with a zero
+    # argument, so that is (x1, x1) for the first nonzero grid point x1,
+    # not the grid's zero point (0, 0).
+    grid = m_closed_grid([0.5, 1.0], 2.0, levels=1)
+    phi = PowerLaw(lam=0.0, s=1.0)
+    cert = verify_stability(pure_cubic, phi, StabilityConfig(m=2.0, L=phi.lipschitz(2.0)), grid)
+    assert grid[0] == 0.0 and grid[1] == 0.5
+    assert cert.hypothesis_phi_ok and cert.phi_worst_ratio == 0.0
+    assert cert.phi_witness == (0.5, 0.5)
 
 
 def test_verify_stability_checks_every_pair_of_a_257_point_grid():

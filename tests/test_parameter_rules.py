@@ -57,9 +57,9 @@ def cubic_plus_linear(u):
 TOL_ENTRY_POINTS = {
     # f(0) = 1 fails the check at any finite tol.
     "hypothesis_defect_check": lambda tol: hypothesis_defect_check(
-        lambda u: u**3 + 1.0, ShiftNorm(c=12.0, m=2.0), 2.0, [(1.0, 1.0)], tol=tol),
+        lambda u: u**3 + 1.0, ShiftNorm(c=12.0, m=2.0), 2.0, [1.0], tol=tol),
     "phi_contractivity_check": lambda tol: phi_contractivity_check(
-        ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, [(1.0, 1.0)], tol=tol),
+        ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, [1.0], tol=tol),
     # D(0, 2) = 100 breaks the triangle at kappa = 1.
     "validate_b_metric": lambda tol: validate_b_metric(
         [[0.0, 1.0, 100.0], [1.0, 0.0, 1.0], [100.0, 1.0, 0.0]], 1.0, tol=tol),
@@ -82,8 +82,7 @@ def test_every_tol_taking_entry_point_rejects_a_malformed_tol(entry, tol):
 def test_zero_tol_is_accepted_where_a_check_allows_it():
     assert not validate_b_metric([[0.0, 1.0, 100.0], [1.0, 0.0, 1.0], [100.0, 1.0, 0.0]],
                                  1.0, tol=0.0).passed
-    assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, [(1.0, 1.0)],
-                                   tol=0.0).passed
+    assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, [1.0], tol=0.0).passed
     with pytest.raises(InputError, match=r"^tol must be finite and positive, got 0\.0$"):
         StabilityConfig(m=2.0, L=0.25, tol=0.0)
 
@@ -194,7 +193,7 @@ BAD_LS = [math.inf, math.nan, -0.1, 1.0]
 def test_phi_contractivity_check_takes_L_from_its_one_owner(L):
     # An L of +inf or 1 passed every pair before.
     with pytest.raises(InputError, match=r"^L must lie in \[0, 1\), got "):
-        phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, L, [(1.0, 1.0), (1.0, 2.0)])
+        phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, L, [1.0, 2.0])
 
 
 # Every other entry point that takes an L, with the name its message gives L.

@@ -8,7 +8,10 @@ by some module of the library: a private definition nothing reads is
 dead code.  The tile budget has one owner: ``core_spaces`` alone binds
 ``_TILE_ELEMENTS``, and every tiled kernel sizes its tiles through
 ``core_spaces._rows_per_tile``, which reads the constant when it is
-called, so patching that one module reaches every kernel.  No module
+called, so patching that one module reaches every kernel.  The pairs
+the hypothesis checks walk have one owner: ``cubic_stability._Pairs``
+alone reads a control function's ``excludes_zero``, so both checks see
+the same pairs for every family.  No module
 reads the process environment: every input of a run is an argument, so
 one config gives one report in any shell.  Every name a module exports is
 reached: some module of the library or of ``perfbench/`` reads it, or
@@ -115,6 +118,17 @@ def _binds_tile_budget(tree):
         for n in ast.walk(tree))
 
 
+def _reads_zero_exclusion(tree):
+    """The sorted lines where the module reads ``excludes_zero`` outside a
+    class ``_Pairs``: as an attribute, or as a string, as ``getattr`` takes it."""
+    owner = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_Pairs"
+             for n in ast.walk(c)}
+    return sorted(
+        n.lineno for n in ast.walk(tree) if id(n) not in owner and (
+            isinstance(n, ast.Attribute) and n.attr == "excludes_zero"
+            or isinstance(n, ast.Constant) and n.value == "excludes_zero"))
+
+
 # The names of ``os`` that read the process environment.
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
@@ -159,6 +173,12 @@ def test_only_core_spaces_binds_the_tile_budget(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_pair_set_reads_the_zero_exclusion(path):
+    lines = _reads_zero_exclusion(_tree(path))
+    assert not lines, f"{path.name} reads excludes_zero outside _Pairs on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reads_the_process_environment(path):
     lines = _reads_environment(_tree(path))
     assert not lines, f"{path.name} reads the process environment on lines {lines}"
@@ -173,6 +193,15 @@ def test_the_rules_catch_what_they_name():
     assert _binds_tile_budget(ast.parse("from .core_spaces import _TILE_ELEMENTS as T\nT\n"))
     assert _binds_tile_budget(ast.parse("_TILE_ELEMENTS = 1\n"))
     assert not _binds_tile_budget(ast.parse("from .core_spaces import _rows_per_tile\n"))
+    # verify_stability choosing a second pair set, as it did; the owner's
+    # read and the control functions' own definitions stay.
+    tree = ast.parse("exclude_zero = getattr(phi, 'excludes_zero', False)\n"
+                     "if phi.excludes_zero:\n    pass\n"
+                     "class _Pairs:\n"
+                     "    def __init__(self, phi):\n"
+                     "        self.drop = getattr(phi, 'excludes_zero', False)\n"
+                     "class PowerLaw:\n    excludes_zero = True\n")
+    assert _reads_zero_exclusion(tree) == [1, 2]
     # A combine left behind after its callers moved to the equation's
     # definition; the definition that is read stays.
     tree = ast.parse("def _el_combine(m, a):\n    return 2 * m * a\n"
