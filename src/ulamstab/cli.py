@@ -34,6 +34,8 @@ from . import __version__
 from .core_spaces import (
     AXIOM_SLACK,
     GeneralizedBMetricSpace,
+    _load_json,
+    _write_csv,
     load_distance_csv,
     load_distance_json,
     real_line,
@@ -62,14 +64,6 @@ from .function_spaces import LHalfSpace, example_corpus
 from .metrization import chain_metric
 
 __all__ = ["main", "run_example_lhalf"]
-
-def _emit(doc, out_path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-
 
 def _envelope(command, config, verdict, report, seed=None) -> dict:
     return {
@@ -196,13 +190,9 @@ _BUILTIN_F = {
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _load_json(path)
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     return doc
@@ -308,8 +298,6 @@ def _build_grid(doc, m, space):
 
 
 def _per_point_csv(path, f, phi, config, cert):
-    import csv as _csv
-
     g = cert.q.domain_grid
     scalar = g.ndim == 1
     xs = g if scalar else config.codomain.norm_rows(g)
@@ -318,12 +306,9 @@ def _per_point_csv(path, f, phi, config, cert):
         _residual_rows(_euler_lagrange(config.m), f, g, np.zeros_like(g[:1])))
     columns = zip(xs.tolist(), defects.tolist(), _phi_at_zero_rows(phi, g).tolist(),
                   cert.error_per_point, cert.bound_per_point)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["index", "x" if scalar else "x_norm",
-                         "defect_y0", "phi_x0", "error", "bound"])
-        for i, row in enumerate(columns):
-            writer.writerow([i, *map(repr, row)])
+    header = ["index", "x" if scalar else "x_norm", "defect_y0", "phi_x0", "error", "bound"]
+    # An int or a float repr never needs quoting.
+    _write_csv(path, [header, *([str(i), *map(repr, row)] for i, row in enumerate(columns))])
 
 
 def _cmd_verify(args):
@@ -495,15 +480,21 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         doc = _DISPATCH[args.command](args)
+        if args.timings:
+            doc["timings"] = {"wall_s": time.perf_counter() - started}
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        # The report file first: a path that cannot be written is an input
+        # error, and stdout then stays empty.
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
     except (InvalidBMetricError, HypothesisViolation, OverflowGuardError) as exc:
         print(f"certified failure: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if args.timings:
-        doc["timings"] = {"wall_s": time.perf_counter() - started}
-    _emit(doc, args.report)
+    print(text)
     return 0 if doc["verdict"] == "pass" else 1
 
 

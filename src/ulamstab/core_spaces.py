@@ -18,7 +18,6 @@ rounding without admitting real violations.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -384,6 +383,9 @@ def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
 # 400-point matrix (1.25 MiB) a tile fits a 2 MiB cache, where all n^2 sums
 # of one row would not; a small matrix still takes many rows per call.
 _TILE_ELEMENTS = 1 << 16
+# The most floats one point may hold: a point must fit one tile.  Bound
+# once, so a test that shrinks the tiles does not shrink the spaces.
+_POINT_FLOATS_MAX = _TILE_ELEMENTS
 
 
 def _rows_per_tile(row_elements, share=1) -> int:
@@ -625,31 +627,79 @@ class SampledMap:
 # Distance matrix files
 # =========================================================================
 
+def _read_text(path, newline=None) -> str:
+    """The text of a file, which must be UTF-8."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
+
+
+def _load_json(path):
+    """The JSON document of a file; its syntax, encoding and depth are input errors."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _write_csv(path, rows) -> None:
+    """Write rows of text fields as csv.writer does when no field needs
+    quoting: fields joined by ``,``, each row ended by ``\\r\\n``."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+
+
 def load_distance_csv(path) -> np.ndarray:
-    """Read a distance matrix from CSV: one row per point, token ``inf`` for +inf."""
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
+    """Read a distance matrix from CSV: one row per point, token ``inf`` for +inf.
+
+    Records end in ``\\n``, ``\\r\\n`` or ``\\r``, as the csv module splits
+    them; fields are split on ``,`` and never unquoted.  A record whose
+    fields are all blank is skipped.  A field is a number as ``float``
+    reads it.
+    """
+    text = _read_text(path, newline="")
+    rows, cells = [], []  # (line number, fields) of each kept record; all their fields
+    for lineno, record in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),
+                                    start=1):
+        row = record.split(",")
+        if any(c.strip() for c in row):
+            rows.append((lineno, row))
+            cells += row
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        # numpy reads a str through float: the first field float rejects
+        # is the first bad entry.
+        for lineno, row in rows:
             try:
-                rows.append(list(map(float, row)))
+                list(map(float, row))
             except ValueError as exc:
                 raise InputError(f"{path}: line {lineno}: {exc}") from exc
+        raise
     if not rows:
         raise InputError(f"{path}: no matrix rows found")
-    width = {len(r) for r in rows}
+    width = {len(row) for _, row in rows}
     if len(width) != 1:
         raise InputError(f"{path}: ragged rows (widths {sorted(width)})")
-    return as_extended_matrix(np.array(rows))
+    return as_extended_matrix(values.reshape(len(rows), -1))
 
 
 def save_distance_csv(path, D) -> None:
     A = as_extended_matrix(D)
     # The bytes of csv.writer: entries are never negative, repr(inf) is
-    # 'inf', and no float repr needs quoting.
-    with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in A.tolist())
+    # 'inf', and no float repr needs quoting.  Each distinct bit pattern
+    # is formatted once (a symmetric matrix holds each value twice), so
+    # -0.0 keeps its own text.
+    bits, inverse = np.unique(A.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    _write_csv(path, text[inverse].reshape(A.shape).tolist())
 
 
 # The types json.load gives a JSON number: Infinity and NaN are floats.
@@ -658,11 +708,7 @@ _JSON_NUMBERS = frozenset({int, float})
 
 def load_distance_json(path) -> tuple[np.ndarray, float]:
     """Read ``{"kappa": k, "D": [[...]]}``; returns (matrix, kappa)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "kappa" not in doc or "D" not in doc:
         raise InputError(f"{path}: expected an object with fields 'kappa' and 'D'")
     # A JSON string or boolean is no number, here as in a config file.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_spaces import QuasiNormedSpace, _check_count, _scalar_pow
+from .core_spaces import _POINT_FLOATS_MAX, QuasiNormedSpace, _check_count, _scalar_pow
 from .errors import InputError
 
 __all__ = [
@@ -66,6 +66,9 @@ class LHalfSpace:
 
     def __post_init__(self):
         _check_count(self.quadrature_n, 1, "quadrature_n")
+        if self.quadrature_n > _POINT_FLOATS_MAX:
+            raise InputError(f"quadrature_n must be at most {_POINT_FLOATS_MAX}: one signal "
+                             f"must fit one tile of the kernels; got {self.quadrature_n!r}")
 
     @property
     def midpoints(self) -> np.ndarray:

@@ -7,6 +7,7 @@ subprocess test covers the module entry point wiring.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import subprocess
@@ -159,6 +160,59 @@ def test_metrize_reports_unreachable_pairs(tmp_path, capsys):
     code, doc, _ = run_cli(["metrize", "--in", str(src), "--kappa", "1"], capsys)
     assert code == 0
     assert doc["report"]["unreachable_pairs"] == 1
+
+
+def test_metrize_reads_a_200_000_digit_entry_as_unreachable(tmp_path, capsys):
+    # The csv module stopped at 131 072 characters: a traceback, exit 1.
+    big = "1" * 200_000
+    src = tmp_path / "big.csv"
+    src.write_text(f"0,{big}\n{big},0\n")
+    code, doc, _ = run_cli(["metrize", "--in", str(src), "--kappa", "2"], capsys)
+    assert code == 0
+    assert doc["report"]["unreachable_pairs"] == 1
+
+
+# Each file reader, with a file it cannot read: (argv, file name, bytes, message).
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+UNREADABLE_FILES = {
+    "csv-not-utf8": (["metrize", "--kappa", "2", "--in"], "d.csv", b"0,1\n1,\xff0\n",
+                     "not UTF-8 text: byte 6: invalid start byte"),
+    "json-not-utf8": (["metrize", "--in"], "d.json", b"\xff\xfe{}", "not UTF-8 text: byte 0"),
+    "config-not-utf8": (["verify", "--config"], "c.json", b'{"m": 2, \xff}',
+                        "not UTF-8 text: byte 9"),
+    "json-deep": (["metrize", "--in"], "d.json", b'{"kappa": 2, "D": ' + _DEEP + b"}",
+                  "nested too deeply"),
+    "config-deep": (["verify", "--config"], "c.json", b'{"m": 2, "f": ' + _DEEP + b"}",
+                    "nested too deeply"),
+    # Python parses no integer of more than 4300 digits.
+    "json-digits": (["metrize", "--in"], "d.json", b'{"kappa": ' + b"1" * 5000 + b', "D": []}',
+                    "Exceeds the limit (4300 digits)"),
+    "config-digits": (["verify", "--config"], "c.json", b'{"m": ' + b"1" * 5000 + b"}",
+                      "Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_an_unreadable_file_is_an_input_error(tmp_path, capsys, case):
+    # Each ended in a traceback: UnicodeDecodeError, RecursionError or ValueError.
+    argv, name, data, message = UNREADABLE_FILES[case]
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, doc, err = run_cli([*argv, str(path)], capsys)
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"input error: {path}: {message}")
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/report.json"])
+def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys, target):
+    # The report was printed, then writing its file raised out of main.
+    src = tmp_path / "d.csv"
+    save_distance_csv(src, VALID_D)
+    (tmp_path / "dir").mkdir()
+    code, doc, err = run_cli(["metrize", "--in", str(src), "--kappa", "8",
+                              "--report", str(tmp_path / target)], capsys)
+    assert (code, doc) == (2, None)
+    assert err.startswith("input error: [Errno ")
 
 
 def test_metrize_rejects_p_above_the_derived_exponent(tmp_path, capsys):
@@ -356,6 +410,18 @@ def test_verify_writes_csv_and_report(tmp_path, capsys):
     assert on_disk == doc
 
 
+def test_per_point_csv_has_the_bytes_of_the_csv_module(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, "space": {"kind": "lhalf",
+                                                               "quadrature_n": 8}})
+    got, want = tmp_path / "per_point.csv", tmp_path / "want.csv"
+    run_cli(["verify", "--config", cfg, "--csv", str(got)], capsys)
+    with open(got, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(want, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert len(rows) > 1 and got.read_bytes() == want.read_bytes()
+
+
 def _csv_column(path, name):
     lines = path.read_text().strip().splitlines()
     col = lines[0].split(",").index(name)
@@ -471,6 +537,18 @@ def test_verify_int_beyond_the_float_range_is_an_input_error(tmp_path, capsys, f
     assert (code, doc) == (2, None)
     assert err == (f"input error: config: field {field!r} must be finite, "
                    f"got an int too large for a float\n")
+
+
+@pytest.mark.parametrize("n", [10**12, HUGE_INT], ids=["1e12", "401-digits"])
+def test_a_quadrature_n_past_one_tile_is_an_input_error(tmp_path, capsys, n):
+    # numpy could not allocate the signals: a traceback, exit 1.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, "space": {"kind": "lhalf",
+                                                               "quadrature_n": n}})
+    for argv in (["verify", "--config", cfg], ["example-lhalf", "--quadrature-n", str(n)]):
+        code, doc, err = run_cli(argv, capsys)
+        assert (code, doc) == (2, None)
+        assert err.startswith("input error: quadrature_n must be at most 65536: one signal "
+                              "must fit one tile of the kernels; got ")
 
 
 def test_verify_csv_of_a_certificate_without_q_is_skipped(tmp_path, capsys):

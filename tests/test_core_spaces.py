@@ -341,14 +341,50 @@ def reference_save_csv(path, D):
             writer.writerow(["inf" if math.isinf(v) else repr(float(v)) for v in row])
 
 
-@pytest.mark.parametrize("seed, n", [(0, 1), (1, 1), (2, 2), (3, 7), (4, 40)])
-def test_csv_writer_matches_the_csv_module_byte_for_byte(tmp_path, seed, n):
+def _special_entries(rng, n):
     # +inf, subnormal, huge, integral and zero entries among random ones.
-    rng = np.random.default_rng(seed)
     D = rng.uniform(0.0, 10.0, size=(n, n))
     special = [np.inf, 5e-324, 2.5e-310, 1e300, 1.7976931348623157e308, 3.0, 1e16, 0.0, -0.0]
     mask = rng.random((n, n)) < 0.5
     D[mask] = rng.choice(special, size=int(mask.sum()))
+    return D
+
+
+def _repeated_values(rng, n):
+    # A handful of distinct values, each many times over.
+    return rng.choice([0.1, 1.0 / 3.0, 2.0, 1e-300, 7e22], size=(n, n))
+
+
+def _signed_zeros(rng, n):
+    # 0.0 and -0.0 compare equal but are written differently.
+    return rng.choice([0.0, -0.0, 1.5], size=(n, n))
+
+
+def _two_blocks(rng, n):
+    # A bitwise symmetric matrix with +inf between its two blocks.
+    D = rng.uniform(0.0, 10.0, size=(n, n))
+    D = np.triu(D, 1) + np.triu(D, 1).T
+    h = n // 2
+    D[:h, h:] = D[h:, :h] = np.inf
+    return D
+
+
+def _asymmetric(rng, n):
+    D = rng.uniform(0.0, 10.0, size=(n, n))
+    D[0, -1], D[-1, 0] = 1.0, 2.0
+    return D
+
+
+@pytest.mark.parametrize("build, seed, n", [
+    pytest.param(_special_entries, seed, n, id=f"{seed}-{n}")
+    for seed, n in [(0, 1), (1, 1), (2, 2), (3, 7), (4, 40)]
+] + [
+    pytest.param(build, seed, n, id=f"{build.__name__[1:]}-{seed}-{n}")
+    for build in (_special_entries, _repeated_values, _signed_zeros, _two_blocks, _asymmetric)
+    for seed, n in [(5, 3), (6, 150)]
+])
+def test_csv_writer_matches_the_csv_module_byte_for_byte(tmp_path, build, seed, n):
+    D = build(np.random.default_rng(seed), n)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     save_distance_csv(got, D)
     reference_save_csv(want, D)
@@ -361,6 +397,97 @@ def test_csv_loader_names_the_line_of_a_bad_entry(tmp_path):
     path.write_text("0.0,1.0\n1.0,x\n")
     with pytest.raises(InputError, match="line 2: could not convert string to float: 'x'$"):
         load_distance_csv(path)
+
+
+def reference_load_csv(path):
+    """The distance CSV as the csv module reads it, with float on each field."""
+    rows = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError as exc:
+                raise InputError(f"{path}: line {lineno}: {exc}") from exc
+    if not rows:
+        raise InputError(f"{path}: no matrix rows found")
+    width = {len(r) for r in rows}
+    if len(width) != 1:
+        raise InputError(f"{path}: ragged rows (widths {sorted(width)})")
+    return as_extended_matrix(np.array(rows))
+
+
+# Whitespace that float strips; \f and \v end a line for str.splitlines
+# but not for the csv module.
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\f", "\v"])
+_SPELLINGS = st.sampled_from(["inf", "Infinity", "INF", "+inf", "1_0", "1e3", "0", "-0.0", "00.5",
+                              "\u0661", "2.5E-310", "1e999", "-inf", "nan"])
+_NUMBERS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False).map(repr),
+    st.floats(min_value=0.0, allow_nan=False, width=32).map(str),
+    st.integers(0, 10**20).map(str),
+    _SPELLINGS)
+# No quoted field: the csv module unquoted it, and the loader rejects it.
+_BAD_CELLS = st.sampled_from(["x", "", "1..0", "1,0e", "0x10", "--1", "1 0", "'1'", "1\"0"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A distance CSV text: n rows of n padded numbers with blank records
+    among them, each record ended by \\n, \\r\\n or \\r; now and then a
+    row too many, too few or of another width, and at most one bad field."""
+    n = draw(st.integers(1, 4))
+    rows = n + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+    records = [[draw(_PADDING) + draw(_NUMBERS) + draw(_PADDING) for _ in range(n)]
+               for _ in range(rows)]
+    if records and draw(st.integers(0, 5)) == 0:
+        records[draw(st.integers(0, len(records) - 1))].pop()
+    for _ in range(draw(st.integers(0, 3))):  # blank records
+        records.insert(draw(st.integers(0, len(records))),
+                       [draw(_PADDING) for _ in range(draw(st.integers(1, 3)))])
+    cells = [(i, j) for i, row in enumerate(records) for j in range(len(row))]
+    if cells and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.sampled_from(cells))
+        records[i][j] = draw(_BAD_CELLS)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in records]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(",".join(row) + end for row, end in zip(records, ends))
+
+
+def _outcome(load, path):
+    try:
+        A = load(path)
+    except InputError as exc:
+        return str(exc)
+    return A.shape, A.tobytes()
+
+
+@given(csv_texts())
+@settings(max_examples=400, deadline=None)
+def test_csv_loader_matches_the_csv_module(tmp_path_factory, text):
+    # The same bits, or the same message, as the csv module's reader gives.
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_distance_csv, path) == _outcome(reference_load_csv, path)
+
+
+def test_csv_loader_rejects_a_quoted_field(tmp_path):
+    # The csv module unquoted it; the writer never quotes.
+    path = tmp_path / "quoted.csv"
+    path.write_text('0.0,1.0\n1.0,"0.0"\n')
+    with pytest.raises(InputError, match=r"line 2: could not convert string to float: "
+                                         r"'\"0\.0\"'$"):
+        load_distance_csv(path)
+
+
+def test_csv_loader_reads_a_field_past_the_csv_modules_size_limit(tmp_path):
+    # 200 000 digits: the csv module stopped at 131 072 characters.
+    big = "9" * 200_000
+    path = tmp_path / "big.csv"
+    path.write_text(f"0,{big}\n{big},0\n")
+    assert load_distance_csv(path).tolist() == [[0.0, math.inf], [math.inf, 0.0]]
 
 
 def test_json_round_trip_carries_kappa(tmp_path):

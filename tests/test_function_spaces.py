@@ -94,6 +94,14 @@ def test_lhalf_norm_input_validation():
         LHalfSpace(quadrature_n=0)
 
 
+def test_quadrature_n_is_at_most_one_tile():
+    # One signal must fit one tile of the kernels: 65 536 floats.
+    assert LHalfSpace(quadrature_n=65_536).quadrature_n == 65_536
+    for n in (65_537, 10**12, 10**400):
+        with pytest.raises(InputError, match=r"^quadrature_n must be at most 65536: "):
+            LHalfSpace(quadrature_n=n)
+
+
 SPECIAL_SAMPLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, math.inf,
                    -math.inf, 1.0, -2.5, 1e308, -3e-200]
 
