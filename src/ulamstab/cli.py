@@ -323,13 +323,12 @@ def _cmd_verify(args):
     grid, grid_echo = _build_grid(doc, m, codomain)
 
     cert = verify_stability(f, phi, config, grid)
-    csv = args.csv if cert.q is not None else None  # no q, no per-point table
-    if csv:
-        _per_point_csv(csv, f, phi, config, cert)
+    if args.csv:
+        _per_point_csv(args.csv, f, phi, config, cert)
 
     echo = {"f": f_echo, "m": m, "L": L, "phi": doc.get("phi"),
             "space": doc.get("space", {"kind": "reals"}), "grid": grid_echo,
-            "tol": tol, "csv": csv}
+            "tol": tol, "csv": args.csv}
     verdict = "pass" if cert.passed else "fail"
     return _envelope("verify", echo, verdict, cert.to_dict())
 

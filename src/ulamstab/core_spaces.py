@@ -445,21 +445,22 @@ def _first_triangle_violation(A, k, tol):
     rows = _rows_per_tile(cols * n)
     sums = np.empty((rows, cols, n))
     least = np.empty((rows, n))
-    for i0 in range(0, n, rows):
-        block = A[i0:i0 + rows]
-        lo = i0 if symmetric else 0
-        for j0 in range(lo, n, cols):
-            part = AT[j0:j0 + cols]
-            tile = sums[:len(block), :len(part)]
-            np.add(block[:, None, :], part[None], out=tile)
-            tile.min(axis=2, out=least[:len(block), j0:j0 + len(part)])
-        bad = block[:, lo:] > k * least[:len(block), lo:] + tol
-        if bad.any():
-            r, j = map(int, np.argwhere(bad)[0])
-            i, j = i0 + r, lo + j
-            rhs = k * (A[i] + AT[j])
-            kk = int(np.argmax(A[i, j] > rhs + tol))
-            return i, j, kk, rhs[kk]
+    with np.errstate(over="ignore"):  # a sum past the float range is +inf
+        for i0 in range(0, n, rows):
+            block = A[i0:i0 + rows]
+            lo = i0 if symmetric else 0
+            for j0 in range(lo, n, cols):
+                part = AT[j0:j0 + cols]
+                tile = sums[:len(block), :len(part)]
+                np.add(block[:, None, :], part[None], out=tile)
+                tile.min(axis=2, out=least[:len(block), j0:j0 + len(part)])
+            bad = block[:, lo:] > k * least[:len(block), lo:] + tol
+            if bad.any():
+                r, j = map(int, np.argwhere(bad)[0])
+                i, j = i0 + r, lo + j
+                rhs = k * (A[i] + AT[j])
+                kk = int(np.argmax(A[i, j] > rhs + tol))
+                return i, j, kk, rhs[kk]
     return None
 
 

@@ -78,7 +78,7 @@ from .core_spaces import (
     euclidean_norm,
     real_line,
 )
-from .errors import HypothesisViolation, InputError, OverflowGuardError
+from .errors import InputError, OverflowGuardError
 from .fixed_point import bound_factors
 
 __all__ = [
@@ -208,13 +208,15 @@ class PowerLaw:
         """phi over matching points of two blocks (a single point broadcasts)."""
         norm = _row_norm(self.norm)
         nx, ny = norm(X), norm(Y)
-        v = self.lam * (self._pow(nx) + self._pow(ny))
+        with np.errstate(over="ignore"):  # phi past the float range is +inf
+            v = self.lam * (self._pow(nx) + self._pow(ny))
         return np.where((nx == 0.0) | (ny == 0.0), 0.0, v)
 
     def at_zero_rows(self, X) -> np.ndarray:
         nx = _row_norm(self.norm)(X)
         at_origin = 0.0 if self.s > 0 else (self.lam if self.s == 0 else math.inf)
-        return np.where(nx == 0.0, at_origin, self.lam * self._pow(nx))
+        with np.errstate(over="ignore"):
+            return np.where(nx == 0.0, at_origin, self.lam * self._pow(nx))
 
     def lipschitz(self, m) -> float:
         return abs(m) ** (self.s - 3.0)
@@ -240,10 +242,12 @@ class ShiftNorm:
 
     def rows(self, X, Y) -> np.ndarray:
         """phi over matching points of two blocks (a single point broadcasts)."""
-        return self.c * _row_norm(self.norm)(X + self.m * Y)
+        with np.errstate(over="ignore"):  # phi past the float range is +inf
+            return self.c * _row_norm(self.norm)(X + self.m * Y)
 
     def at_zero_rows(self, X) -> np.ndarray:
-        return self.c * _row_norm(self.norm)(X)
+        with np.errstate(over="ignore"):
+            return self.c * _row_norm(self.norm)(X)
 
     def lipschitz(self, m) -> float:
         return abs(m) ** -2.0
@@ -370,7 +374,7 @@ class CheckReport:
 
     ``worst_ratio`` is the largest observed lhs/rhs (conventions 0/0 = 0,
     pos/0 = +inf); ``witness`` is the sample pair realizing it, or the
-    first violating pair when ``passed`` is False.
+    first violating pair when ``passed`` is False ((0,) if f(0) != 0).
     """
 
     passed: bool
@@ -522,19 +526,19 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
 
     ``samples`` is a grid, or its ``_Pairs`` as ``verify_stability``
     passes them; a phi that excludes zero arguments is checked on the
-    pairs without one.  ``f(0) = 0`` is verified first; its failure
-    invalidates the whole construction and raises ``HypothesisViolation``.
-    A residual that is not finite (an equation point or f overflows)
-    raises ``OverflowGuardError`` naming its pair, unless a violating pair
-    comes before it.
+    pairs without one.  ``f(0) = 0`` is verified first: its failure fails
+    the check with the worst ratio inf and the witness (0,), before f is
+    called at any pair.  A residual that is not finite (an equation point
+    or f overflows) raises ``OverflowGuardError`` naming its pair, unless a
+    violating pair comes before it.
     """
     _check_tol(tol)
     pairs = _Pairs.of(samples, phi)
     norm_rows = _row_norm(norm)
     f0 = float(norm_rows(_block(f(pairs.zero) if pairs.f0 is None else pairs.f0))[0])
     if f0 > tol:
-        raise HypothesisViolation(
-            f"f(0) has norm {f0!r}, expected 0", witness=(pairs.zero,), observed=f0, allowed=tol)
+        return CheckReport(False, math.inf, (pairs.zero,), len(pairs),
+                           f"f(0) has norm {f0!r}, expected 0")
 
     def sides(start, X, Y, FY):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -618,7 +622,8 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
 def _bounds(config: StabilityConfig, weights):
     """The certified bounds from the weights phi(x, 0) of a block of points."""
     factor = bound_factors(config.L, config.p)["from_L_pow_p"]
-    return factor * weights / _step_divisor(config.m)
+    with np.errstate(over="ignore"):  # a bound past the float range is +inf
+        return factor * weights / _step_divisor(config.m)
 
 
 def stability_bound(config: StabilityConfig, phi, x) -> float:
@@ -712,7 +717,7 @@ class StabilityCertificate:
     ``passed`` requires: both hypothesis flags, max_error_ratio <= 1 + tol,
     homogeneity_defect <= tol * scale, and el_defect_of_q <= tol * scale,
     where ``scale`` = max(1, sup |q| over the grid).  All raw numbers stay
-    available so a failing certificate still explains itself.
+    available, q included, so a failing certificate still explains itself.
     """
 
     m: float
@@ -728,7 +733,7 @@ class StabilityCertificate:
     phi_witness: tuple | None
     one_step_ok: bool
     one_step_worst_ratio: float
-    q: SampledMap | None
+    q: SampledMap
     approximant_iterations: int
     scale: float
     bound_per_point: tuple
@@ -750,43 +755,26 @@ class StabilityCertificate:
                 and self.el_defect_of_q <= self.tol * self.scale)
 
     def to_dict(self) -> dict:
-        doc = {**_fields_dict(self), "passed": self.passed, "q": None}
-        if self.q is not None:
-            doc["q"] = {
-                "n_points": len(self.q),
-                "iterations": self.q.meta.get("iterations"),
-                "final_change": self.q.meta.get("final_change"),
-            }
-            if self.q.domain_grid.ndim == 1 and len(self.q) <= 256:
-                doc["q"]["domain"] = self.q.domain_grid.tolist()
-                doc["q"]["values"] = self.q.values.tolist()
-        return doc
+        q = {"n_points": len(self.q), "iterations": self.q.meta.get("iterations"),
+             "final_change": self.q.meta.get("final_change")}
+        if self.q.domain_grid.ndim == 1 and len(self.q) <= 256:
+            q["domain"] = self.q.domain_grid.tolist()
+            q["values"] = self.q.values.tolist()
+        return {**_fields_dict(self), "passed": self.passed, "q": q}
 
 
 # =========================================================================
 # The verification pipeline
 # =========================================================================
 
-def _failing_certificate(config, grid_size, detail, witness):
-    return StabilityCertificate(
-        m=config.m, L=config.L, p=config.p, tol=config.tol, grid_size=grid_size,
-        hypothesis_defect_ok=False, defect_worst_ratio=math.inf, defect_witness=witness,
-        hypothesis_phi_ok=False, phi_worst_ratio=math.nan, phi_witness=None,
-        one_step_ok=False, one_step_worst_ratio=math.nan,
-        q=None, approximant_iterations=0, scale=1.0,
-        bound_per_point=(), error_per_point=(), max_error_ratio=math.inf,
-        homogeneity_defect=math.inf, homogeneity_points=0,
-        el_defect_of_q=math.inf, junkim_defect_of_q=math.inf, defect_pairs_checked=0,
-        notes=(detail,))
-
-
 def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertificate:
     """Run every check and assemble the stability certificate.
 
     ``grid`` must be finite, contain the zero point, and be m-closed
     enough for the homogeneity check to see at least one pair (x, m x).
-    Hypothesis violations produce a failing certificate with witnesses;
-    only malformed inputs and numerical overflow raise.
+    Hypothesis violations, f(0) != 0 among them, produce a failing
+    certificate with witnesses and q; only malformed inputs and numerical
+    overflow raise.
 
     An f with a block form ``f.rows(P)``, giving f at each point of the
     block P with the bits of one call per point, is evaluated on blocks;
@@ -816,12 +804,8 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
             f"f overflowed on the grid: f is not finite at grid point {int(np.argmin(finite))}")
 
     pairs = _Pairs(g, phi, F)
-    try:
-        defect_report = hypothesis_defect_check(f, phi, config.m, pairs,
-                                                norm=codomain.norm, tol=config.tol)
-    except HypothesisViolation as exc:
-        # f(0) = 0 is the ground everything else stands on.
-        return _failing_certificate(config, n_pts, str(exc), exc.witness)
+    defect_report = hypothesis_defect_check(f, phi, config.m, pairs,
+                                            norm=codomain.norm, tol=config.tol)
     phi_report = phi_contractivity_check(phi, config.m, config.L, pairs)
     q, step = _approximant(f, config.m, g, F, _MAX_STAGES, config.tol, codomain)
 

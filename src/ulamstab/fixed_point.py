@@ -132,25 +132,18 @@ def iterate(map: ContractionMap, x0, distance, p: float, tol: float,
             error_bound=bounds["from_L_pow_p"], bounds=bounds,
             residual_history=tuple(history))
 
-    current = x0
-    nxt = map.apply(current)
-    residual = as_extended(distance(current, nxt), name="distance")
-    history = [residual]
-    if residual <= tol:
-        return result(Outcome.CONVERGED, current, 0, residual, history)
-
-    for n in range(1, max_iter + 1):
-        prev_pair = (current, nxt)
-        prev_residual = residual
-        current = nxt
+    current, history = x0, []
+    for n in range(max_iter + 1):
         nxt = map.apply(current)
         residual = as_extended(distance(current, nxt), name="distance")
         history.append(residual)
-        _check_contraction(map.L, prev_pair, prev_residual, residual)
+        if n:
+            _check_contraction(map.L, pair, history[-2], residual)
         if residual <= tol:
             return result(Outcome.CONVERGED, current, n, residual, history)
-        if math.isinf(residual) and math.isinf(prev_residual):
+        if n and math.isinf(residual) and math.isinf(history[-2]):
             # The orbit keeps infinite step distances: the divergent branch.
             return result(Outcome.DIVERGENT_INFINITE, current, n, residual, history)
-
-    return result(Outcome.BUDGET_EXHAUSTED, current, max_iter, residual, history)
+        if n == max_iter:
+            return result(Outcome.BUDGET_EXHAUSTED, current, n, residual, history)
+        pair, current = (current, nxt), nxt

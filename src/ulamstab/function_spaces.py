@@ -99,6 +99,7 @@ def example_corpus(quadrature_n=1024, seed=7) -> list[np.ndarray]:
     three step signals, all drawn from a seeded generator so the corpus
     is bitwise reproducible.
     """
+    _check_count(seed, 0, "seed")
     space = LHalfSpace(quadrature_n)
     t = space.midpoints
     rng = np.random.default_rng(seed)

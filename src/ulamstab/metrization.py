@@ -116,18 +116,19 @@ def _floyd_warshall(d: np.ndarray) -> None:
         block = d[i0:i0 + rows, lo:].copy() if lo else d[i0:i0 + rows]
         blocks.append((i0, lo, block, via[:block.size].reshape(block.shape)))
     row = np.empty(n)
-    for b, (k0, k_lo, own, _) in enumerate(blocks):
-        for k in range(k0, k0 + len(own)):
-            rk = own[k - k0]
-            if k_lo:
-                row[k_lo:] = rk
-                for i0, _, above, _ in blocks[:b]:
-                    row[i0:i0 + rows] = above[:, k - i0]
-                rk = row
-            for i0, lo, block, sums in blocks:
-                sums[...] = rk[lo:]
-                sums += block[:, k - lo, None] if k >= lo else rk[i0:i0 + len(block), None]
-                np.minimum(block, sums, out=block)
+    with np.errstate(over="ignore"):  # a sum past the float range is +inf
+        for b, (k0, k_lo, own, _) in enumerate(blocks):
+            for k in range(k0, k0 + len(own)):
+                rk = own[k - k0]
+                if k_lo:
+                    row[k_lo:] = rk
+                    for i0, _, above, _ in blocks[:b]:
+                        row[i0:i0 + rows] = above[:, k - i0]
+                    rk = row
+                for i0, lo, block, sums in blocks:
+                    sums[...] = rk[lo:]
+                    sums += block[:, k - lo, None] if k >= lo else rk[i0:i0 + len(block), None]
+                    np.minimum(block, sums, out=block)
     if symmetric:
         for i0, _, block, _ in blocks:
             d[i0:i0 + rows, i0:] = block

@@ -536,7 +536,7 @@ def test_cli_f_on_blocks_certifies_like_a_plain_function(case):
     m = case["m"]
     doc = {"name": case["f"]}
     if case["f"] == "poly":
-        # Signed coefficients; f(0) = 0 mostly, so that q gets extracted.
+        # Signed coefficients; f(0) = 0 mostly, so that the hypotheses can hold.
         cs = rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 5)))
         cs[0] = cs[0] if rng.random() < 0.2 else 0.0
         doc["coefficients"] = cs.tolist()
@@ -560,7 +560,7 @@ def test_cli_f_on_blocks_certifies_like_a_plain_function(case):
     for g in (f, plain_f(doc)):
         cert = verify_stability(g, phi, config, grid)
         docs.append(json.dumps(cert.to_dict(), sort_keys=True).encode()
-                    + (b"" if cert.q is None else cert.q.values.tobytes()))
+                    + cert.q.values.tobytes())
     assert docs[0] == docs[1]
 
 

@@ -551,19 +551,75 @@ def test_a_quadrature_n_past_one_tile_is_an_input_error(tmp_path, capsys, n):
                               "must fit one tile of the kernels; got ")
 
 
-def test_verify_csv_of_a_certificate_without_q_is_skipped(tmp_path, capsys):
-    # f(0) = 1 fails before q is extracted.  --csv made that certified
-    # failure an input error; now the run reports it as without --csv.
-    cfg = _write_config(tmp_path, {**PASSING_CONFIG,
-                                   "f": {"name": "poly", "coefficients": [1, 0, 0, 1]}})
-    csv_path = tmp_path / "per_point.csv"
-    runs = [run_cli(["verify", "--config", cfg, *extra], capsys)
-            for extra in ([], ["--csv", str(csv_path)])]
-    assert runs[0] == runs[1]
-    code, doc, err = runs[0]
-    assert code == 1 and doc["verdict"] == "fail" and doc["report"]["q"] is None
-    assert doc["config"]["csv"] is None and err == ""
-    assert not csv_path.exists()
+def test_a_negative_corpus_seed_is_an_input_error(tmp_path, capsys):
+    # numpy rejected it: a traceback, exit 1.
+    cfg = _write_config(tmp_path, {**PASSING_CONFIG, "grid": {"seed": -1},
+                                   "space": {"kind": "lhalf", "quadrature_n": 4}})
+    for argv in (["verify", "--config", cfg],
+                 ["example-lhalf", "--quadrature-n", "8", "--seed", "-1"]):
+        assert run_cli(argv, capsys) == (
+            2, None, "input error: seed must be an integer >= 0, got -1\n")
+
+
+def _non_finite_fields(doc, path=""):
+    """The dotted paths of the numbers in a JSON document that are not finite."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [p for k, v in items for p in _non_finite_fields(v, f"{path}{k}.")]
+    return [path[:-1]] if isinstance(doc, float) and not math.isfinite(doc) else []
+
+
+def test_verify_nonvanishing_f0_fails_with_q_and_its_csv(tmp_path, capsys):
+    # f(0) = 1 fails the defect check at the witness (0,), and every other
+    # clause still runs.  The report had no q, 7 non-finite numbers (2 of
+    # them NaN) and no per-point table, with or without --csv.
+    cfg = _write_config(tmp_path, {"m": 2, "f": {"name": "poly", "coefficients": [1, 0, 0, 1]},
+                                   "phi": {"kind": "shift_norm", "c": 12},
+                                   "grid": {"base": [1.0], "levels": 2}})
+    csv_path = str(tmp_path / "per_point.csv")
+    code, doc, err = run_cli(["verify", "--config", cfg, "--csv", csv_path], capsys)
+    assert (code, err, doc["verdict"]) == (1, "", "fail")
+    report = doc["report"]
+    assert report["hypothesis_defect_ok"] is False and report["defect_witness"] == [0.0]
+    assert report["notes"] == ["hypothesis defect check failed: f(0) has norm 1.0, expected 0"]
+    assert report["q"]["n_points"] == report["grid_size"] == 7
+    assert doc["config"]["csv"] == csv_path
+    with open(csv_path, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + report["grid_size"]
+    assert sorted(_non_finite_fields(report)) == [
+        "defect_worst_ratio", "max_error_ratio", "one_step_worst_ratio"]
+
+
+# Finite inputs whose arithmetic overflows to +inf, with their exit codes.
+# Each printed RuntimeWarnings: a phi or a bound past the float range, or a
+# triangle or path sum past it.
+OVERFLOWING_INPUTS = [
+    (["verify"], {"m": 2, "f": {"name": "cubic"}, "phi": {"kind": "shift_norm", "c": 1e308},
+                  "grid": {"base": [1e30], "levels": 1}}, 1),
+    (["verify"], {"m": 2, "f": {"name": "cubic"},
+                  "phi": {"kind": "power_law", "lambda": 1e300, "s": 2},
+                  "grid": {"base": [1e5], "levels": 1}}, 0),
+    (["verify"], {"m": 2, "f": {"name": "cubic"}, "phi": {"kind": "constant", "value": 1e308},
+                  "grid": {"base": [1], "levels": 1}}, 0),
+    (["metrize", "--kappa", "1"], "0,1e308\n1e308,0\n", 0),
+    (["metrize", "--kappa", "2"], "0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n", 0),
+]
+
+
+def test_arithmetic_overflowing_to_inf_prints_no_warning(tmp_path, capsys):
+    codes = []
+    for k, (argv, content, _) in enumerate(OVERFLOWING_INPUTS):
+        if isinstance(content, dict):
+            argv = [*argv, "--config", _write_config(tmp_path, content)]
+        else:
+            (tmp_path / f"d{k}.csv").write_text(content)
+            argv = [*argv, "--in", str(tmp_path / f"d{k}.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise out of main
+            code, doc, err = run_cli(argv, capsys)
+        assert doc is not None and err == ""
+        codes.append(code)
+    assert codes == [code for _, _, code in OVERFLOWING_INPUTS]
 
 
 def test_verify_envelope_has_no_seed(tmp_path, capsys):

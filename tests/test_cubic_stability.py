@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulamstab import (
+    CheckReport,
     ConstantBound,
-    HypothesisViolation,
     InputError,
     LHalfSpace,
     OverflowGuardError,
@@ -281,10 +281,18 @@ def test_defect_check_undersized_phi_fails_with_witness():
 
 
 def test_defect_check_requires_f_vanishing_at_zero():
+    # f(0) = 1 fails the check like a violating pair, before f sees any pair:
+    # f is called at 0 alone.
     phi = ShiftNorm(c=12.0, m=2.0)
-    with pytest.raises(HypothesisViolation) as err:
-        hypothesis_defect_check(lambda u: u + 1.0, phi, 2.0, [1.0])
-    assert err.value.observed == pytest.approx(1.0, abs=1e-12)
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return u + 1.0
+
+    report = hypothesis_defect_check(f, phi, 2.0, [1.0, 2.0])
+    assert report == CheckReport(False, math.inf, (0.0,), 4, "f(0) has norm 1.0, expected 0")
+    assert calls == [0.0]
 
 
 def test_defect_check_stops_at_the_first_violating_or_overflowing_pair():
@@ -604,12 +612,18 @@ def test_verify_stability_undersized_phi_fails_without_raising():
 
 
 def test_verify_stability_nonvanishing_f0_yields_failing_certificate():
+    # f(0) = 1 fails the defect check; every other clause still runs, so
+    # the certificate carries q and no NaN placeholder.
     config = StabilityConfig(m=2.0, L=0.25)
     cert = verify_stability(lambda u: u**3 + 1.0, ShiftNorm(c=12.0, m=2.0),
                             config, _real_grid())
     assert not cert.passed
-    assert cert.q is None
-    assert any("f(0)" in note for note in cert.notes)
+    assert not cert.hypothesis_defect_ok and cert.defect_witness == (0.0,)
+    assert cert.defect_worst_ratio == math.inf
+    assert cert.notes == ("hypothesis defect check failed: f(0) has norm 1.0, expected 0",)
+    assert cert.hypothesis_phi_ok and cert.phi_witness is not None
+    assert len(cert.q) == cert.grid_size == len(cert.bound_per_point)
+    assert "NaN" not in json.dumps(cert.to_dict())
 
 
 def test_verify_stability_grid_validation():

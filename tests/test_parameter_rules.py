@@ -8,7 +8,7 @@
   L of ``phi_contractivity_check`` its rule on L, ``core_spaces._check_L``;
 * grid points match through ``core_spaces._RowIndex``, and a grid whose
   levels overflow is an input error;
-* a count (``n_max``, ``levels``, ``max_iter``, ``quadrature_n``, ``dim``)
+* a count (``n_max``, ``levels``, ``max_iter``, ``quadrature_n``, ``dim``, ``seed``)
   is an integer, numpy integers too, at or above its least value:
   ``core_spaces._check_count``.
 """
@@ -35,6 +35,7 @@ from ulamstab import (
     bound_factors,
     cubic_approximant,
     euclidean_norm,
+    example_corpus,
     hypothesis_defect_check,
     iterate,
     m_closed_grid,
@@ -100,6 +101,7 @@ COUNT_ENTRY_POINTS = {
     "max_iter": (lambda n: iterate(ContractionMap(apply=lambda x: x / 2.0, L=0.5), 1.0,
                                    lambda a, b: abs(a - b), p=1.0, tol=1e-9, max_iter=n), 1),
     "quadrature_n": (lambda n: LHalfSpace(n), 1),
+    "seed": (lambda n: example_corpus(4, seed=n), 0),
     "dim": (lambda n: QuasiNormedSpace(dim=n, norm_eval=euclidean_norm, kappa=1.0), 1),
 }
 
