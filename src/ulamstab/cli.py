@@ -146,6 +146,8 @@ def _cmd_fixpoint(args):
     apply_fn, distance, p, default_L, default_x0 = _SCENARIOS[args.scenario]
     L = default_L if args.L is None else args.L
     x0 = default_x0 if args.x0 is None else args.x0
+    if not math.isfinite(x0):
+        raise InputError(f"x0 must be finite, got {x0!r}")
     config = {"scenario": args.scenario, "L": L, "x0": x0,
               "tol": args.tol, "max_iter": args.max_iter}
     cmap = ContractionMap(apply=apply_fn, L=L)

@@ -203,9 +203,14 @@ def _euclidean_norm_rows(X) -> np.ndarray:
 
 def _scalar_pow(values, e) -> np.ndarray:
     """values**e element by element through the scalar pow, so that a row
-    form matches its one-point form bit for bit (the array power may
-    round the last bit differently)."""
-    return np.array([v ** e for v in values.tolist()], dtype=float)
+    form matches its one-point form bit for bit (the array power may round
+    the last bit differently); a power past the float range is +inf."""
+    xs = values.tolist()
+    try:
+        return np.array([v ** e for v in xs], dtype=float)
+    except OverflowError:  # numpy's scalar pow calls the same C pow, but gives +inf
+        with np.errstate(over="ignore"):
+            return np.array([np.float64(v) ** e for v in xs], dtype=float)
 
 
 def _row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:

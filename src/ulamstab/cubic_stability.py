@@ -110,11 +110,6 @@ _ORBIT_LIMIT = 1e100
 _MAX_STAGES = 80
 
 
-def _zero_like(x):
-    a = np.asarray(x, dtype=float)
-    return 0.0 if a.ndim == 0 else np.zeros_like(a)
-
-
 def _as_block(grid) -> np.ndarray:
     """A grid as a block of points, one per leading index: a 1-d block
     holds numbers (the real line), a 2-d block one vector per row."""
@@ -293,7 +288,7 @@ def _phi_at_zero_rows(phi, X) -> np.ndarray:
     called point by point: ``phi.at_zero(x)`` if it has one, else phi(x, 0)."""
     if hasattr(phi, "at_zero_rows"):
         return phi.at_zero_rows(X)
-    at_zero = getattr(phi, "at_zero", None) or (lambda x: phi(x, _zero_like(x)))
+    at_zero = getattr(phi, "at_zero", None) or (lambda x: phi(x, x - x))  # +0 in x's shape
     return np.array([at_zero(x) for x in _points(X)], dtype=float)
 
 
@@ -569,10 +564,11 @@ def cubic_approximant(f, m, grid, n_max=_MAX_STAGES, tol=DEFAULT_TOL,
     """Extract q(x) = lim f(m**n x) / m**(3 n) on a finite grid.
 
     Stops once the sup over the grid of the codomain-norm change between
-    successive stages drops to ``tol``, or at ``n_max`` stages.  The
-    stage count and final change land in the result's ``meta``.
-    Requires |m| > 1; an orbit or denominator leaving the safe floating
-    range raises ``OverflowGuardError`` carrying the last safe stage.
+    successive stages drops to ``tol``, else at stage ``n_max`` or before
+    the orbit, the denominator or f leaves the safe floating range; the
+    stage count, final change and reason (``stop``, None on convergence)
+    land in the result's ``meta``.  Requires |m| > 1; only a first stage
+    that cannot be formed raises ``OverflowGuardError``.
     """
     m = _check_m(m)
     _check_tol(tol)
@@ -587,32 +583,30 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
     Also returns the per-point change from stage 0 to stage 1, the norm of
     f(m x)/m**3 - f(x).
     """
-    points = g
-    denom = 1.0
-    n_used = 0
-    change = math.inf
+    points, denom, change, stop = g, 1.0, math.inf, None
     for n in range(1, n_max + 1):
         points = points * m
         denom = denom * m**3
-        escaped = np.max(np.abs(points)) > _ORBIT_LIMIT or abs(denom) > _ORBIT_LIMIT
-        new_vals = None if escaped else _f_rows(f, points) / denom
-        if escaped or not np.isfinite(new_vals).all():
-            raise OverflowGuardError(
-                f"forward orbit left the safe range at stage {n} (|m| = {abs(m)!r})" if escaped
-                else f"f overflowed along the orbit at stage {n}",
-                last_safe=SampledMap(g, vals, codomain,
-                                     meta={"iterations": n - 1, "final_change": change}),
-                iterations=n - 1)
+        if np.max(np.abs(points)) > _ORBIT_LIMIT or abs(denom) > _ORBIT_LIMIT:
+            stop = f"forward orbit left the safe range at stage {n} (|m| = {abs(m)!r})"
+        elif not np.isfinite(new_vals := _f_rows(f, points) / denom).all():
+            stop = f"f overflowed along the orbit at stage {n}"
+        if stop:
+            if n == 1:  # no f(m x): neither q nor the one-step estimate
+                raise OverflowGuardError(stop)
+            n -= 1
+            break
         step = codomain.norm_rows(new_vals - vals)
         if n == 1:
             step1 = step
         change = float(np.max(step, initial=0.0))
         vals = new_vals
-        n_used = n
         if change <= tol:
             break
+    else:
+        stop = f"the budget of {n_max} stages ran out"
     return SampledMap(g, vals, codomain,
-                      meta={"iterations": n_used, "final_change": change}), step1
+                      meta={"iterations": n, "final_change": change, "stop": stop}), step1
 
 
 # =========================================================================
@@ -774,7 +768,9 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
     enough for the homogeneity check to see at least one pair (x, m x).
     Hypothesis violations, f(0) != 0 among them, produce a failing
     certificate with witnesses and q; only malformed inputs and numerical
-    overflow raise.
+    overflow (of f on the grid, m**4, a defect-check residual or the first
+    orbit stage) raise.  An approximant stopped short keeps its last finite
+    stage as q, which the clauses judge like any q, and a note says why.
 
     An f with a block form ``f.rows(P)``, giving f at each point of the
     block P with the bits of one call per point, is evaluated on blocks;
@@ -822,7 +818,6 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
 
     image = q.index_rows(config.m * g)
     on_grid = np.flatnonzero(image >= 0)
-    homo_points = len(on_grid)
     homo_defect = float(np.max(codomain.norm_rows(q.values[image[on_grid]]
                                                   - config.m**3 * q.values[on_grid]),
                                initial=0.0))
@@ -834,6 +829,8 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
         notes.append(f"hypothesis defect check failed: {defect_report.detail}")
     if not phi_report.passed:
         notes.append(f"phi contractivity check failed: {phi_report.detail}")
+    if q.meta["stop"]:
+        notes.append(f"approximant stopped short: {q.meta['stop']}")
 
     return StabilityCertificate(
         m=config.m, L=config.L, p=config.p, tol=config.tol, grid_size=n_pts,
@@ -852,7 +849,7 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
         error_per_point=tuple(errors.tolist()),
         max_error_ratio=max_error_ratio,
         homogeneity_defect=homo_defect,
-        homogeneity_points=homo_points,
+        homogeneity_points=len(on_grid),
         el_defect_of_q=el_q,
         junkim_defect_of_q=jk_q,
         defect_pairs_checked=n_checked,

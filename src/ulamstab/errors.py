@@ -2,8 +2,9 @@
 
 Every failure mode is semantic: callers can catch a single class and know
 what went wrong without parsing messages.  ``InputError`` covers malformed
-arguments and files (CLI exit code 2), ``HypothesisViolation`` covers
-broken mathematical hypotheses observed on concrete data (CLI exit code 1).
+arguments and files (CLI exit code 2), ``HypothesisViolation`` broken
+mathematical hypotheses observed on concrete data, ``OverflowGuardError``
+a needed value past the float range (both CLI exit code 1).
 """
 
 from __future__ import annotations
@@ -61,13 +62,5 @@ class HypothesisViolation(UlamstabError):
 
 
 class OverflowGuardError(UlamstabError):
-    """A forward orbit left the representable floating-point range.
-
-    ``last_safe`` holds the most recent finite iterate so callers can
-    inspect how far the computation got.
-    """
-
-    def __init__(self, message, last_safe=None, iterations=None):
-        super().__init__(message)
-        self.last_safe = last_safe
-        self.iterations = iterations
+    """f on the grid, m**4, a defect-check residual or the first orbit stage
+    of the approximant left the floating-point range."""

@@ -318,6 +318,16 @@ def test_fixpoint_bad_L_flag(capsys):
     assert "contraction constant" in err
 
 
+@pytest.mark.parametrize("scenario", sorted(cli._SCENARIOS))
+@pytest.mark.parametrize("x0", ["inf", "nan", "-inf"])
+def test_fixpoint_a_non_finite_x0_is_an_input_error(capsys, scenario, x0):
+    # setzero passed from inf, two-component diverged, and the rest exited
+    # 2 with "distance is NaN".
+    code, doc, err = run_cli(["fixpoint", "--scenario", scenario, f"--x0={x0}"], capsys)
+    assert (code, doc) == (2, None)
+    assert err == f"input error: x0 must be finite, got {float(x0)!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -671,6 +681,47 @@ def test_verify_a_residual_that_overflows_is_a_certified_failure(tmp_path, capsy
     assert (code, doc) == (1, None)
     assert err == ("certified failure: the equation residual is not finite at the pair "
                    "(0.0, 1e+308)\n")
+
+
+@pytest.mark.parametrize("config, code, stages, note", [
+    # Rounding keeps the change above tol until the orbit leaves 1e100;
+    # every clause holds on stage 69.  This exited 1 with no report.
+    ({"m": 3, "f": {"name": "cubic_plus_linear"}, "phi": {"kind": "shift_norm", "c": 48},
+      "grid": {"base": [100.0], "levels": 4}},
+     0, 69, "forward orbit left the safe range at stage 70 (|m| = 3.0)"),
+    ({"m": 1.1, "f": {"name": "cubic_plus_linear"},
+      "phi": {"kind": "shift_norm", "c": cli.cubic_linear_defect_constant(1.1)},
+      "grid": {"base": [1], "levels": 2}},
+     1, 80, "the budget of 80 stages ran out"),
+    # q = f(4 x) / 4**3 = x / 16 at stage 2 is not cubic: the homogeneity clause fails.
+    ({"m": 2, "f": {"name": "poly", "coefficients": [0, 1]},
+      "phi": {"kind": "power_law", "lambda": 1, "s": 2}, "grid": {"base": [1e99], "levels": 1}},
+     1, 2, "forward orbit left the safe range at stage 3 (|m| = 2.0)"),
+])
+def test_verify_an_approximant_stopped_short_is_judged_by_the_clauses(tmp_path, capsys, config,
+                                                                        code, stages, note):
+    cfg = _write_config(tmp_path, config)
+    got, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (got, err) == (code, "")
+    report = doc["report"]
+    assert report["passed"] is (code == 0)
+    assert report["q"]["iterations"] == report["approximant_iterations"] == stages
+    assert report["notes"] == [f"approximant stopped short: {note}"]
+    assert report["hypothesis_defect_ok"] and report["hypothesis_phi_ok"]
+    assert report["max_error_ratio"] <= 0.25
+
+
+def test_verify_a_first_stage_past_the_float_range_is_a_certified_failure(tmp_path, capsys):
+    # The power law's phi was a Python OverflowError traceback here.
+    cfg = _write_config(tmp_path, {"m": 2, "f": {"name": "poly", "coefficients": [0, 1]},
+                                   "phi": {"kind": "power_law", "lambda": 1, "s": 2},
+                                   "grid": {"base": [1e160], "levels": 1}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise out of main
+        code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, doc) == (1, None)
+    assert err == ("certified failure: forward orbit left the safe range at stage 1 "
+                   "(|m| = 2.0)\n")
 
 
 def test_verify_accepts_the_grid_it_built(tmp_path, capsys):

@@ -178,6 +178,16 @@ def test_power_law_negative_exponent_at_zero():
     assert PowerLaw(lam=1.0, s=0.0).at_zero(0.0) == 1.0
 
 
+def test_a_power_past_the_float_range_is_inf():
+    # Python's float pow raises OverflowError where numpy's gives +inf.
+    assert PowerLaw(1.0, 2.0).at_zero(1e160) == math.inf
+    assert PowerLaw(1.0, -2.0).at_zero(1e-170) == math.inf
+    assert PowerLaw(1.0, 2.0)(1e160, 1.0) == math.inf
+    assert PowerLaw(1.0, 2.0).at_zero(1e150) == 1e150**2  # a finite power keeps its bits
+    assert PowerLaw(1.0, 1.5).at_zero_rows(np.array([1e250, 3.0])).tolist() == [math.inf,
+                                                                                 3.0**1.5]
+
+
 def test_shift_norm_family():
     with pytest.raises(InputError):
         ShiftNorm(c=-1.0, m=2.0)
@@ -341,16 +351,13 @@ def test_approximant_runs_out_the_budget_at_tol_zero():
 
 def test_approximant_overflow_guard_on_denominator():
     # A quintic rescales to 4**n, which never stabilizes, and 8**n crosses
-    # the orbit limit near stage 112: the guard must fire with a usable
-    # last safe stage still attached.
+    # the orbit limit 1e100 at stage 111: the run ends at stage 110, as a
+    # budget would end it, and says why.
     grid = np.array([0.0, 1.0])
-    with pytest.raises(OverflowGuardError) as err:
-        cubic_approximant(lambda u: u**5, 2.0, grid, n_max=200, tol=0.0)
-    exc = err.value
-    assert exc.iterations >= 100
-    assert isinstance(exc.last_safe, SampledMap)
-    assert exc.last_safe.meta["iterations"] == exc.iterations
-    assert exc.last_safe(1.0) == 4.0**exc.iterations
+    q = cubic_approximant(lambda u: u**5, 2.0, grid, n_max=200, tol=0.0)
+    assert q.meta["iterations"] == 110
+    assert q.meta["stop"] == "forward orbit left the safe range at stage 111 (|m| = 2.0)"
+    assert q(1.0) == 4.0**q.meta["iterations"]
 
 
 def test_approximant_overflow_guard_on_function_values():
@@ -360,8 +367,47 @@ def test_approximant_overflow_guard_on_function_values():
         with np.errstate(over="ignore"):
             return float(np.exp(u)) - 1.0
 
-    with pytest.raises(OverflowGuardError):
-        cubic_approximant(runaway, 2.0, grid, n_max=40, tol=0.0)
+    # exp(2**10) is past the float range; stage 9 is the last finite one.
+    q = cubic_approximant(runaway, 2.0, grid, n_max=40, tol=0.0)
+    assert q.meta["iterations"] == 9
+    assert q.meta["stop"] == "f overflowed along the orbit at stage 10"
+    assert q(1.0) == (math.exp(512.0) - 1.0) / 8.0**9
+
+
+def test_approximant_names_the_budget_and_not_a_convergence():
+    grid = np.array([0.0, 1.0])
+    assert cubic_approximant(pure_cubic, 2.0, grid).meta["stop"] is None
+    q = cubic_approximant(cubic_plus_linear, 2.0, grid, n_max=10, tol=0.0)
+    assert q.meta["stop"] == "the budget of 10 stages ran out"
+
+
+@pytest.mark.parametrize("f, grid, message", [
+    (pure_cubic, [0.0, 1e100], "forward orbit left the safe range at stage 1 (|m| = 2.0)"),
+    (lambda u: u**3 if u <= 1.0 else math.inf, [0.0, 1.0],
+     "f overflowed along the orbit at stage 1"),
+])
+def test_approximant_raises_when_stage_one_cannot_be_formed(f, grid, message):
+    # Without f(m x) there is neither a q nor a one-step estimate.
+    with pytest.raises(OverflowGuardError) as err:
+        cubic_approximant(f, 2.0, np.array(grid))
+    assert str(err.value) == message
+
+
+def test_the_float_range_ends_the_approximant_like_the_budget():
+    # u**3 + u as the CLI writes it, on the m = 3, base-100 grid: rounding
+    # keeps the change above tol = 1e-9 until the orbit leaves 1e100 at
+    # stage 70.  (u**3 + u rounds to a fixed point at stage 22.)
+    def f(u):
+        return u * u * u + u
+
+    grid = m_closed_grid([100.0], 3.0, levels=4)
+    by_range = cubic_approximant(f, 3.0, grid)
+    by_budget = cubic_approximant(f, 3.0, grid, n_max=69)
+    assert by_range.meta["iterations"] == by_budget.meta["iterations"] == 69
+    assert by_range.values.tobytes() == by_budget.values.tobytes()
+    assert by_range.meta["final_change"] == by_budget.meta["final_change"]
+    assert by_range.meta["stop"] == "forward orbit left the safe range at stage 70 (|m| = 3.0)"
+    assert by_budget.meta["stop"] == "the budget of 69 stages ran out"
 
 
 def test_approximant_input_validation():

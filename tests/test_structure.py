@@ -17,7 +17,9 @@ one config gives one report in any shell.  Every name a module exports is
 reached: some module of the library or of ``perfbench/`` reads it, or
 ``perfbench/`` names it in a string, as its tracer does when it patches a
 function by name.  An export that only tests call is code the pipeline
-does not need.
+does not need.  Every attribute an exception class of ``errors`` sets on
+``self`` is read as an attribute by another module of the library or of
+``perfbench/``: a payload no caller reads is built for nothing.
 """
 
 from __future__ import annotations
@@ -109,6 +111,24 @@ def _unreached(tree, trees, bench_trees):
     return sorted(_exported(tree) - reached)
 
 
+def _payload(tree):
+    """The attributes each class of the module sets on ``self``, as
+    (class.attribute, attribute, line)."""
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef):
+            for n in ast.walk(c):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                    yield f"{c.name}.{n.attr}", n.attr, n.lineno
+
+
+def _unread_payload(tree, trees):
+    """The payload of ``tree``'s classes that none of ``trees`` reads as an attribute."""
+    read = {n.attr for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, attr, line in _payload(tree) if attr not in read]
+
+
 def _binds_tile_budget(tree):
     """Whether the module imports ``_TILE_ELEMENTS``, under any name, or
     assigns it."""
@@ -167,6 +187,14 @@ def test_every_export_is_reached(path):
                            f"of perfbench reaches: {', '.join(unreached)}")
 
 
+def test_every_exception_payload_is_read():
+    errors = Path(ulamstab.errors.__file__)
+    unread = _unread_payload(_tree(errors), [_tree(p) for p in SOURCES + BENCH_SOURCES
+                                             if p != errors])
+    assert not unread, ("errors.py sets exception attributes that no module of the library "
+                        f"or of perfbench reads: {', '.join(unread)}")
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_core_spaces_binds_the_tile_budget(path):
     assert _binds_tile_budget(_tree(path)) == (path.name == "core_spaces.py")
@@ -215,6 +243,17 @@ def test_the_rules_catch_what_they_name():
     bench = ast.parse("fn(cs, 'el_defect', 'cubic_stability.el_defect')\n")
     caller = ast.parse("grid = cs.m_closed_grid([1.0], 2.0)\n")
     assert _unreached(tree, [tree, caller], [bench]) == ["cubic_rescale"]
+    # The last safe stage an overflow carried, which no caller read, next
+    # to a witness the CLI reads; a read in the defining module does not count.
+    tree = ast.parse("class OverflowGuardError(Exception):\n"
+                     "    def __init__(self, message, last_safe=None):\n"
+                     "        self.last_safe = last_safe\n"
+                     "        self.last_safe.meta\n"
+                     "class HypothesisViolation(Exception):\n"
+                     "    def __init__(self, witness):\n"
+                     "        self.witness = witness\n")
+    caller = ast.parse("report = {'witness': exc.witness}\n")
+    assert _unread_payload(tree, [caller]) == ["OverflowGuardError.last_safe (line 3)"]
     # cli's default tolerance as it read the environment, and the other
     # ways to reach it; a path join reads nothing.
     tree = ast.parse("import os\n"
