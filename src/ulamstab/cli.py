@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -34,7 +35,10 @@ from . import __version__
 from .core_spaces import (
     AXIOM_SLACK,
     GeneralizedBMetricSpace,
+    _check_kappa,
+    _grid,
     _load_json,
+    _real,
     _write_csv,
     load_distance_csv,
     load_distance_json,
@@ -85,7 +89,7 @@ def _cmd_metrize(args):
     path = args.infile
     if path.endswith(".json"):
         D, kappa = load_distance_json(path)
-        if args.kappa is not None and abs(args.kappa - kappa) > 0:
+        if args.kappa is not None and _check_kappa(args.kappa) != kappa:
             raise InputError(
                 f"--kappa {args.kappa!r} contradicts kappa {kappa!r} stored in {path}")
     else:
@@ -213,11 +217,7 @@ def _field(cfg, name, kind):
             raise InputError(f"config: missing field {name!r}")
     number = isinstance(cur, (int, float)) and not isinstance(cur, bool)
     if kind is float and number:
-        try:
-            return float(cur)
-        except OverflowError:
-            raise InputError(f"config: field {name!r} must be finite, got an int too large "
-                             f"for a float") from None
+        return _real(cur, f"config: field {name!r}")
     if kind is int and number and (isinstance(cur, int) or cur.is_integer()):
         return int(cur)
     if kind in (float, int) or not isinstance(cur, kind):
@@ -283,9 +283,7 @@ def _build_grid(doc, m, space):
         pts = [_numbers(doc, f"grid.points.{i}") if isinstance(p, list)
                else _field(doc, f"grid.points.{i}", float)
                for i, p in enumerate(_field(doc, "grid.points", list))]
-        if len({np.shape(p) for p in pts}) > 1:
-            raise InputError("config: the entries of field 'grid.points' must share one shape")
-        pts = np.asarray(pts, dtype=float)
+        pts = _grid(pts, space.dim)
         return pts, {"points": pts.tolist()}
     levels = _field(doc, "grid.levels", int) if "levels" in spec else 2
     symmetric = _field(doc, "grid.symmetric", bool) if "symmetric" in spec else True
@@ -489,13 +487,15 @@ def main(argv=None) -> int:
         if args.report:
             with open(args.report, "w") as fh:
                 fh.write(text + "\n")
+        print(text, flush=True)
     except (InvalidBMetricError, HypothesisViolation, OverflowGuardError) as exc:
         print(f"certified failure: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed early: its last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(text)
     return 0 if doc["verdict"] == "pass" else 1
 
 

@@ -89,18 +89,27 @@ def p_exponent(kappa) -> float:
     """The exponent p = log_{2 kappa} 2, i.e. the solution of (2 kappa)**p = 2.
 
     kappa = 1 gives p = 1, kappa = 2 gives p = 1/2, kappa = 4 gives p = 1/3.
-    Strictly decreasing in kappa; kappa < 1 is an input error.
+    Strictly decreasing in kappa; kappa outside [1, 2**1023) is an input error.
     """
     return math.log(2.0) / math.log(2.0 * _check_kappa(kappa))
 
 
+def _real(value, name) -> float:
+    """value as ``float`` reads it; an int too large for a float is not finite."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{name} must be finite, got an int too large for a float") from None
+
+
 def _check_kappa(kappa) -> float:
-    """kappa as a float, if it is a modulus: 1 <= kappa < +inf."""
-    k = float(kappa)
+    """kappa as a float, if it is a modulus with 2 kappa finite: 1 <= kappa < 2**1023."""
+    k = _real(kappa, "kappa")
     if math.isnan(k) or k < 1.0:
         raise InputError(f"kappa must be >= 1, got {kappa!r}")
-    if math.isinf(k):
-        raise InputError(f"kappa must be finite, got {kappa!r}")
+    if math.isinf(2.0 * k):  # p = log_{2 kappa} 2 would be 0
+        raise InputError(f"kappa must be finite, got {kappa!r}" if math.isinf(k) else
+                         f"kappa must be below 2**1023, where 2 kappa is finite, got {kappa!r}")
     return k
 
 
@@ -239,8 +248,8 @@ class QuasiNormedSpace:
     triangle inequality; both are assumed, not checked.  The builtin norms
     (the real line, L^{1/2}) are p-normed,
     |x + y|**p <= |x|**p + |y|**p, which implies that triangle.
-    The exponent ``p`` is derived from kappa at construction and satisfies
-    (2 kappa)**p = 2 within 1e-12 relative.
+    ``kappa`` is kept as the float ``_check_kappa`` gives, and the exponent
+    ``p = p_exponent(kappa)`` is derived from it at construction.
     """
 
     dim: int
@@ -250,10 +259,8 @@ class QuasiNormedSpace:
 
     def __post_init__(self):
         _check_count(self.dim, 1, "dim")
-        p = p_exponent(self.kappa)
-        if abs((2.0 * self.kappa) ** p - 2.0) > 1e-12 * 2.0:
-            raise InputError(f"derived exponent inconsistent for kappa={self.kappa!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
+        object.__setattr__(self, "p", p_exponent(self.kappa))
 
     def norm(self, x) -> float:
         """Evaluate the quasi-norm, rejecting NaN results."""
@@ -294,7 +301,7 @@ class GeneralizedBMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "D", as_extended_matrix(self.D))
-        _check_kappa(self.kappa)
+        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
 
     @property
     def n(self) -> int:
@@ -478,6 +485,29 @@ _MATCH_ATOL = 1e-12
 _MATCH_RTOL = 1e-9
 
 
+def _grid(grid, dim=None) -> np.ndarray:
+    """A grid as a block of points: numbers (1-d) or vectors of at least one
+    coordinate (2-d), all finite; with ``dim``, points of a space of that
+    dimension, numbers for 1.  Anything else is an input error."""
+    try:
+        g = np.asarray(grid, dtype=float)
+    except OverflowError:  # an int too large for a float is not finite
+        raise InputError("grid must be finite") from None
+    except (TypeError, ValueError):  # ragged points, or an entry that is no number
+        raise InputError("grid points must be numbers, or vectors that share one shape") from None
+    if g.ndim not in (1, 2):
+        raise InputError(f"grid points must be numbers or vectors, got a grid of shape {g.shape}")
+    if g.ndim == 2 and not g.shape[1]:
+        raise InputError("grid points must have at least one coordinate")
+    if dim is not None and g.shape[1:] != ((dim,) if dim > 1 else ()):
+        want = "numbers" if dim == 1 else f"vectors of {dim} coordinates"
+        raise InputError(f"grid points must be {want} to be points of the space; "
+                         f"got a grid of shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise InputError("grid must be finite")
+    return g
+
+
 class _RowIndex:
     """The one grid-point matcher: rows sorted by their first coordinate.
 
@@ -578,16 +608,12 @@ class SampledMap:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        g = np.array(self.domain_grid, dtype=float)
+        g = _grid(self.domain_grid).copy()
         v = np.array(self.values, dtype=float)
-        if g.ndim not in (1, 2):
-            raise InputError(f"domain grid must be 1-d or 2-d, got shape {g.shape}")
         if len(g) != len(v):
             raise InputError(f"grid has {len(g)} points but {len(v)} values")
         if len(g) == 0:
             raise InputError("grid must contain at least one point")
-        if np.isnan(g).any() or np.isinf(g).any():
-            raise InputError("domain grid must be finite")
         if np.isnan(v).any():
             raise InputError("values contain NaN")
         g.setflags(write=False)
@@ -725,9 +751,5 @@ def load_distance_json(path) -> tuple[np.ndarray, float]:
         if isinstance(row, list) and not _JSON_NUMBERS.issuperset(map(type, row)):
             j = next(j for j, v in enumerate(row) if type(v) not in _JSON_NUMBERS)
             raise InputError(f"{path}: field 'D.{i}.{j}' must be float")
-    try:
-        kappa = float(doc["kappa"])
-    except OverflowError:
-        raise InputError(f"{path}: field 'kappa' must be finite, got an int too large "
-                         f"for a float") from None
+    kappa = _real(doc["kappa"], f"{path}: field 'kappa'")
     return as_extended_matrix(D), kappa

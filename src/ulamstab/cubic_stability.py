@@ -43,12 +43,13 @@ Each rule has one owner: |m| > 1 is ``_check_m``, an overflowing m**4
 ``_euler_lagrange``, the one-step divisor 2 |m|**3 ``_step_divisor``,
 f(0) = 0 ``hypothesis_defect_check``, the slack lhs <= rhs + tol *
 max(1, rhs) ``_exceeds``, the pairs the hypothesis checks walk (with or
-without zero arguments) ``_Pairs``, a worst ratio (the running maximum)
-``_worst_ratio``, the bound factor (4 / (1 - L**p))**(1/p) and the rules
-on L and p ``fixed_point.bound_factors`` (L alone:
+without zero arguments) and phi over them ``_Pairs``, a worst ratio (the
+running maximum) ``_worst_ratio``, the bound factor (4 / (1 - L**p))**(1/p)
+and the rules on L and p ``fixed_point.bound_factors`` (L alone:
 ``core_spaces._check_L``), the control-function parameters
-``_check_parameters``; in ``core_spaces``: tolerances ``_check_tol``,
-counts ``_check_count``, grid-point matching ``_RowIndex``, distinctness
+``_check_parameters``; in ``core_spaces``: a grid's shape ``_grid``, a
+number's conversion to float ``_real``, tolerances ``_check_tol``, counts
+``_check_count``, grid-point matching ``_RowIndex``, distinctness
 ``_distinct``, tiles ``_rows_per_tile``, the single points a per-point
 callable gets ``_points``.
 """
@@ -71,7 +72,9 @@ from .core_spaces import (
     _check_tol,
     _distinct,
     _fields_dict,
+    _grid,
     _points,
+    _real,
     _row_norm,
     _rows_per_tile,
     _scalar_pow,
@@ -108,17 +111,6 @@ _ORBIT_LIMIT = 1e100
 
 # The stages of the approximant that ``verify_stability`` runs at most.
 _MAX_STAGES = 80
-
-
-def _as_block(grid) -> np.ndarray:
-    """A grid as a block of points, one per leading index: a 1-d block
-    holds numbers (the real line), a 2-d block one vector per row."""
-    g = np.asarray(grid, dtype=float)
-    if not np.isfinite(g).all():
-        raise InputError("grid must be finite")
-    if g.ndim == 2 and g.shape[1] == 0:
-        raise InputError("grid points must have at least one coordinate")
-    return g
 
 
 def _nonzero(P) -> np.ndarray:
@@ -298,11 +290,8 @@ def _phi_at_zero_rows(phi, X) -> np.ndarray:
 
 def _check_m(m) -> float:
     """m as a float, if it is finite with |m| > 1, where the forward rescaling
-    contracts.  An int too large for a float is not finite, like m = inf."""
-    try:
-        v = float(m)
-    except OverflowError:
-        raise InputError("m must be finite, got an int too large for a float") from None
+    contracts."""
+    v = _real(m, "m")
     if not abs(v) > 1.0:
         raise InputError(f"m must satisfy |m| > 1 (0 and +-1 are degenerate; the forward "
                          f"rescaling diverges for 0 < |m| <= 1), got {m!r}")
@@ -390,12 +379,12 @@ class _Pairs:
     The pairs are never stored: a block is a tile, a run of x-points each
     against every y, with about 1/16 of a tile of coordinates of pairs and
     at least one x-point; a tile of one x-point holds it as a one-point
-    block.  phi(x, y) is kept block by block (``phi_rows``), so that two
-    checks of one ``_Pairs`` evaluate it once.  ``len()`` counts the pairs.
+    block.  ``phi`` holds phi(x, y) of each pair, evaluated tile by tile when
+    the pairs are built: both checks slice it.  ``len()`` counts the pairs.
     """
 
     def __init__(self, grid, phi, values=None):
-        g = _as_block(grid)
+        g = _grid(grid)
         nonzero = _nonzero(g)
         values = None if values is None else np.asarray(values, dtype=float)
         z = np.flatnonzero(~nonzero)[:1]  # the grid's own zero point, if any
@@ -405,7 +394,9 @@ class _Pairs:
             g = g[nonzero]
             values = None if values is None else values[nonzero]
         self.points, self.values = g, values
-        self._phi, self._phi_blocks = None, {}
+        self.phi = np.empty(len(self))
+        for start, X, Y, _ in self.blocks():
+            self.phi[start:start + len(Y)] = _phi_rows(phi, X, Y)
 
     @classmethod
     def of(cls, samples, phi):
@@ -435,17 +426,6 @@ class _Pairs:
             X = P[i0:i0 + rows]
             yield (i0 * n, X if len(X) == 1 else _repeat_rows(X, n),
                    _tile_rows(P, len(X)), None if f is None else _tile_rows(fy, len(X)))
-
-    def phi_rows(self, phi, start, X, Y) -> np.ndarray:
-        """phi over the block of pairs from index ``start``, kept, so that a
-        second check of the same pairs with the same phi reads it instead
-        of evaluating phi again."""
-        if phi is not self._phi:
-            self._phi, self._phi_blocks = phi, {}
-        key = (start, len(Y))
-        if key not in self._phi_blocks:
-            self._phi_blocks[key] = _phi_rows(phi, X, Y)
-        return self._phi_blocks[key]
 
     def pair(self, k) -> tuple:
         i, j = divmod(k, len(self.points))
@@ -507,7 +487,7 @@ def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
     scale = L * abs(m) ** 3
 
     def sides(start, X, Y, FY):
-        return _phi_rows(phi, m * X, m * Y), scale * pairs.phi_rows(phi, start, X, Y)
+        return _phi_rows(phi, m * X, m * Y), scale * pairs.phi[start:start + len(Y)]
 
     return _scan(pairs, sides, tol,
                  lambda lhs, rhs: f"phi(m x, m y) = {lhs!r} exceeds L |m|^3 phi(x, y) = {rhs!r}",
@@ -539,16 +519,15 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
         with np.errstate(over="ignore", invalid="ignore"):
             R = _residual_rows(_euler_lagrange(m), f, X, Y, FY)
         if np.isfinite(R).all():
-            return norm_rows(R), pairs.phi_rows(phi, start, X, Y)
+            return norm_rows(R), pairs.phi[start:start + len(Y)]
         # The first pair whose residual is not finite.
-        X, Y = np.broadcast_arrays(X, Y)
         k = int(np.argmin(np.isfinite(R.reshape(len(R), -1)).all(axis=1)))
         if k:  # a violating pair before it decides the check
-            lhs, rhs = norm_rows(R[:k]), _phi_rows(phi, X[:k], Y[:k])
+            lhs, rhs = norm_rows(R[:k]), pairs.phi[start:start + k]
             if _exceeds(lhs, rhs, tol).any():
                 return lhs, rhs
         raise OverflowGuardError(f"the equation residual is not finite at the pair "
-                                 f"{(_points(X[k:k + 1])[0], _points(Y[k:k + 1])[0])!r}")
+                                 f"{pairs.pair(start + k)!r}")
 
     return _scan(pairs, sides, tol,
                  lambda defect, bound: f"defect {defect!r} exceeds phi {bound!r}",
@@ -573,7 +552,7 @@ def cubic_approximant(f, m, grid, n_max=_MAX_STAGES, tol=DEFAULT_TOL,
     m = _check_m(m)
     _check_tol(tol)
     _check_count(n_max, 1, "n_max")
-    g = _as_block(grid)
+    g = _grid(grid)
     return _approximant(f, m, g, _f_rows(f, g), n_max, tol, codomain or real_line())[0]
 
 
@@ -652,13 +631,10 @@ def m_closed_grid(base, m, levels=2, symmetric=True) -> np.ndarray:
     """
     m = _check_m(m)
     _check_count(levels, 0, "levels")
-    items = [np.asarray(b, dtype=float) for b in base]
-    if not items:
+    scaled = [_grid(base)]
+    if not len(scaled[0]):
         raise InputError("base must contain at least one point")
-    d = items[0].shape
-    if any(b.shape != d for b in items) or not items[0].size:
-        raise InputError("base points must share one shape with at least one coordinate")
-    scaled = [np.array(items)]
+    d = scaled[0].shape[1:]
     for k in range(levels + 1):
         if k:
             with np.errstate(over="ignore"):
@@ -780,14 +756,13 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
     checks walk one ``_Pairs``, the grid pairs phi is checked on, in tiles
     of x-points against every y; a failing check stops after the tile
     holding the first violating pair.  phi(x, y) is evaluated once per
-    checked pair: the contractivity check reads it from the defect check,
-    unless the defect check stopped early.  The one-step estimate reads f
-    at m x from stage 1 of the approximant.
+    checked pair, by the pair set.  The one-step estimate reads f at m x
+    from stage 1 of the approximant.
     The equation defects of q are taken over every ordered grid pair whose
     equation points all lie on the grid, at every grid size;
     ``defect_pairs_checked`` counts those pairs.
     """
-    g = _as_block(grid)
+    g = _grid(grid)
     n_pts = len(g)
     codomain = config.codomain
     if _nonzero(g).all():

@@ -478,19 +478,21 @@ def counting_blocks():
 
 
 def test_a_real_line_grid_takes_one_or_two_tiles_per_check():
-    # 65 points, the reals-g65 shape: 65 x-points of 65 pairs per check,
-    # 63 x-points to a tile.  Every pair is in some tile.
+    # 65 points, the reals-g65 shape: 65 x-points of 65 pairs per walk,
+    # 63 x-points to a tile.  Every pair is in some tile.  The pair set
+    # walks the tiles once for phi(x, y), then each check once.
     grid = m_closed_grid([1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875], 2.0, levels=3)
     phi = ShiftNorm(c=12.0, m=2.0)
     with counting_blocks() as walks:
         cert = verify_stability(cubic_plus_linear, phi, StabilityConfig(m=2.0, L=0.25), grid)
     assert len(grid) == 65 and cert.passed
-    assert len(walks) == 2
+    assert len(walks) == 3
     assert all(count <= 2 and pairs == 65 ** 2 for count, pairs in walks)
 
 
 def test_a_signal_grid_takes_one_x_point_per_tile():
-    # 21 points of 1024 samples: one x-point against every y fills a tile.
+    # 21 points of 1024 samples: one x-point against every y fills a tile,
+    # in the walk for phi(x, y) and in each check's.
     space = LHalfSpace(1024)
     grid = m_closed_grid(example_corpus(1024, seed=3)[:5], 2.0, levels=1)
     phi = ShiftNorm(c=12.0, m=2.0, norm=space.norm)
@@ -498,7 +500,7 @@ def test_a_signal_grid_takes_one_x_point_per_tile():
     with counting_blocks() as walks:
         verify_stability(cli._BUILTIN_F["cubic_plus_linear"], phi, config, grid)
     assert len(grid) == 21
-    assert walks == [[21, 21 ** 2], [21, 21 ** 2]]
+    assert walks == [[21, 21 ** 2]] * 3
 
 
 def plain_f(doc):

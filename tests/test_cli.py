@@ -84,6 +84,23 @@ def test_metrize_json_carries_kappa(tmp_path, capsys):
     assert err == "input error: kappa must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ('{"kappa": 1e308, "D": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}', [],
+     "kappa must be below 2**1023, where 2 kappa is finite, got 1e+308"),
+    ('{"kappa": 2, "D": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}', ["--kappa", "nan"],
+     "kappa must be >= 1, got nan"),
+], ids=["double-overflows", "nan-flag"])
+def test_metrize_rejects_a_kappa_that_gives_no_exponent(tmp_path, capsys, text, argv, message):
+    # Both exited 0: at kappa = 1e308, 2 kappa overflowed to p = 0 and a
+    # delta of all ones; a --kappa nan beside a JSON kappa was ignored.
+    src = tmp_path / "d.json"
+    src.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(["metrize", "--in", str(src), *argv], capsys)
+    assert got == (2, None, f"input error: {message}\n")
+
+
 def test_metrize_invalid_space_is_certified_failure(tmp_path, capsys):
     src = tmp_path / "d.csv"
     save_distance_csv(src, VALID_D)
@@ -506,7 +523,7 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
     ({"grid": {"levels": "x"}}, 2, "field 'grid.levels' must be int"),
     ({"f": {"name": "poly", "coefficients": [0.0, "a", 0.0, 1.0]}}, 2,
      "field 'f.coefficients.1' must be float"),
-    ({"grid": {"points": [[0.0, 0.0], [1.0]]}}, 2, "'grid.points' must share one shape"),
+    ({"grid": {"points": [[0.0, 0.0], [1.0]]}}, 2, "vectors that share one shape"),
     ({"space": {"kind": "lhalf", "quadrature_n": "q"}}, 2,
      "field 'space.quadrature_n' must be int"),
     ({"m": 1e80}, 1, "m**4 overflows"),
@@ -514,6 +531,13 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
     ({"grid": {"points": [[]]}}, 2, "grid points must have at least one coordinate"),
     ({"grid": {"points": [0.0, 1.0, 2.0, 1.0 + 1e-13]}}, 2,
      "duplicate domain points at indices 1 and 3"),
+    # Points that are not points of the space: vectors on the real line
+    # certified in R^2 (exit 0), numbers on L^{1/2} failed deep in the norm.
+    ({"grid": {"points": [[0, 0], [1, 1]]}}, 2,
+     "grid points must be numbers to be points of the space; got a grid of shape (2, 2)"),
+    ({"space": {"kind": "lhalf", "quadrature_n": 4}, "grid": {"points": [0, 1, 2]}}, 2,
+     "grid points must be vectors of 4 coordinates to be points of the space; "
+     "got a grid of shape (3,)"),
 ])
 def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, message):
     # A malformed field is an input error and overflow a certified failure:
@@ -847,6 +871,19 @@ def test_every_command_exits_0_exactly_when_its_verdict_is_pass(tmp_path, capsys
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
+
+
+def test_a_stdout_closed_early_is_an_output_error_without_a_traceback():
+    # The report print raised BrokenPipeError out of main: a traceback,
+    # exit 1, and a second error when the interpreter flushed stdout.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ulamstab", "fixpoint", "--scenario", "setzero"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the child writes its report
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("input error: [Errno ")
 
 
 def test_module_entry_point_runs():

@@ -109,6 +109,37 @@ def test_kappa_must_be_finite():
                 make(k)
 
 
+def test_both_space_types_hold_kappa_as_a_float():
+    # GeneralizedBMetricSpace kept the caller's object ("2" stayed a
+    # string), and QuasiNormedSpace raised a TypeError on kappa="1".
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for make in (lambda k: GeneralizedBMetricSpace(D=D, kappa=k),
+                 lambda k: QuasiNormedSpace(dim=1, norm_eval=abs, kappa=k)):
+        for k in (2, np.int64(2), "2", 2.0):
+            kappa = make(k).kappa
+            assert type(kappa) is float and kappa == 2.0
+        # A bare OverflowError before.
+        with pytest.raises(InputError, match=r"^kappa must be finite, got an int too large "
+                                             r"for a float$"):
+            make(10**400)
+
+
+def test_kappa_whose_double_overflows_is_an_input_error():
+    # log(2 kappa) was log(inf): p = 0, and QuasiNormedSpace failed its own
+    # check of (2 kappa)**p = 2.  The formula below the edge is unchanged.
+    top = np.nextafter(2.0**1023, 0.0)
+    assert p_exponent(8e307) == math.log(2.0) / math.log(1.6e308)
+    assert p_exponent(top) == math.log(2.0) / math.log(2.0 * top) > 0.0
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for make in (p_exponent, lambda k: GeneralizedBMetricSpace(D=D, kappa=k),
+                 lambda k: QuasiNormedSpace(dim=1, norm_eval=abs, kappa=k),
+                 lambda k: validate_b_metric(D, k)):
+        for k in (2.0**1023, 1e308):
+            with pytest.raises(InputError, match=r"^kappa must be below 2\*\*1023, where "
+                                                 r"2 kappa is finite, got "):
+                make(k)
+
+
 def test_quasi_normed_space_derives_p():
     space = QuasiNormedSpace(dim=3, norm_eval=euclidean_norm, kappa=2.0)
     assert space.p == pytest.approx(0.5, abs=1e-15)

@@ -6,6 +6,8 @@
   s < 3: ``cubic_stability._check_parameters``;
 * L and p of a configuration obey ``fixed_point.bound_factors``, and the
   L of ``phi_contractivity_check`` its rule on L, ``core_spaces._check_L``;
+* a grid is a block of numbers, or of vectors with at least one
+  coordinate, all finite: ``core_spaces._grid``;
 * grid points match through ``core_spaces._RowIndex``, and a grid whose
   levels overflow is an input error;
 * a count (``n_max``, ``levels``, ``max_iter``, ``quadrature_n``, ``dim``, ``seed``)
@@ -30,6 +32,7 @@ from ulamstab import (
     LHalfSpace,
     PowerLaw,
     QuasiNormedSpace,
+    SampledMap,
     ShiftNorm,
     StabilityConfig,
     bound_factors,
@@ -40,7 +43,9 @@ from ulamstab import (
     iterate,
     m_closed_grid,
     phi_contractivity_check,
+    real_line,
     validate_b_metric,
+    verify_stability,
 )
 from ulamstab.cli import run_example_lhalf
 
@@ -213,6 +218,45 @@ def test_every_L_taking_entry_point_rejects_a_malformed_L(entry, L):
     build, name = L_ENTRY_POINTS[entry]
     with pytest.raises(InputError, match=rf"^{name} must lie in \[0, 1\), got "):
         build(L)
+
+
+# ---------------------------------------------------------------------------
+# grid shape through _grid
+# ---------------------------------------------------------------------------
+
+# Each entry point that takes a grid, or the base of one.
+GRID_ENTRY_POINTS = {
+    "verify_stability": lambda g: verify_stability(
+        cubic_plus_linear, ShiftNorm(c=12.0, m=2.0), StabilityConfig(m=2.0, L=0.25), g),
+    "SampledMap": lambda g: SampledMap(g, np.zeros(len(g)), real_line()),
+    "m_closed_grid": lambda g: m_closed_grid(g, 2.0),
+    "phi_contractivity_check": lambda g: phi_contractivity_check(
+        ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, g),
+    "hypothesis_defect_check": lambda g: hypothesis_defect_check(
+        cubic_plus_linear, ShiftNorm(c=12.0, m=2.0), 2.0, g),
+    "cubic_approximant": lambda g: cubic_approximant(cubic_plus_linear, 2.0, g),
+}
+
+# A ragged grid raised numpy's ValueError from verify_stability, points
+# without coordinates an IndexError from SampledMap, and a rank-3 grid
+# passed m_closed_grid and the checks.
+BAD_GRIDS = {
+    "ragged": ([[0.0], [1.0, 2.0]],
+               r"^grid points must be numbers, or vectors that share one shape$"),
+    "rank-3": (np.zeros((2, 2, 2)),
+               r"^grid points must be numbers or vectors, got a grid of shape \(2, 2, 2\)$"),
+    "no-coordinates": (np.zeros((2, 0)), r"^grid points must have at least one coordinate$"),
+    "non-finite": ([0.0, math.nan], r"^grid must be finite$"),
+    "int-too-large": ([0.0, 10**400], r"^grid must be finite$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_every_grid_taking_entry_point_rejects_a_malformed_grid_with_one_message(entry, case):
+    grid, message = BAD_GRIDS[case]
+    with pytest.raises(InputError, match=message):
+        GRID_ENTRY_POINTS[entry](grid)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ reached: some module of the library or of ``perfbench/`` reads it, or
 function by name.  An export that only tests call is code the pipeline
 does not need.  Every attribute an exception class of ``errors`` sets on
 ``self`` is read as an attribute by another module of the library or of
-``perfbench/``: a payload no caller reads is built for nothing.
+``perfbench/``: a payload no caller reads is built for nothing.  The
+conversion of a number to float has one owner: ``core_spaces._real`` alone
+wraps a call of the builtin ``float`` in a ``try`` that catches
+``OverflowError``, so an int too large for a float is not finite with one
+message everywhere.
 """
 
 from __future__ import annotations
@@ -149,6 +153,25 @@ def _reads_zero_exclusion(tree):
             or isinstance(n, ast.Constant) and n.value == "excludes_zero"))
 
 
+def _float_overflow_guards(tree):
+    """(function, line) of each ``try`` that catches ``OverflowError`` around
+    a call of the builtin ``float``; the function is the innermost one
+    holding it, ``None`` at module level."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first: an inner one overwrites
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(n), fn.name) for n in ast.walk(fn))
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Try):
+            continue
+        caught = {t.id for h in n.handlers if h.type is not None
+                  for t in ast.walk(h.type) if isinstance(t, ast.Name)}
+        calls = any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                    and c.func.id == "float" for b in n.body for c in ast.walk(b))
+        if "OverflowError" in caught and calls:
+            yield owner.get(id(n)), n.lineno
+
+
 # The names of ``os`` that read the process environment.
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
@@ -212,6 +235,14 @@ def test_no_module_reads_the_process_environment(path):
     assert not lines, f"{path.name} reads the process environment on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_core_spaces_real_guards_the_float_conversion(path):
+    guards = list(_float_overflow_guards(_tree(path)))
+    want = ["_real"] if path.name == "core_spaces.py" else []
+    assert [name for name, _ in guards] == want, (
+        f"{path.name} converts to float past OverflowError outside core_spaces._real: {guards}")
+
+
 def test_the_rules_catch_what_they_name():
     # cli's unused import of p_exponent, and a kernel importing the tile
     # constant by value, as the library had them.
@@ -270,3 +301,19 @@ def test_the_rules_catch_what_they_name():
     assert _reads_environment(ast.parse("from os import environ\n")) == [1]
     assert _reads_environment(ast.parse("import os as o\no.getenv('X')\n")) == [2]
     assert _reads_environment(ast.parse("import os\nos.path.join('a', 'b')\n")) == []
+    # _check_m converting m on its own, as it did, beside the owner; a
+    # guard around a power, and a float call guarded against ValueError,
+    # are no conversion past OverflowError.
+    tree = ast.parse("def _real(value, name):\n"
+                     "    try:\n        return float(value)\n"
+                     "    except OverflowError:\n        raise\n"
+                     "def _check_m(m):\n"
+                     "    try:\n        v = float(m)\n"
+                     "    except (TypeError, OverflowError):\n        raise\n"
+                     "def _euler_lagrange(m):\n"
+                     "    try:\n        c4 = m**4\n"
+                     "    except OverflowError:\n        raise\n"
+                     "def _load(row):\n"
+                     "    try:\n        float(row)\n"
+                     "    except ValueError:\n        raise\n")
+    assert list(_float_overflow_guards(tree)) == [("_real", 2), ("_check_m", 7)]
