@@ -35,7 +35,6 @@ from . import __version__
 from .core_spaces import (
     AXIOM_SLACK,
     GeneralizedBMetricSpace,
-    _check_kappa,
     _grid,
     _load_json,
     _real,
@@ -88,10 +87,9 @@ def _envelope(command, config, verdict, report, seed=None) -> dict:
 def _cmd_metrize(args):
     path = args.infile
     if path.endswith(".json"):
+        if args.kappa is not None:
+            raise InputError(f"--kappa is for CSV input; {path} stores kappa")
         D, kappa = load_distance_json(path)
-        if args.kappa is not None and _check_kappa(args.kappa) != kappa:
-            raise InputError(
-                f"--kappa {args.kappa!r} contradicts kappa {kappa!r} stored in {path}")
     else:
         D = load_distance_csv(path)
         if args.kappa is None:
@@ -99,9 +97,9 @@ def _cmd_metrize(args):
         kappa = args.kappa
 
     space = GeneralizedBMetricSpace(D=D, kappa=kappa)
-    config = {"in": path, "kappa": kappa, "p": args.p, "out": args.out}
+    config = {"in": path, "kappa": kappa, "out": args.out}
     try:
-        cm = chain_metric(space, p=args.p)
+        cm = chain_metric(space)
     except InvalidBMetricError as exc:
         report = {"validation": exc.report.to_dict(), "n": space.n}
         return _envelope("metrize", config, "fail", report)
@@ -311,26 +309,30 @@ def _per_point_csv(path, f, phi, config, cert):
     _write_csv(path, [header, *([str(i), *map(repr, row)] for i, row in enumerate(columns))])
 
 
-def _cmd_verify(args):
-    doc = _load_config(args.config)
+def _certify(doc):
+    """The certificate of a verify config, with the f, phi and StabilityConfig
+    it was built from and the config's echo; L is phi's own along m."""
+    if "L" in doc:
+        raise InputError("config: field 'L' is not an input: L is the control "
+                         "family's own constant along m")
     tol = _field(doc, "tol", float) if "tol" in doc else DEFAULT_TOL
     m = _field(doc, "m", float)
     codomain = _build_space(doc)
     f, f_echo = _build_f(doc)
     phi = _build_phi(doc, m, codomain.norm_eval)
-    L = _field(doc, "L", float) if "L" in doc else phi.lipschitz(m)
-    config = StabilityConfig(m=m, L=L, p=codomain.p, tol=tol, codomain=codomain)
+    config = StabilityConfig(m=m, L=phi.lipschitz(m), p=codomain.p, tol=tol, codomain=codomain)
     grid, grid_echo = _build_grid(doc, m, codomain)
+    echo = {"f": f_echo, "m": m, "L": config.L, "phi": doc.get("phi"),
+            "space": doc.get("space", {"kind": "reals"}), "grid": grid_echo, "tol": tol}
+    return verify_stability(f, phi, config, grid), f, phi, config, echo
 
-    cert = verify_stability(f, phi, config, grid)
+
+def _cmd_verify(args):
+    cert, f, phi, config, echo = _certify(_load_config(args.config))
     if args.csv:
         _per_point_csv(args.csv, f, phi, config, cert)
-
-    echo = {"f": f_echo, "m": m, "L": L, "phi": doc.get("phi"),
-            "space": doc.get("space", {"kind": "reals"}), "grid": grid_echo,
-            "tol": tol, "csv": args.csv}
     verdict = "pass" if cert.passed else "fail"
-    return _envelope("verify", echo, verdict, cert.to_dict())
+    return _envelope("verify", {**echo, "csv": args.csv}, verdict, cert.to_dict())
 
 
 # =========================================================================
@@ -357,7 +359,6 @@ def run_example_lhalf(quadrature_n=1024, tol=DEFAULT_TOL, seed=7) -> dict:
     example; the certificate is then built with the exact constant.
     """
     space = LHalfSpace(quadrature_n)
-    qspace = space.space()
     f = _BUILTIN_F["cubic_plus_linear"]
     corpus = example_corpus(quadrature_n, seed=seed)
     ys = np.array(corpus)
@@ -378,11 +379,11 @@ def run_example_lhalf(quadrature_n=1024, tol=DEFAULT_TOL, seed=7) -> dict:
             measured.extend(c_meas.tolist())
             worst_rel = max(worst_rel, float(np.max(np.abs(c_meas - c_exact) / c_exact,
                                                     initial=0.0)))
-        phi = ShiftNorm(c=c_exact, m=m, norm=space.norm)
-        config = StabilityConfig(m=m, L=phi.lipschitz(m), p=qspace.p, tol=tol,
-                                 codomain=qspace)
-        grid = m_closed_grid(corpus, m, levels=_EXAMPLE_LEVELS, symmetric=True)
-        cert = verify_stability(f, phi, config, grid)
+        # The verify config of this certificate; the counts, checked above, may be numpy ints.
+        cert = _certify({"f": {"name": "cubic_plus_linear"}, "m": m, "tol": tol,
+                         "phi": {"kind": "shift_norm", "c": c_exact},
+                         "space": {"kind": "lhalf", "quadrature_n": int(quadrature_n)},
+                         "grid": {"seed": int(seed), "levels": _EXAMPLE_LEVELS}})[0]
         all_pass = all_pass and cert.passed and worst_rel <= 1e-6
         runs.append({
             "m": m,
@@ -435,9 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="chain-metrize a distance matrix file")
     pm.add_argument("--in", dest="infile", required=True,
                     help="distance matrix: CSV (token 'inf') or JSON with kappa")
-    pm.add_argument("--kappa", type=float, help="relaxation modulus (CSV input)")
-    pm.add_argument("--p", type=float, default=None,
-                    help="override the exponent, at most log_{2 kappa} 2 (the default)")
+    pm.add_argument("--kappa", type=float, help="relaxation modulus (CSV input only)")
     pm.add_argument("--out", default=None,
                     help="write the metrized matrix as CSV here")
 

@@ -533,10 +533,10 @@ class _RowIndex:
         """``match`` of the queries whose first coordinates are ``first``.
 
         ``build(i)`` gives the full queries at the indices i.  It is called
-        only for the queries whose window holds a row, or whose first
-        coordinate is not finite (its window is every row), in equal chunks
-        of at most one tile of coordinates.  On a grid of numbers the first
-        coordinate is the whole query, and ``build`` is not called.
+        only for the queries whose window holds a row, in equal chunks of at
+        most one tile of coordinates.  The rows are finite, so a query that is
+        not finite matches none.  On a grid of numbers the first coordinate is
+        the whole query, and ``build`` is not called.
         """
         n, d = self.rows.shape
         # A matching row is within (atol + rtol |p0|) / (1 - rtol) of p0.
@@ -546,19 +546,18 @@ class _RowIndex:
         with np.errstate(over="ignore", invalid="ignore"):
             lo = np.searchsorted(self.keys, first - reach, side="left")
             width = np.searchsorted(self.keys, first + reach, side="right") - lo
-            wild = ~np.isfinite(first)  # no window: scan every row
-            lo[wild] = 0
-            width[wild] = n
+            width[~np.isfinite(first)] = 0
             live = np.flatnonzero(width > 0)
             # As few chunks as the budget allows, of equal size.
             chunks = -(-len(live) // _rows_per_tile(d))
             for c in range(chunks):
                 i = live[c * len(live) // chunks:(c + 1) * len(live) // chunks]
                 q = first[i, None] if d == 1 else build(i)
-                ids, start, w = i, lo[i], width[i]
+                ids, start = i, lo[i]
+                w = width[i] if d == 1 else np.where(np.isfinite(q).all(axis=1), width[i], 0)
                 for t in range(int(w.max())):
-                    if t:  # the queries whose window holds a row t
-                        k = np.flatnonzero(w > t)
+                    k = np.flatnonzero(w > t)  # the queries whose window holds a row t
+                    if len(k) < len(ids):
                         ids, start, w, q = ids[k], start[k], w[k], q[k]
                     cand = self.order[start + t]
                     # |row - q| <= atol + rtol max(|row|, |q|), computed in place.

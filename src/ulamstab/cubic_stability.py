@@ -865,7 +865,7 @@ def _solution_defects(q: SampledMap, m, norm, n_pts):
     for start in range(0, n_pts, step):
         xs = np.arange(start, min(start + step, n_pts))
         found = {_x: np.repeat(xs, n_pts), _y: np.tile(ys, len(xs))}
-        # A point that overflows is compared with every row.
+        # A point that overflows matches no row.
         with np.errstate(over="ignore", invalid="ignore"):
             for p in shared:
                 found[p] = at(p, found[_x], found[_y])

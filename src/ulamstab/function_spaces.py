@@ -57,12 +57,12 @@ def _lhalf_norm_rows(X, quadrature_n=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LHalfSpace:
-    """L^{1/2}[0,1] discretized on the composite midpoint grid."""
+    """L^{1/2}[0,1] discretized on the composite midpoint grid, with modulus
+    kappa = 2; its ``space()`` view derives the exponent p = 1/2 from it."""
 
     quadrature_n: int = 1024
 
     kappa = 2.0
-    p = 0.5
 
     def __post_init__(self):
         _check_count(self.quadrature_n, 1, "quadrature_n")

@@ -40,13 +40,12 @@ import numpy as np
 from .core_spaces import (
     GeneralizedBMetricSpace,
     _bitwise_symmetric,
-    _check_p,
     _finite_components,
     _rows_per_tile,
     p_exponent,
     validate_b_metric,
 )
-from .errors import InputError, InvalidBMetricError
+from .errors import InvalidBMetricError
 
 __all__ = ["ChainMetric", "chain_metric"]
 
@@ -135,20 +134,15 @@ def _floyd_warshall(d: np.ndarray) -> None:
             d[i0 + rows:, i0:i0 + rows] = block[:, rows:].T
 
 
-def chain_metric(space: GeneralizedBMetricSpace, p: float | None = None) -> ChainMetric:
+def chain_metric(space: GeneralizedBMetricSpace) -> ChainMetric:
     """Metrize a finite generalized b-metric space by the chain infimum.
 
     The space must pass ``validate_b_metric``; an invalid matrix raises
-    ``InvalidBMetricError`` carrying the validation report.  ``p``
-    defaults to the derived exponent log_{2 kappa} 2 for the space's
-    kappa; an override must lie in (0, log_{2 kappa} 2], where the
-    sandwich (1/4) D**p <= delta <= D**p holds.
+    ``InvalidBMetricError`` carrying the validation report.  The exponent
+    is the one the space's kappa derives, p = log_{2 kappa} 2, the largest
+    at which the sandwich (1/4) D**p <= delta <= D**p is guaranteed.
     """
-    p_max = p_exponent(space.kappa)
-    p = p_max if p is None else _check_p(float(p))
-    if p > p_max:
-        raise InputError(f"p = {p!r} exceeds log_(2 kappa) 2 = {p_max!r} at kappa = "
-                         f"{space.kappa!r}, above which (1/4) D**p <= delta may fail")
+    p = p_exponent(space.kappa)
     report = validate_b_metric(space.D, space.kappa)
     if not report.passed:
         raise InvalidBMetricError(report)

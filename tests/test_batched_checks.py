@@ -33,6 +33,7 @@ from ulamstab import (
     AXIOM_SLACK,
     CheckReport,
     ConstantBound,
+    EvaluationError,
     InputError,
     LHalfSpace,
     OverflowGuardError,
@@ -646,7 +647,8 @@ def test_per_point_forms_match_the_reference_formulas(case):
 def reference_try_index(grid, point):
     rows = grid if grid.ndim == 2 else grid[:, None]
     p = np.atleast_1d(np.asarray(point, dtype=float))
-    if p.shape != rows.shape[1:]:
+    # The rows are finite: a point that is not matches none.
+    if p.shape != rows.shape[1:] or not np.isfinite(p).all():
         return None
     tol = 1e-12 + 1e-9 * np.maximum(np.abs(rows), np.abs(p))
     hits = np.all(np.abs(rows - p) <= tol, axis=1)
@@ -767,8 +769,8 @@ def reference_solution_defects(grid, values, m, norm):
     at a time.  Both equations touch x + y and x - y, so a pair where
     either misses the grid is out of range.  ``built`` counts the points
     looked up in stages (x + y for every pair, x - y where it landed, the
-    other four where both did) whose first coordinate is not finite or
-    lies within 2 (1e-12 + 1e-9 |p0|) of a grid row's: the points a lookup
+    other four where both did) whose first coordinate is finite and lies
+    within 2 (1e-12 + 1e-9 |p0|) of a grid row's: the points a lookup
     by first coordinate builds in full on a vector grid."""
     n = len(grid)
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -780,7 +782,7 @@ def reference_solution_defects(grid, values, m, norm):
     def opens(point):
         p0 = float(np.atleast_1d(point)[0])
         if not math.isfinite(p0):
-            return True
+            return False
         reach = 2.0 * (1e-12 + 1e-9 * abs(p0))
         return any(p0 - reach <= g0 <= p0 + reach for g0 in first)
 
@@ -901,8 +903,8 @@ wide = st.fixed_dictionaries({
 def test_solution_defects_match_where_windows_span_the_grid(case):
     # Every grid row has first coordinate 0, so every window of first
     # coordinates spans the grid, and each lookup builds every point it is
-    # given.  Huge rows make equation points overflow in the first
-    # coordinate: their windows are every row as well.  The defects match
+    # given.  Huge rows make equation points overflow: a point that is not
+    # finite matches no row, so its pair is out of range.  The defects match
     # the per-pair scan bit for bit, quietly, and no build holds more than
     # one tile of coordinates.
     rng = np.random.default_rng(case["seed"])
@@ -945,6 +947,22 @@ def test_solution_defects_of_a_scalar_grid_take_one_tile(base, levels, n):
         _solution_defects(q, 2.0, q.codomain.norm, len(grid))
     assert len(grid) == n
     assert 0 < seen["calls"] <= 8
+
+
+def test_a_point_that_is_not_finite_is_off_the_grid():
+    # inf <= inf read as a match: q(inf) on the number grid returned 5.0,
+    # and an infinite first coordinate opened a window of every row.
+    q = SampledMap(np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.0, 7.0]), real_line())
+    v = SampledMap(np.array([[0.0, 0.0], [1.0, 2.0]]), np.zeros(2), real_line())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in (math.inf, -math.inf, math.nan):
+            assert q.try_index(point) is None
+            with pytest.raises(EvaluationError, match="not on the sampling grid"):
+                q(point)
+        for point in ([1.0, math.inf], [math.inf, 2.0], [-math.inf, 2.0], [1.0, math.nan]):
+            assert v.try_index(point) is None
+        assert v.index_rows([[1.0, math.inf], [1.0, 2.0], [math.inf, 2.0]]).tolist() == [-1, 1, -1]
 
 
 @pytest.mark.parametrize("grid", [np.array([0.0, 1.0, -1.0]),

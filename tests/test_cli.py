@@ -7,12 +7,16 @@ subprocess test covers the module entry point wiring.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,10 +76,12 @@ def test_metrize_json_carries_kappa(tmp_path, capsys):
     code, doc, _ = run_cli(["metrize", "--in", str(src)], capsys)
     assert code == 0
     assert doc["report"]["kappa"] == 8.0
-    # A contradicting flag is an input error.
-    code, _, err = run_cli(["metrize", "--in", str(src), "--kappa", "2"], capsys)
-    assert code == 2
-    assert "contradicts" in err
+    assert doc["config"] == {"in": str(src), "kappa": 8.0, "out": None}
+    # The file is kappa's one source: a flag beside it, even an agreeing
+    # one, is an input error.
+    for flag in ("2", "8"):
+        got = run_cli(["metrize", "--in", str(src), "--kappa", flag], capsys)
+        assert got == (2, None, f"input error: --kappa is for CSV input; {src} stores kappa\n")
     # So is a modulus that overflows to +inf: it would give p = 0.
     src.write_text('{"kappa": 1e400, "D": [[0, 1, Infinity], [1, 0, Infinity], '
                    '[Infinity, Infinity, 0]]}')
@@ -84,16 +90,16 @@ def test_metrize_json_carries_kappa(tmp_path, capsys):
     assert err == "input error: kappa must be finite, got inf\n"
 
 
-@pytest.mark.parametrize("text, argv, message", [
-    ('{"kappa": 1e308, "D": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}', [],
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("d.json", '{"kappa": 1e308, "D": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}', [],
      "kappa must be below 2**1023, where 2 kappa is finite, got 1e+308"),
-    ('{"kappa": 2, "D": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}', ["--kappa", "nan"],
-     "kappa must be >= 1, got nan"),
+    ("d.csv", "0,1,4\n1,0,1\n4,1,0\n", ["--kappa", "nan"], "kappa must be >= 1, got nan"),
 ], ids=["double-overflows", "nan-flag"])
-def test_metrize_rejects_a_kappa_that_gives_no_exponent(tmp_path, capsys, text, argv, message):
-    # Both exited 0: at kappa = 1e308, 2 kappa overflowed to p = 0 and a
-    # delta of all ones; a --kappa nan beside a JSON kappa was ignored.
-    src = tmp_path / "d.json"
+def test_metrize_rejects_a_kappa_that_gives_no_exponent(tmp_path, capsys, name, text, argv,
+                                                        message):
+    # At kappa = 1e308, 2 kappa overflowed to p = 0 and a delta of all
+    # ones, with exit 0.
+    src = tmp_path / name
     src.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,21 +238,23 @@ def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys, target):
     assert err.startswith("input error: [Errno ")
 
 
-def test_metrize_rejects_p_above_the_derived_exponent(tmp_path, capsys):
+def test_metrize_takes_no_exponent_option(tmp_path, capsys):
     # D(i, j) = (i - j)**2 on 9 collinear points is a kappa = 2 b-metric,
-    # since (a + b)**2 <= 2 (a**2 + b**2).  At p = 1 the chain metric is
-    # |i - j|, below (1/4) D for |i - j| > 4; this exited 0 with "pass"
-    # and sandwich_ok false.
+    # since (a + b)**2 <= 2 (a**2 + b**2).  A --p 1 made the chain metric
+    # |i - j|, below (1/4) D for |i - j| > 4, and exited 0 with "pass" and
+    # sandwich_ok false.  The exponent now comes from kappa alone: --p is
+    # no option, and argparse exits 2 before main runs.
     idx = np.arange(9.0)
     D = (idx[:, None] - idx[None, :]) ** 2
     src = tmp_path / "sq9.json"
     src.write_text(json.dumps({"kappa": 2.0, "D": D.tolist()}))
-    code, doc, err = run_cli(["metrize", "--in", str(src), "--p", "1"], capsys)
-    assert (code, doc) == (2, None)
-    assert err == ("input error: p = 1.0 exceeds log_(2 kappa) 2 = 0.5 at kappa = 2.0, "
-                   "above which (1/4) D**p <= delta may fail\n")
-    code, doc, _ = run_cli(["metrize", "--in", str(src), "--p", "0.25"], capsys)
-    assert (code, doc["verdict"], doc["report"]["sandwich_ok"]) == (0, "pass", True)
+    with pytest.raises(SystemExit) as exc:
+        main(["metrize", "--in", str(src), "--p", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --p 1" in capsys.readouterr().err
+    code, doc, _ = run_cli(["metrize", "--in", str(src)], capsys)
+    assert (code, doc["verdict"], doc["report"]["p"]) == (0, "pass", 0.5)
+    assert doc["report"]["sandwich_ok"] is True
 
 
 def _interleaved_components(rng, n=12):
@@ -371,7 +379,7 @@ def test_verify_passing_certificate(tmp_path, capsys):
     report = doc["report"]
     assert report["passed"] is True
     assert report["m"] == 2.0
-    assert report["L"] == 0.25  # defaulted from the control family
+    assert report["L"] == 0.25  # the control family's own constant
     assert 0.2499 < report["max_error_ratio"] <= 0.25
 
 
@@ -538,6 +546,11 @@ def test_verify_rejects_degree_four_poly(tmp_path, capsys):
     ({"space": {"kind": "lhalf", "quadrature_n": 4}, "grid": {"points": [0, 1, 2]}}, 2,
      "grid points must be vectors of 4 coordinates to be points of the space; "
      "got a grid of shape (3,)"),
+    # L is phi's own constant along m, 0.25 here: a larger L loosened the
+    # bound and a smaller one failed the phi check.  Any config L, even the
+    # family's own, is rejected, not ignored.
+    *(({"L": L}, 2, "config: field 'L' is not an input: L is the control family's own "
+                    "constant along m") for L in (0.25, 0.5, 0.01)),
 ])
 def test_verify_bad_config_exits_with_a_message(tmp_path, capsys, change, code, message):
     # A malformed field is an input error and overflow a certified failure:
@@ -566,11 +579,13 @@ HUGE_INT = 10**400
 ])
 def test_verify_int_beyond_the_float_range_is_an_input_error(tmp_path, capsys, field, change):
     # float() of such an int raised OverflowError: a traceback and exit 1.
+    # A config takes no L at all, so an L exits 2 as any config L does.
     cfg = _write_config(tmp_path, {**PASSING_CONFIG, **change})
     code, doc, err = run_cli(["verify", "--config", cfg], capsys)
     assert (code, doc) == (2, None)
-    assert err == (f"input error: config: field {field!r} must be finite, "
-                   f"got an int too large for a float\n")
+    assert err == f"input error: config: field {field!r} " + (
+        "is not an input: L is the control family's own constant along m\n" if field == "L"
+        else "must be finite, got an int too large for a float\n")
 
 
 @pytest.mark.parametrize("n", [10**12, HUGE_INT], ids=["1e12", "401-digits"])
@@ -821,6 +836,24 @@ def test_example_lhalf_reports_the_constant_discrepancy(capsys):
         assert run["certificate"]["passed"] is True
 
 
+def test_example_lhalf_certificates_are_verify_reports(tmp_path, capsys):
+    # Each certificate of the frozen reproduction is the verify report of
+    # its config: the same space, phi, grid and tol, and L from phi alone.
+    code, doc, _ = run_cli(["example-lhalf", "--quadrature-n", "16", "--seed", "3",
+                            "--tol", "1e-8"], capsys)
+    assert code == 0
+    for run in doc["report"]["runs"]:
+        m = run["m"]
+        cfg = _write_config(tmp_path, {
+            "f": {"name": "cubic_plus_linear"}, "m": m, "tol": 1e-8,
+            "phi": {"kind": "shift_norm", "c": abs(2.0 * m * (1.0 - m**2))},
+            "space": {"kind": "lhalf", "quadrature_n": 16},
+            "grid": {"seed": 3, "levels": 1}})
+        code, verify, _ = run_cli(["verify", "--config", cfg], capsys)
+        assert (code, verify["report"]) == (0, run["certificate"])
+        assert verify["config"]["L"] == abs(m) ** -2.0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -893,3 +926,28 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["report"]["outcome"] == "Converged"
+
+
+# ---------------------------------------------------------------------------
+# the README's command line section
+# ---------------------------------------------------------------------------
+
+
+def _parser_options(parser):
+    """Every option string of a parser and of its subparsers."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_options(sub)
+
+
+def test_readme_documents_every_option_and_no_other():
+    # fixpoint --tol and --max-iter were undocumented; a stale --p would
+    # have stayed in the README after the option went.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    tokens = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", section))
+    options = set(_parser_options(cli._build_parser()))
+    assert sorted(options - tokens) == []
+    assert sorted({t for t in tokens if t.startswith("--")} - options) == []

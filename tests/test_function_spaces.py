@@ -135,6 +135,13 @@ def test_block_lhalf_norm_keeps_the_bits_of_the_first_form(seed, rows, n):
         LHalfSpace(n).norm_rows(V)
 
 
+def test_lhalf_space_derives_its_exponent_from_kappa():
+    # A hard-coded p = 0.5 beside kappa = 2 was a second source nothing read.
+    space = LHalfSpace(quadrature_n=4)
+    assert not hasattr(LHalfSpace, "p") and not hasattr(space, "p")
+    assert (space.space().kappa, space.space().p) == (2.0, 0.5)
+
+
 def test_lhalf_midpoints():
     space = LHalfSpace(quadrature_n=4)
     assert np.allclose(space.midpoints, [0.125, 0.375, 0.625, 0.875], atol=0)

@@ -23,7 +23,6 @@ from conftest import (
 from ulamstab import (
     AXIOM_SLACK,
     GeneralizedBMetricSpace,
-    InputError,
     InvalidBMetricError,
     chain_metric,
     p_exponent,
@@ -63,18 +62,6 @@ def test_invalid_space_raises_with_report():
         chain_metric(space)
     assert err.value.report.axiom == "relaxed_triangle"
     assert err.value.report.witness == (0, 2, 1)
-
-
-def test_p_override_validation():
-    # At kappa = 2 the sandwich holds for p <= log_4 2 = 0.5 only.
-    space = GeneralizedBMetricSpace(D=np.array([[0.0, 4.0], [4.0, 0.0]]), kappa=2.0)
-    assert chain_metric(space, p=0.25).delta[0, 1] == 4.0**0.25
-    with pytest.raises(InputError, match=r"^p = 1\.0 exceeds log_\(2 kappa\) 2 = 0\.5 "):
-        chain_metric(space, p=1.0)
-    with pytest.raises(InputError):
-        chain_metric(space, p=0.0)
-    with pytest.raises(InputError):
-        chain_metric(space, p=1.5)
 
 
 # ---------------------------------------------------------------------------
