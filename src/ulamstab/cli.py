@@ -50,6 +50,7 @@ from .cubic_stability import (
     PowerLaw,
     ShiftNorm,
     StabilityConfig,
+    _check_m,
     _euler_lagrange,
     _phi_at_zero_rows,
     _residual_rows,
@@ -173,15 +174,10 @@ class _BlockF:
     block of points through ``rows``, with the same bits per point."""
 
     def __init__(self, fn):
-        self._fn = fn
+        self.rows = fn
 
     def __call__(self, u):
-        return self._fn(u)
-
-    def rows(self, P):
-        # Python floats overflow to inf silently; so does the block form.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._fn(P)
+        return self.rows(u)
 
 
 # Products, not u**3: the array power costs about 50 times more per
@@ -316,7 +312,7 @@ def _certify(doc):
         raise InputError("config: field 'L' is not an input: L is the control "
                          "family's own constant along m")
     tol = _field(doc, "tol", float) if "tol" in doc else DEFAULT_TOL
-    m = _field(doc, "m", float)
+    m = _check_m(_field(doc, "m", float))  # phi.lipschitz(m) needs |m| > 1
     codomain = _build_space(doc)
     f, f_echo = _build_f(doc)
     phi = _build_phi(doc, m, codomain.norm_eval)

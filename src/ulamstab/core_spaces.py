@@ -54,7 +54,7 @@ AXIOM_SLACK = 1e-12
 
 def as_extended(value, name="value") -> float:
     """Coerce one extended nonnegative real, rejecting NaN and negatives."""
-    v = float(value)
+    v = _real(value, name)
     if math.isnan(v):
         raise InputError(f"{name} is NaN; distances must be in [0, +inf]")
     if v < 0.0:
@@ -113,19 +113,19 @@ def _check_kappa(kappa) -> float:
     return k
 
 
-def _check_p(p):
-    """p, if it is an exponent of a quasi-norm: p in (0, 1]."""
-    if math.isnan(p) or not 0.0 < p <= 1.0:
+def _check_p(p) -> float:
+    """p as a float, if it is an exponent of a quasi-norm: p in (0, 1]."""
+    if math.isnan(v := _real(p, "p")) or not 0.0 < v <= 1.0:
         raise InputError(f"p must lie in (0, 1], got {p!r}")
-    return p
+    return v
 
 
-def _check_tol(tol, positive=False):
-    """tol, if it is a tolerance: finite and >= 0, or > 0 when ``positive``."""
-    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+def _check_tol(tol, positive=False) -> float:
+    """tol as a float, if it is a tolerance: finite and >= 0 (> 0 if ``positive``)."""
+    if not (math.isfinite(v := _real(tol, "tol")) and (v > 0.0 if positive else v >= 0.0)):
         raise InputError(f"tol must be finite and {'positive' if positive else 'nonnegative'}, "
                          f"got {tol!r}")
-    return tol
+    return v
 
 
 def _check_count(n, low, name):
@@ -134,10 +134,11 @@ def _check_count(n, low, name):
         raise InputError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
-def _check_L(L, name="L"):
-    """Reject L unless it is a contraction constant: L in [0, 1)."""
-    if math.isnan(L) or not 0.0 <= L < 1.0:
+def _check_L(L, name="L") -> float:
+    """L as a float, if it is a contraction constant: L in [0, 1)."""
+    if math.isnan(v := _real(L, name)) or not 0.0 <= v < 1.0:
         raise InputError(f"{name} must lie in [0, 1), got {L!r}")
+    return v
 
 
 def _jsonable(v):
@@ -178,6 +179,22 @@ def _points(P):
     return P.tolist() if P.ndim == 1 else P
 
 
+def _per_point(fn, *blocks) -> np.ndarray:
+    """fn once per point of the blocks, broadcast together, on the points
+    ``_points`` gives, stacked; a call that ends in ``OverflowError`` gives
+    +inf at its point, as a block form past the float range does."""
+    if len(blocks) > 1:
+        blocks = np.broadcast_arrays(*blocks)
+    calls, out = map(fn, *map(_points, blocks)), []
+    while True:
+        try:  # a map goes on with the next point after a call that raised
+            out.extend(calls)
+            break
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=float)
+
+
 def _squares(X) -> np.ndarray:
     """One dot product per row, as ``np.linalg.norm`` takes it."""
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
@@ -211,15 +228,10 @@ def _euclidean_norm_rows(X) -> np.ndarray:
 
 
 def _scalar_pow(values, e) -> np.ndarray:
-    """values**e element by element through the scalar pow, so that a row
-    form matches its one-point form bit for bit (the array power may round
-    the last bit differently); a power past the float range is +inf."""
-    xs = values.tolist()
-    try:
-        return np.array([v ** e for v in xs], dtype=float)
-    except OverflowError:  # numpy's scalar pow calls the same C pow, but gives +inf
-        with np.errstate(over="ignore"):
-            return np.array([np.float64(v) ** e for v in xs], dtype=float)
+    """values**e element by element through the scalar pow (``_per_point``),
+    so that a row form matches its one-point form bit for bit (the array
+    power may round the last bit differently); past the float range, +inf."""
+    return _per_point(float(e).__rpow__, values)
 
 
 def _row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:
@@ -229,15 +241,15 @@ def _row_norm(norm) -> Callable[[np.ndarray], np.ndarray]:
     numbers, a 2-d block one vector per row.  ``euclidean_norm`` and a
     bound ``norm`` method whose owner also has ``norm_rows``
     (``QuasiNormedSpace``, ``LHalfSpace``) have a block form; any other
-    norm is called on each point as ``_points`` gives it, a Python float
-    or a row.
+    norm is called on each point through ``_per_point``, on a Python float
+    or a row, and a call past the float range reads +inf.
     """
     if norm is euclidean_norm:
         return _euclidean_norm_rows
     owner = getattr(norm, "__self__", None)
     if hasattr(owner, "norm_rows") and norm == getattr(owner, "norm", None):
         return owner.norm_rows
-    return lambda X: np.array([norm(x) for x in _points(X)], dtype=float).reshape(len(X))
+    return lambda X: _per_point(norm, X).reshape(len(X))
 
 
 @dataclass(frozen=True)
@@ -325,13 +337,13 @@ class BMetricReport:
         return _fields_dict(self)
 
 
-def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
+def validate_b_metric(D, kappa) -> BMetricReport:
     """Check the generalized b-metric axioms on a distance matrix.
 
     Axioms, in the order checked: zero diagonal, positivity off the
     diagonal, symmetry, and the relaxed triangle inequality
-    D(i,j) <= kappa * (D(i,k) + D(k,j)) + tol.  The first violating pair
-    or triple in lexicographic index order is reported.
+    D(i,j) <= kappa * (D(i,k) + D(k,j)) + tol, tol = ``AXIOM_SLACK`` as in
+    every check.  The first violating pair or triple in index order is reported.
 
     The triangle check compares D(i,j) with the least sum
     s = min_k (D(i,k) + D(k,j)) only: the rounded right-hand side
@@ -349,7 +361,7 @@ def validate_b_metric(D, kappa, tol=AXIOM_SLACK) -> BMetricReport:
     """
     A = as_extended_matrix(D)
     k = _check_kappa(kappa)
-    _check_tol(tol)
+    tol = AXIOM_SLACK
     n = A.shape[0]
 
     diag = np.diagonal(A)

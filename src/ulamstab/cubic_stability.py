@@ -45,13 +45,13 @@ f(0) = 0 ``hypothesis_defect_check``, the slack lhs <= rhs + tol *
 max(1, rhs) ``_exceeds``, the pairs the hypothesis checks walk (with or
 without zero arguments) and phi over them ``_Pairs``, a worst ratio (the
 running maximum) ``_worst_ratio``, the bound factor (4 / (1 - L**p))**(1/p)
-and the rules on L and p ``fixed_point.bound_factors`` (L alone:
-``core_spaces._check_L``), the control-function parameters
-``_check_parameters``; in ``core_spaces``: a grid's shape ``_grid``, a
-number's conversion to float ``_real``, tolerances ``_check_tol``, counts
-``_check_count``, grid-point matching ``_RowIndex``, distinctness
-``_distinct``, tiles ``_rows_per_tile``, the single points a per-point
-callable gets ``_points``.
+and the rule L**p < 1 ``fixed_point.bound_factors``, the control-function
+parameters ``_check_parameters``; in ``core_spaces``: L ``_check_L``, p
+``_check_p``, a grid's shape ``_grid``, a number's conversion to float
+``_real``, tolerances ``_check_tol``, counts ``_check_count``, grid-point
+matching ``_RowIndex``, distinctness ``_distinct``, tiles
+``_rows_per_tile``, the single points a per-point callable gets
+``_points``, and its calls, +inf past the float range, ``_per_point``.
 """
 
 from __future__ import annotations
@@ -69,10 +69,12 @@ from .core_spaces import (
     _block,
     _check_L,
     _check_count,
+    _check_p,
     _check_tol,
     _distinct,
     _fields_dict,
     _grid,
+    _per_point,
     _points,
     _real,
     _row_norm,
@@ -96,7 +98,6 @@ __all__ = [
     "hypothesis_defect_check",
     "cubic_approximant",
     "stability_bound",
-    "sup_weighted_distance",
     "m_closed_grid",
     "StabilityConfig",
     "StabilityCertificate",
@@ -120,10 +121,11 @@ def _nonzero(P) -> np.ndarray:
 
 def _f_rows(f, P) -> np.ndarray:
     """f at each point of P, stacked: ``f.rows(P)`` when f has a block form,
-    else one call per point."""
+    else ``_per_point``; a value past the float range is +inf, unwarned."""
     if hasattr(f, "rows"):
-        return np.asarray(f.rows(P), dtype=float)
-    return np.array([f(p) for p in _points(P)], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(f.rows(P), dtype=float)
+    return _per_point(f, P)
 
 
 def _ratios(num, denom) -> np.ndarray:
@@ -156,10 +158,11 @@ def _check_parameters(phi, **ranges):
     """Reject a control function unless each named parameter is a finite
     number in its range [low, high)."""
     for name, (low, high) in ranges.items():
-        v = getattr(phi, name)
+        v = _real(getattr(phi, name), f"{type(phi).__name__}.{name}")
         if not (math.isfinite(v) and low <= v < high):
             raise InputError(f"{type(phi).__name__}.{name} must be finite and in "
                              f"[{low!r}, {high!r}), got {v!r}")
+        object.__setattr__(phi, name, v)
 
 
 @dataclass(frozen=True)
@@ -268,20 +271,17 @@ class ConstantBound:
 
 def _phi_rows(phi, X, Y) -> np.ndarray:
     """phi over matching points of two blocks; a phi with no block form is
-    called pair by pair, on numbers when the blocks hold numbers."""
-    if not hasattr(phi, "rows"):
-        X, Y = np.broadcast_arrays(X, Y)
-        return np.array([phi(x, y) for x, y in zip(_points(X), _points(Y))], dtype=float)
-    return phi.rows(X, Y)
+    called pair by pair (``_per_point``), on numbers when the blocks hold numbers."""
+    return phi.rows(X, Y) if hasattr(phi, "rows") else _per_point(phi, X, Y)
 
 
 def _phi_at_zero_rows(phi, X) -> np.ndarray:
-    """The weights phi(x, 0) of a block; without ``at_zero_rows``, phi is
-    called point by point: ``phi.at_zero(x)`` if it has one, else phi(x, 0)."""
+    """The weights phi(x, 0) of a block; without ``at_zero_rows``, through
+    ``_per_point``: ``phi.at_zero(x)`` if phi has one, else phi(x, 0)."""
     if hasattr(phi, "at_zero_rows"):
         return phi.at_zero_rows(X)
     at_zero = getattr(phi, "at_zero", None) or (lambda x: phi(x, x - x))  # +0 in x's shape
-    return np.array([at_zero(x) for x in _points(X)], dtype=float)
+    return _per_point(at_zero, X)
 
 
 # =========================================================================
@@ -443,8 +443,9 @@ def _tile_rows(A, k) -> np.ndarray:
 
 
 def _exceeds(lhs, rhs, tol) -> np.ndarray:
-    """lhs > rhs + tol * max(1, rhs): the slack rule of every sampled check."""
-    with np.errstate(invalid="ignore"):
+    """lhs > rhs + tol * max(1, rhs): the slack rule of every sampled check;
+    a slack past the float range is +inf, which only loosens it."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return lhs > rhs + tol * np.maximum(1.0, rhs)
 
 
@@ -472,24 +473,23 @@ def _scan(pairs, sides, tol, exceeds, holds, f=None) -> CheckReport:
     return CheckReport(True, worst, witness, len(pairs), holds)
 
 
-def phi_contractivity_check(phi, m, L, samples, tol=AXIOM_SLACK) -> CheckReport:
+def phi_contractivity_check(phi, m, L, samples) -> CheckReport:
     """Check phi(m x, m y) <= L * |m|**3 * phi(x, y) on the pairs of a grid.
 
     ``samples`` is a grid, or its ``_Pairs`` as ``verify_stability``
     passes them; a phi that excludes zero arguments is checked on the
-    pairs without one.  The slack is tol * max(1, rhs): purely absolute
-    near unit scale, relative for large values, so that families whose
-    ratio is exactly 1 survive float rounding at any magnitude.
+    pairs without one.  The slack is AXIOM_SLACK * max(1, rhs): purely
+    absolute near unit scale, relative for large values, so that families
+    whose ratio is exactly 1 survive float rounding at any magnitude.
     """
-    _check_L(L)
-    _check_tol(tol)
+    L = _check_L(L)
     pairs = _Pairs.of(samples, phi)
     scale = L * abs(m) ** 3
 
     def sides(start, X, Y, FY):
         return _phi_rows(phi, m * X, m * Y), scale * pairs.phi[start:start + len(Y)]
 
-    return _scan(pairs, sides, tol,
+    return _scan(pairs, sides, AXIOM_SLACK,
                  lambda lhs, rhs: f"phi(m x, m y) = {lhs!r} exceeds L |m|^3 phi(x, y) = {rhs!r}",
                  f"contractive on {len(pairs)} pairs")
 
@@ -507,7 +507,7 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     or f overflows) raises ``OverflowGuardError`` naming its pair, unless a
     violating pair comes before it.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     pairs = _Pairs.of(samples, phi)
     norm_rows = _row_norm(norm)
     f0 = float(norm_rows(_block(f(pairs.zero) if pairs.f0 is None else pairs.f0))[0])
@@ -550,7 +550,7 @@ def cubic_approximant(f, m, grid, n_max=_MAX_STAGES, tol=DEFAULT_TOL,
     that cannot be formed raises ``OverflowGuardError``.
     """
     m = _check_m(m)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _check_count(n_max, 1, "n_max")
     g = _grid(grid)
     return _approximant(f, m, g, _f_rows(f, g), n_max, tol, codomain or real_line())[0]
@@ -589,7 +589,7 @@ def _approximant(f, m, g, vals, n_max, tol, codomain):
 
 
 # =========================================================================
-# Bounds and distances
+# Bounds
 # =========================================================================
 
 def _bounds(config: StabilityConfig, weights):
@@ -602,20 +602,6 @@ def _bounds(config: StabilityConfig, weights):
 def stability_bound(config: StabilityConfig, phi, x) -> float:
     """Certified per-point bound (4/(1 - L**p))**(1/p) * phi(x, 0) / (2 |m|**3)."""
     return float(_bounds(config, _phi_at_zero_rows(phi, _block(x))[0]))
-
-
-def sup_weighted_distance(g: SampledMap, h: SampledMap, phi) -> float:
-    """sup over the grid of |g(x) - h(x)| / phi(x, 0).
-
-    The weight is the bound-effective phi(x, 0).  Conventions: 0/0 = 0
-    and pos/0 = +inf (the sup of an empty admissible constant set).  The
-    sup is ``_worst_ratio``, a running maximum in grid order.
-    Both maps must live on the identical grid.
-    """
-    if not np.array_equal(g.domain_grid, h.domain_grid):
-        raise InputError("sampled maps live on different grids")
-    num = g.codomain.norm_rows(g.values - h.values)
-    return _worst_ratio(num, _phi_at_zero_rows(phi, g.domain_grid))
 
 
 def m_closed_grid(base, m, levels=2, symmetric=True) -> np.ndarray:
@@ -671,8 +657,10 @@ class StabilityConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_m(self.m))
-        bound_factors(self.L, self.p)  # the owner of the rules on L and p
-        _check_tol(self.tol, positive=True)
+        object.__setattr__(self, "p", _check_p(self.p))
+        object.__setattr__(self, "L", _check_L(self.L))
+        bound_factors(self.L, self.p)  # the owner of the rules on L**p and the factor
+        object.__setattr__(self, "tol", _check_tol(self.tol, positive=True))
         if self.codomain is None:
             object.__setattr__(self, "codomain", real_line())
         if abs(self.codomain.p - self.p) > 1e-9:

@@ -48,7 +48,7 @@ class ContractionMap:
     L: float
 
     def __post_init__(self):
-        _check_L(self.L, "contraction constant")
+        object.__setattr__(self, "L", _check_L(self.L, "contraction constant"))
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def bound_factors(L: float, p: float) -> dict:
     ``metric`` is 1 / (1 - L), present only when p = 1.  L**p rounding to 1
     and a factor beyond the float range are input errors.
     """
-    _check_p(p)
-    _check_L(L)
+    p = _check_p(p)
+    L = _check_L(L)
     Lp = L**p
     if not Lp < 1.0:
         raise InputError(f"L**p must stay below 1, got {Lp!r}")
@@ -121,7 +121,7 @@ def iterate(map: ContractionMap, x0, distance, p: float, tol: float,
     consecutive iterates at finite distance contract worse than the
     declared L allows.
     """
-    _check_tol(tol, positive=True)
+    tol = _check_tol(tol, positive=True)
     _check_count(max_iter, 1, "max_iter")
     factors = bound_factors(map.L, p)
 

@@ -75,10 +75,6 @@ class LHalfSpace:
         n = self.quadrature_n
         return (np.arange(n) + 0.5) / n
 
-    def sample(self, fn) -> np.ndarray:
-        """Sample a callable t -> x(t) on the midpoint grid."""
-        return np.asarray(fn(self.midpoints), dtype=float)
-
     def norm(self, x) -> float:
         return lhalf_norm(x, self.quadrature_n)
 

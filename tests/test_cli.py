@@ -640,8 +640,8 @@ def test_verify_nonvanishing_f0_fails_with_q_and_its_csv(tmp_path, capsys):
 
 
 # Finite inputs whose arithmetic overflows to +inf, with their exit codes.
-# Each printed RuntimeWarnings: a phi or a bound past the float range, or a
-# triangle or path sum past it.
+# Each printed RuntimeWarnings: a phi or a bound past the float range, a
+# slack tol * max(1, rhs) past it, or a triangle or path sum past it.
 OVERFLOWING_INPUTS = [
     (["verify"], {"m": 2, "f": {"name": "cubic"}, "phi": {"kind": "shift_norm", "c": 1e308},
                   "grid": {"base": [1e30], "levels": 1}}, 1),
@@ -650,6 +650,8 @@ OVERFLOWING_INPUTS = [
                   "grid": {"base": [1e5], "levels": 1}}, 0),
     (["verify"], {"m": 2, "f": {"name": "cubic"}, "phi": {"kind": "constant", "value": 1e308},
                   "grid": {"base": [1], "levels": 1}}, 0),
+    (["verify"], {"m": 2, "f": {"name": "cubic"}, "phi": {"kind": "shift_norm", "c": 12},
+                  "tol": 1e308}, 0),
     (["metrize", "--kappa", "1"], "0,1e308\n1e308,0\n", 0),
     (["metrize", "--kappa", "2"], "0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n", 0),
 ]
@@ -705,6 +707,20 @@ def test_verify_non_finite_numbers_are_input_errors(tmp_path, capsys, change):
     assert (code, doc) == (2, None)
     assert err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", [0, -0.0, 1e-300, 1e-170])
+@pytest.mark.parametrize("phi", [{"kind": "shift_norm", "c": 1},
+                                 {"kind": "power_law", "lambda": 1, "s": 1},
+                                 {"kind": "constant", "value": 1}], ids=lambda phi: phi["kind"])
+def test_verify_m_near_zero_is_an_input_error(tmp_path, capsys, phi, m):
+    # L = |m|**(deg - 3) came before the rule on m: m = 0 ended in a
+    # ZeroDivisionError traceback, 1e-300 and 1e-170 in an OverflowError one.
+    cfg = _write_config(tmp_path, {"m": m, "f": {"name": "cubic"}, "phi": phi})
+    code, doc, err = run_cli(["verify", "--config", cfg], capsys)
+    assert (code, doc) == (2, None)
+    assert err == f"input error: m must satisfy |m| > 1 (0 and +-1 are degenerate; the " \
+                  f"forward rescaling diverges for 0 < |m| <= 1), got {float(m)!r}\n"
 
 
 @pytest.mark.parametrize("phi", [{"kind": "constant", "value": 1.0},

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,13 +38,13 @@ from ulamstab import (
     phi_contractivity_check,
     real_line,
     stability_bound,
-    sup_weighted_distance,
     verify_stability,
 )
 from ulamstab.cubic_stability import (
     _JUN_KIM,
     _euler_lagrange,
     _phi_at_zero_rows,
+    _phi_rows,
     _residual_rows,
 )
 
@@ -453,28 +454,6 @@ def test_stability_bound_reference_quadrature_space():
 
 
 # ---------------------------------------------------------------------------
-# weighted sup distance
-# ---------------------------------------------------------------------------
-
-
-def test_sup_weighted_distance_conventions():
-    grid = np.array([0.0, 1.0, 2.0])
-    phi = ShiftNorm(c=1.0, m=2.0)
-    g = SampledMap(domain_grid=grid, values=np.array([0.0, 1.0, 8.0]), codomain=real_line())
-    h = SampledMap(domain_grid=grid, values=np.array([0.0, 0.5, 8.0]), codomain=real_line())
-    # Identical at the zero-weight point: 0/0 contributes 0, not NaN.
-    assert sup_weighted_distance(g, g, phi) == 0.0
-    assert sup_weighted_distance(g, h, phi) == pytest.approx(0.5, abs=1e-12)
-    different = SampledMap(domain_grid=grid, values=np.array([1.0, 1.0, 8.0]),
-                           codomain=real_line())
-    assert sup_weighted_distance(g, different, phi) == math.inf
-    other_grid = SampledMap(domain_grid=np.array([0.0, 1.0]), values=np.zeros(2),
-                            codomain=real_line())
-    with pytest.raises(InputError):
-        sup_weighted_distance(g, other_grid, phi)
-
-
-# ---------------------------------------------------------------------------
 # m-closed grids
 # ---------------------------------------------------------------------------
 
@@ -645,6 +624,51 @@ def test_plain_callables_get_python_floats_on_the_real_line():
     assert cert.passed
     assert hypothesis_defect_check(f, phi, 2.0, [0.5, 1.0], norm=norm).passed
     assert seen == {"f": {float}, "phi": {float}, "norm": {float}}
+
+
+def test_a_plain_f_past_the_float_range_is_inf_at_that_point():
+    # Python's float pow and math.exp raise OverflowError where a block form
+    # gives +inf: a traceback before, now the outcome a block form has.
+    cert = verify_stability(lambda u: math.exp(u) - 1.0, ShiftNorm(c=12.0, m=2.0),
+                            StabilityConfig(m=2.0, L=0.25), m_closed_grid([1.0], 2.0, levels=2))
+    assert cert.approximant_iterations == 7
+    assert cert.notes[-1] == "approximant stopped short: f overflowed along the orbit at stage 8"
+    with pytest.raises(OverflowGuardError, match=r"not finite at the pair \(0\.0, 3e\+102\)$"):
+        verify_stability(cubic_plus_linear, ShiftNorm(c=12.0, m=2.0),
+                         StabilityConfig(m=2.0, L=0.25), [0.0, 3e102])
+
+
+def test_a_plain_phi_or_norm_past_the_float_range_is_inf_at_that_point_only():
+    def phi(x, y):
+        return math.exp(abs(x)) + abs(y)
+
+    X = np.array([1.0, 1000.0, 2.0])
+    want = [math.e, math.inf, math.exp(2.0)]
+    assert _phi_rows(phi, X, np.array([0.0])).tolist() == want
+    assert _phi_at_zero_rows(phi, X).tolist() == want
+    space = QuasiNormedSpace(dim=1, norm_eval=lambda x: abs(x) ** 2 / abs(x) if x else 0.0,
+                             kappa=1.0)
+    assert space.norm_rows(np.array([1.0, 1e200, 3.0])).tolist() == [1.0, math.inf, 3.0]
+
+
+class _RowsCubic:
+    """A library user's f with a block form."""
+
+    def __call__(self, u):
+        return u * u * u
+
+    def rows(self, P):
+        return P * P * P
+
+
+def test_a_rows_f_past_the_float_range_prints_no_warning():
+    # The CLI's own block form was quiet; any other printed RuntimeWarnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuardError, match=r"^f overflowed on the grid: f is not "
+                                                     r"finite at grid point 1$"):
+            verify_stability(_RowsCubic(), ConstantBound(1.0), StabilityConfig(m=2.0, L=0.125),
+                             [0.0, 1e103])
 
 
 def test_verify_stability_undersized_phi_fails_without_raising():

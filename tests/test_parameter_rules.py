@@ -1,5 +1,7 @@
 """Each parameter rule has one owner, and every entry point goes through it.
 
+* a number is read as ``float`` reads it, an int too large for a float
+  being not finite: ``core_spaces._real``, under every rule below;
 * a tolerance is finite and >= 0 (> 0 where a run needs one):
   ``core_spaces._check_tol``;
 * a control-function parameter is finite, c, lam and value are >= 0 and
@@ -35,6 +37,7 @@ from ulamstab import (
     SampledMap,
     ShiftNorm,
     StabilityConfig,
+    as_extended,
     bound_factors,
     cubic_approximant,
     euclidean_norm,
@@ -44,7 +47,6 @@ from ulamstab import (
     m_closed_grid,
     phi_contractivity_check,
     real_line,
-    validate_b_metric,
     verify_stability,
 )
 from ulamstab.cli import run_example_lhalf
@@ -64,11 +66,6 @@ TOL_ENTRY_POINTS = {
     # f(0) = 1 fails the check at any finite tol.
     "hypothesis_defect_check": lambda tol: hypothesis_defect_check(
         lambda u: u**3 + 1.0, ShiftNorm(c=12.0, m=2.0), 2.0, [1.0], tol=tol),
-    "phi_contractivity_check": lambda tol: phi_contractivity_check(
-        ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, [1.0], tol=tol),
-    # D(0, 2) = 100 breaks the triangle at kappa = 1.
-    "validate_b_metric": lambda tol: validate_b_metric(
-        [[0.0, 1.0, 100.0], [1.0, 0.0, 1.0], [100.0, 1.0, 0.0]], 1.0, tol=tol),
     "cubic_approximant": lambda tol: cubic_approximant(
         cubic_plus_linear, 2.0, np.array([0.0, 1.0, 2.0]), tol=tol),
     "StabilityConfig": lambda tol: StabilityConfig(m=2.0, L=0.25, tol=tol),
@@ -86,11 +83,50 @@ def test_every_tol_taking_entry_point_rejects_a_malformed_tol(entry, tol):
 
 
 def test_zero_tol_is_accepted_where_a_check_allows_it():
-    assert not validate_b_metric([[0.0, 1.0, 100.0], [1.0, 0.0, 1.0], [100.0, 1.0, 0.0]],
-                                 1.0, tol=0.0).passed
-    assert phi_contractivity_check(ShiftNorm(c=12.0, m=2.0), 2.0, 0.25, [1.0], tol=0.0).passed
     with pytest.raises(InputError, match=r"^tol must be finite and positive, got 0\.0$"):
         StabilityConfig(m=2.0, L=0.25, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the conversion to float through _real
+# ---------------------------------------------------------------------------
+
+def halving(L):
+    return ContractionMap(apply=lambda x: x / 2.0, L=L)
+
+
+# Each entry point that converts a number to float, by the name of the
+# number; each raised a bare OverflowError on an int too large for a float.
+REAL_ENTRY_POINTS = {
+    "ShiftNorm.c": lambda v: ShiftNorm(c=v, m=2.0),
+    "PowerLaw.lam": lambda v: PowerLaw(lam=v, s=1.0),
+    "ConstantBound.value": lambda v: ConstantBound(value=v),
+    "StabilityConfig.L": lambda v: StabilityConfig(m=2.0, L=v),
+    "StabilityConfig.tol": lambda v: StabilityConfig(m=2.0, L=0.25, tol=v),
+    "StabilityConfig.p": lambda v: StabilityConfig(m=2.0, L=0.25, p=v),
+    "bound_factors.p": lambda v: bound_factors(0.5, v),
+    "ContractionMap.L": halving,
+    "iterate.tol": lambda v: iterate(halving(0.5), 1.0, lambda a, b: abs(a - b), p=1.0,
+                                     tol=v, max_iter=10),
+    "iterate.distance": lambda v: iterate(halving(0.5), 1.0, lambda a, b: v, p=1.0,
+                                          tol=1e-9, max_iter=10),
+    "as_extended": as_extended,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+def test_every_entry_point_reads_an_int_too_large_for_a_float_as_not_finite(entry):
+    with pytest.raises(InputError, match=r"must be finite, got an int too large for a float$"):
+        REAL_ENTRY_POINTS[entry](10**400)
+
+
+def test_a_checked_number_is_kept_as_its_float():
+    # A numeric string reads as a number, as kappa = "2" does.
+    phi = ShiftNorm(c="12", m=np.int64(2))
+    assert (phi.c, phi.m) == (12.0, 2.0) and type(phi.c) is type(phi.m) is float
+    config = StabilityConfig(m=2, L=0, p=1, tol=1)
+    assert [type(v) for v in (config.m, config.L, config.p, config.tol)] == [float] * 4
+    assert type(halving(0).L) is float
 
 
 # ---------------------------------------------------------------------------

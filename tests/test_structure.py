@@ -23,7 +23,11 @@ does not need.  Every attribute an exception class of ``errors`` sets on
 conversion of a number to float has one owner: ``core_spaces._real`` alone
 wraps a call of the builtin ``float`` in a ``try`` that catches
 ``OverflowError``, so an int too large for a float is not finite with one
-message everywhere.
+message everywhere.  Outside code is called point by point in one place:
+no comprehension, ``for`` loop or ``map`` call iterates ``_points(...)``
+outside ``core_spaces._per_point``, so every f, control function and norm
+without a block form reads +inf past the float range by one rule.  Taking
+one point by index, as a witness does, is no loop.
 """
 
 from __future__ import annotations
@@ -37,11 +41,6 @@ import ulamstab
 
 SOURCES = sorted(Path(ulamstab.__file__).parent.glob("*.py"))
 BENCH_SOURCES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
-
-# Exports that nothing reaches yet, each with the work that will.  ROADMAP
-# item 1 owns sup_weighted_distance: its phi-weighted sup is the metric on
-# which the approximant becomes a run of the fixed-point engine.
-_AWAITED_EXPORTS = {"sup_weighted_distance"}
 
 
 def _tree(path):
@@ -111,7 +110,7 @@ def _unreached(tree, trees, bench_trees):
     ``bench_trees`` reads, and that no string of ``bench_trees`` holds."""
     strings = {n.value for t in bench_trees for n in ast.walk(t)
                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    reached = _read_names(trees + bench_trees) | strings | _AWAITED_EXPORTS
+    reached = _read_names(trees + bench_trees) | strings
     return sorted(_exported(tree) - reached)
 
 
@@ -170,6 +169,24 @@ def _float_overflow_guards(tree):
                     and c.func.id == "float" for b in n.body for c in ast.walk(b))
         if "OverflowError" in caught and calls:
             yield owner.get(id(n)), n.lineno
+
+
+def _per_point_loops(tree):
+    """The sorted lines where the module iterates ``_points`` outside a
+    function ``_per_point``: a comprehension or ``for`` loop whose iterable
+    reads the name, or a ``map`` call with an argument that does."""
+    owner = {id(n) for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef) and f.name == "_per_point" for n in ast.walk(f)}
+
+    def reads_points(node):
+        return any(isinstance(n, ast.Name) and n.id == "_points" for n in ast.walk(node))
+
+    return sorted(
+        n.iter.lineno if isinstance(n, (ast.For, ast.comprehension)) else n.lineno
+        for n in ast.walk(tree) if id(n) not in owner and (
+            isinstance(n, (ast.For, ast.comprehension)) and reads_points(n.iter)
+            or isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "map"
+            and any(reads_points(a) for a in n.args)))
 
 
 # The names of ``os`` that read the process environment.
@@ -241,6 +258,12 @@ def test_only_core_spaces_real_guards_the_float_conversion(path):
     want = ["_real"] if path.name == "core_spaces.py" else []
     assert [name for name, _ in guards] == want, (
         f"{path.name} converts to float past OverflowError outside core_spaces._real: {guards}")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_per_point_calls_outside_code_point_by_point(path):
+    lines = _per_point_loops(_tree(path))
+    assert not lines, f"{path.name} loops over _points outside _per_point on lines {lines}"
 
 
 def test_the_rules_catch_what_they_name():
@@ -317,3 +340,18 @@ def test_the_rules_catch_what_they_name():
                      "    try:\n        float(row)\n"
                      "    except ValueError:\n        raise\n")
     assert list(_float_overflow_guards(tree)) == [("_real", 2), ("_check_m", 7)]
+    # The per-point loops of f, phi and a norm as the library had them, and
+    # a for loop and a map; the owner's map and a witness's point stay.
+    tree = ast.parse("def _f_rows(f, P):\n"
+                     "    return np.array([f(p) for p in _points(P)], dtype=float)\n"
+                     "def _phi_rows(phi, X, Y):\n"
+                     "    return [phi(x, y) for x, y in zip(_points(X), _points(Y))]\n"
+                     "def _loop(fn, P):\n"
+                     "    for p in _points(P):\n"
+                     "        fn(p)\n"
+                     "    return list(map(fn, _points(P)))\n"
+                     "def _per_point(fn, *blocks):\n"
+                     "    return list(map(fn, *map(_points, blocks)))\n"
+                     "def pair(self, i):\n"
+                     "    return _points(self.points[i:i + 1])[0]\n")
+    assert _per_point_loops(tree) == [2, 4, 6, 8]
