@@ -129,8 +129,9 @@ def _f_rows(f, P) -> np.ndarray:
 
 
 def _ratios(num, denom) -> np.ndarray:
-    """num / denom elementwise with the conventions 0/0 = 0 and pos/0 = +inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """num / denom elementwise with the conventions 0/0 = 0 and pos/0 = +inf;
+    a ratio past the float range is +inf, unwarned."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = num / denom
     return np.where(denom == 0.0, np.where(num == 0.0, 0.0, math.inf), r)
 
@@ -338,14 +339,26 @@ def _residual_rows(eq: _Equation, f, X, Y, FY=None) -> np.ndarray:
                          for p in eq.points))
 
 
+def _defect(eq: _Equation, f, x, y, norm) -> float:
+    """Codomain norm of eq's residual at (x, y); a residual that is not finite
+    (an equation point or f overflows) raises ``OverflowGuardError`` naming the pair."""
+    X, Y = _block(x), _block(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _residual_rows(eq, f, X, Y)
+    if not np.isfinite(R).all():
+        raise OverflowGuardError(f"the equation residual is not finite at the pair "
+                                 f"{(_points(X)[0], _points(Y)[0])!r}")
+    return float(_row_norm(norm)(R)[0])
+
+
 def el_defect(f, m, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     """Codomain norm of the Euler-Lagrange residual; 0 for exact solutions."""
-    return float(_row_norm(norm)(_residual_rows(_euler_lagrange(m), f, _block(x), _block(y)))[0])
+    return _defect(_euler_lagrange(m), f, x, y, norm)
 
 
 def junkim_defect(f, x, y, norm: Callable[..., float] = euclidean_norm) -> float:
     """Codomain norm of the Jun-Kim residual; an independent cubicity witness."""
-    return float(_row_norm(norm)(_residual_rows(_JUN_KIM, f, _block(x), _block(y)))[0])
+    return _defect(_JUN_KIM, f, x, y, norm)
 
 
 # =========================================================================
@@ -417,7 +430,8 @@ class _Pairs:
         fy = self.values if self.values is not None or f is None else _f_rows(f, P)
         n = len(P)
         # A check keeps about 16 float temporaries per pair coordinate alive
-        # (X, Y, FY, four evaluation points, their f values, the residual
+        # (X, Y, FY, four evaluation points, or for a per-point f their
+        # four keys into the pair-sum table, their f values, the residual
         # and its norm), so 1/16 of a tile of coordinates keeps the 512 KiB
         # of one tile, which fits a 2 MiB cache.  One x-point of a 21-point
         # grid of 1024-sample signals fills a tile alone.
@@ -430,6 +444,63 @@ class _Pairs:
     def pair(self, k) -> tuple:
         i, j = divmod(k, len(self.points))
         return _points(self.points[i:i + 1])[0], _points(self.points[j:j + 1])[0]
+
+
+def _bit_classes(P):
+    """The bit-distinct points of a block (+0.0 and -0.0 apart), and the
+    index of each point among them."""
+    bits, inverse = np.unique(P.view(np.int64), axis=0, return_inverse=True)
+    return bits.view(np.float64), inverse.reshape(len(P))
+
+
+def _distinct_keys(keys, size):
+    """The distinct values of an int array with values in range(size), in
+    order, and the index of each entry among them.  When there are no more
+    possible values than entries, a mark per value finds them with no sort."""
+    keys = keys.reshape(-1)
+    if size > len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+class _PairSums:
+    """f at an equation's points other than y over the pairs of a grid, from
+    one call of a per-point f per distinct point in each tile.
+
+    numpy forms a point p(x, y) = a x + b y as fl(fl(a x) + fl(b y)), with
+    the exact coefficients (a, b) read off p: subtracting is adding the
+    negation, and scaling by +-1 is exact.  So p(x, y) is bitwise S[u] +
+    S[v] for the bit-distinct rows S of the points c x of the grid, c
+    ranging over the coefficients, in either order, since IEEE addition
+    commutes.  Built once per check.  A tile forms one sum per distinct
+    unordered (u, v) among its pairs and calls f once per distinct sum.
+    """
+
+    def __init__(self, eq: _Equation, P):
+        self.eq, self.n = eq, len(P)
+        maps = [p for p in eq.points if p is not _y]
+        # b is read at x = -0.0, which adds exactly, so a zero b keeps its sign.
+        coefficients = [(p(1.0, 0.0), p(-0.0, 1.0)) for p in maps]
+        scales = list(dict.fromkeys(c for ab in coefficients for c in ab))
+        with np.errstate(over="ignore"):  # a row past the float range is +-inf
+            self.rows, row = _bit_classes(np.concatenate([c * P for c in scales]))
+        row = dict(zip(scales, row.reshape(len(scales), self.n)))
+        self.at = [(row[a], row[b]) for a, b in coefficients]
+
+    def residual(self, f, start, count, FY) -> np.ndarray:
+        """eq's residual over the ``count`` pairs from index ``start``, which
+        are whole runs of an x-point against every y; FY is f at the y block."""
+        i = slice(start // self.n, (start + count) // self.n)
+        size = len(self.rows)
+        keys = np.stack([np.minimum(u[i, None], v) * size + np.maximum(u[i, None], v)
+                         for u, v in self.at])
+        keys, at_key = _distinct_keys(keys, size * size)
+        lo, hi = np.divmod(keys, size)
+        sums, at_sum = _bit_classes(self.rows[lo] + self.rows[hi])
+        F = iter(_f_rows(f, sums)[at_sum[at_key.reshape(len(self.at), -1)]])
+        return self.eq.residual(*(FY if p is _y else next(F) for p in self.eq.points))
 
 
 def _repeat_rows(A, n) -> np.ndarray:
@@ -506,6 +577,10 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
     called at any pair.  A residual that is not finite (an equation point
     or f overflows) raises ``OverflowGuardError`` naming its pair, unless a
     violating pair comes before it.
+
+    An f with a block form gets the four new points of the pairs of a tile
+    as four blocks.  Any other f is called once per distinct point of each
+    tile (``_PairSums``), with the same bits.
     """
     tol = _check_tol(tol)
     pairs = _Pairs.of(samples, phi)
@@ -515,9 +590,15 @@ def hypothesis_defect_check(f, phi, m, samples, norm: Callable[..., float] = euc
         return CheckReport(False, math.inf, (pairs.zero,), len(pairs),
                            f"f(0) has norm {f0!r}, expected 0")
 
+    eq = _euler_lagrange(m)
+    # A block form takes each tile whole; a per-point f is called once per
+    # distinct pair sum, which would cost a block form more than it saves.
+    sums = None if hasattr(f, "rows") else _PairSums(eq, pairs.points)
+
     def sides(start, X, Y, FY):
         with np.errstate(over="ignore", invalid="ignore"):
-            R = _residual_rows(_euler_lagrange(m), f, X, Y, FY)
+            R = (_residual_rows(eq, f, X, Y, FY) if sums is None
+                 else sums.residual(f, start, len(Y), FY))
         if np.isfinite(R).all():
             return norm_rows(R), pairs.phi[start:start + len(Y)]
         # The first pair whose residual is not finite.
@@ -738,14 +819,15 @@ def verify_stability(f, phi, config: StabilityConfig, grid) -> StabilityCertific
 
     An f with a block form ``f.rows(P)``, giving f at each point of the
     block P with the bits of one call per point, is evaluated on blocks;
-    any other f is called once per evaluation point.  f at the grid points
-    is computed once and serves the f(y) term of the defect check, the
-    one-step check, the errors and stage 0 of the approximant.  Both
-    checks walk one ``_Pairs``, the grid pairs phi is checked on, in tiles
-    of x-points against every y; a failing check stops after the tile
-    holding the first violating pair.  phi(x, y) is evaluated once per
-    checked pair, by the pair set.  The one-step estimate reads f at m x
-    from stage 1 of the approximant.
+    any other f is called once per grid point, once per distinct
+    evaluation point of each tile of the defect check, and once per orbit
+    point of each stage.  f at the grid points is computed once and serves
+    the f(y) term of the defect check, the one-step check, the errors and
+    stage 0 of the approximant.  Both checks walk one ``_Pairs``, the grid
+    pairs phi is checked on, in tiles of x-points against every y; a
+    failing check stops after the tile holding the first violating pair.
+    phi(x, y) is evaluated once per checked pair, by the pair set.  The
+    one-step estimate reads f at m x from stage 1 of the approximant.
     The equation defects of q are taken over every ordered grid pair whose
     equation points all lie on the grid, at every grid size;
     ``defect_pairs_checked`` counts those pairs.

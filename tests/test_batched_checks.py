@@ -351,21 +351,50 @@ def test_both_outcomes_are_exercised():
                                        grid).passed
 
 
+def _bits(u):
+    return np.asarray(u, dtype=float).tobytes()
+
+
+def reference_points(m, pairs):
+    """The four new evaluation points of each pair (f(y) comes with the
+    pairs), as bit patterns, and the unordered pair of scaled points each is
+    the sum of: x + m y, m x - y, x + y and x - y, the sums of x, m x or -x
+    and y, m y or -y."""
+    points, keys = [], []
+    for x, y in pairs:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        for a, b in ((x, m * y), (m * x, -y), (x, y), (x, -y)):
+            points.append(_bits(a + b))
+            keys.append(tuple(sorted((_bits(a), _bits(b)))))
+    return points, keys
+
+
 def test_grid_pairs_with_f_values_skip_the_grid_calls():
+    # A per-point f is called once per distinct evaluation point of each
+    # tile, where there were four calls per pair; f(y) and f(0) come from
+    # the values.  Tiles of 1 and 64 elements hold one x-point each here.
     grid = _grid(np.random.default_rng(1), 5, False, True)
-    calls = []
-
-    def f(u):
-        calls.append(u)
-        return cubic_plus_linear(u)
-
     values = np.array([cubic_plus_linear(x) for x in grid])
     phi = ShiftNorm(c=12.0, m=2.0)
-    report = hypothesis_defect_check(f, phi, 2.0, _Pairs(grid, phi, values))
-    assert report.passed and report.n_samples == len(grid) ** 2
-    # Four evaluation points per pair; f(y) and f(0) come from the values.
-    assert len(calls) == 4 * len(grid) ** 2
-    assert all(isinstance(u, float) for u in calls)
+    pts = _points(grid)
+    for tile, runs in ((None, [pts]), (1, [[x] for x in pts]), (64, [[x] for x in pts])):
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return cubic_plus_linear(u)
+
+        with tile_elements(tile):
+            report = hypothesis_defect_check(f, phi, 2.0, _Pairs(grid, phi, values))
+        assert report.passed and report.n_samples == len(grid) ** 2
+        assert all(isinstance(u, float) for u in calls)
+        want, bound = [], 0
+        for xs in runs:
+            points, keys = reference_points(2.0, [(x, y) for x in xs for y in pts])
+            want += sorted(set(points))
+            bound += len(set(keys))
+        assert sorted(_bits(u) for u in calls) == sorted(want)
+        assert len(calls) <= bound < 4 * len(grid) ** 2
 
 
 def test_power_law_pairs_exclude_zero_arguments():
@@ -414,9 +443,11 @@ def test_a_phi_without_a_block_form_certifies_the_same(base, norm):
 @pytest.mark.parametrize("phi", [ShiftNorm(c=12.0, m=2.0), PowerLaw(lam=24.0, s=1.0),
                                  ConstantBound(value=1e3)])
 def test_verify_stability_calls_f_once_per_evaluation_point(phi):
-    # f at the n grid points, f at the four new points of each pair of the
-    # defect check, and f at the n points of each approximant stage; the
-    # one-step estimate reads f(m x) from stage 1.
+    # f at the n grid points, f once at each distinct evaluation point of
+    # the defect check (the grid is one tile), and f at the n points of each
+    # approximant stage; the one-step estimate reads f(m x) from stage 1.
+    # On an m-closed grid the four new points of the pairs repeat: x + m y
+    # and x - y are x + m y' and x + y' for grid rows y'.
     grid = m_closed_grid([0.5, 1.0, 3.0], 2.0, levels=2)
     calls = []
 
@@ -426,9 +457,34 @@ def test_verify_stability_calls_f_once_per_evaluation_point(phi):
 
     cert = verify_stability(f, phi, StabilityConfig(m=2.0, L=phi.lipschitz(2.0)), grid)
     n = len(grid)
-    pairs = (n - 1) ** 2 if phi.excludes_zero else n ** 2
     assert cert.hypothesis_defect_ok and cert.approximant_iterations > 1
-    assert len(calls) == n + 4 * pairs + n * cert.approximant_iterations
+    points, keys = reference_points(2.0, reference_pairs(phi, _points(grid)))
+    defect_calls = calls[n:len(calls) - n * cert.approximant_iterations]
+    assert sorted(_bits(u) for u in defect_calls) == sorted(set(points))
+    assert len(defect_calls) <= len(set(keys)) < len(points)
+
+
+@pytest.mark.parametrize("base", [[0.5, 1.0, 3.0], [[0.5, 1.0], [1.0, -0.25], [2.0, 0.125]]])
+@pytest.mark.parametrize("tile", [None, 1, 64])
+def test_a_block_form_f_takes_four_calls_per_tile(base, tile):
+    # A block-form f is called on whole tiles, once per evaluation point:
+    # four blocks per tile, each of one point per pair of the tile.
+    grid = m_closed_grid(base, 2.0, levels=2)
+    blocks = []
+
+    def rows(P):
+        blocks.append(P.shape)
+        return P * P * P + P
+
+    phi = ShiftNorm(c=12.0, m=2.0)
+    with tile_elements(tile), counting_blocks() as walks:
+        pairs = _Pairs(grid, phi, rows(grid))
+        blocks.clear()
+        assert hypothesis_defect_check(cli._BlockF(rows), phi, 2.0, pairs).passed
+    tiles, count = walks[-1]
+    assert count == len(grid) ** 2 and tiles == (1 if tile is None else len(grid))
+    sizes = [len(grid) ** 2] if tile is None else [len(grid)] * len(grid)
+    assert blocks == [(k,) + grid.shape[1:] for k in sizes for _ in range(4)]
 
 
 @pytest.mark.parametrize("base", [[0.5, 1.0, 3.0], [[0.5, 1.0], [1.0, -0.25], [2.0, 0.125]]])
@@ -565,6 +621,70 @@ def test_cli_f_on_blocks_certifies_like_a_plain_function(case):
         docs.append(json.dumps(cert.to_dict(), sort_keys=True).encode()
                     + cert.q.values.tobytes())
     assert docs[0] == docs[1]
+
+
+# The same f as a block form and as a plain function; the second tells the
+# two zeros apart, f(-0.0) = -2 and f(0.0) = 0, and so jumps there.  On rows
+# past the float range they are +inf without a warning, as a block form is.
+SAME_F = [np.errstate(over="ignore")(f) for f in (
+    lambda u: u * u * u + u, lambda u: u * u * u + u + (np.copysign(1.0, u) - 1.0))]
+
+differential = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 6),
+    "dim": st.sampled_from([1, 2, 5, 8]),
+    "closed": st.booleans(),
+    "symmetric": st.booleans(),
+    "negative_zero": st.booleans(),
+    "scale": st.sampled_from([1.0, 3e3, 1e103]),
+    "m": st.sampled_from([2.0, -2.0, 2.5, 3.7]),
+    "kind": st.sampled_from(["constant", "shift", "power"]),
+    "f": st.integers(0, len(SAME_F) - 1),
+    "tile": st.sampled_from([None, 1, 64]),
+})
+
+
+@given(differential)
+@settings(max_examples=150, deadline=None)
+def test_a_plain_f_checks_like_its_block_form(case):
+    # The defect check of a plain f (one call per distinct pair sum of a
+    # tile) against the same f with a block form (four blocks per tile):
+    # the same report bit for bit, or the same overflow.  Grids are m-closed
+    # or not, symmetric or not, of numbers or of 2 to 8 coordinates, with a
+    # -0.0 point or not; a scale of 1e103 overflows f on some points.
+    rng = np.random.default_rng(case["seed"])
+    m, dim = case["m"], case["dim"]
+    shape = (case["n"],) if dim == 1 else (case["n"], dim)
+    base = rng.integers(-128, 129, size=shape) / 64.0
+    if rng.random() < 0.5:
+        base = base * rng.uniform(0.5, 2.0, size=shape)
+    base[rng.random(size=len(base)) < 0.2] *= case["scale"]
+    if case["closed"]:
+        base = base[np.any(base.reshape(len(base), -1) != 0.0, axis=1)]
+        if not len(base):
+            base = np.ones(shape[1:])[None]
+        grid = m_closed_grid(base, m, levels=int(rng.integers(0, 3)),
+                             symmetric=case["symmetric"])
+    else:
+        grid = np.concatenate([np.zeros((1,) + shape[1:]), base]
+                              + ([-base] if case["symmetric"] else []))
+    if case["negative_zero"]:
+        grid = np.concatenate([grid, -np.zeros((1,) + shape[1:])])
+    phi = _phi(case["kind"], rng, m, euclidean_norm)
+    outcomes = []
+    for f in (cli._BlockF(SAME_F[case["f"]]), lambda u, g=SAME_F[case["f"]]: g(u)):
+        with tile_elements(case["tile"]):
+            try:
+                outcomes.append(hypothesis_defect_check(f, phi, m, grid))
+            except OverflowGuardError as exc:
+                outcomes.append(str(exc))
+    block, plain = outcomes
+    if isinstance(block, str):
+        assert plain == block
+    else:
+        assert_same_report(plain, (block.passed, block.worst_ratio, block.witness,
+                                   block.n_samples))
+        assert plain.detail == block.detail
 
 
 def test_cli_f_overflow_on_blocks_is_a_certified_failure_without_warnings(tmp_path, capsys):

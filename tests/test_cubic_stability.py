@@ -148,6 +148,22 @@ def test_exact_solutions_have_zero_defect_on_dyadics():
                 assert junkim_defect(pure_cubic, x, y) == 0.0
 
 
+@pytest.mark.parametrize("f", [pure_cubic, lambda u: u * u * u], ids=["power", "product"])
+@pytest.mark.parametrize("x, y", [(1e103, 0.0), (np.array([1e103, 1.0]), np.array([0.0, 2.0]))])
+def test_one_point_defects_raise_where_the_residual_is_not_finite(f, x, y):
+    # f is +inf at several equation points (a float power raises
+    # OverflowError, a product overflows), so the residual is inf - inf.  It
+    # was NaN with a RuntimeWarning; now it is an overflow naming the pair,
+    # as in the defect check.
+    message = f"the equation residual is not finite at the pair {(x, y)!r}"
+    with pytest.raises(OverflowGuardError) as got:
+        el_defect(f, 2.0, x, y)
+    assert str(got.value) == message
+    with pytest.raises(OverflowGuardError) as got:
+        junkim_defect(f, x, y)
+    assert str(got.value) == message
+
+
 def test_el_residual_sign_structure():
     # Residual of the linear part is 2 m (1 - m^2)(x + m y); negative for m = 2.
     X, Y = np.array([1.0, 1.0, -1.0]), np.array([1.0, 0.0, 1.0])
